@@ -56,6 +56,10 @@ VIRIAL_CHECK_TOL = {"B_vs_Bsharp": 1e-4, "I_selfpair": 1e-4, "H_decomp": 1e-12}
 #: decay runs abort once the energy norm exceeds this multiple of epsilon
 SMALLNESS_FACTOR = 3.0
 
+#: smallest lambda/dx accepted: the sech^2(x/lambda) weights and potentials
+#: need a few grid points across their width
+MIN_LAMBDA_OVER_DX = 4.0
+
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
@@ -164,6 +168,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"T must be nonnegative, got {cfg.T}")
     if not cfg.lam > 0:
         raise ConfigError(f"lambda must be positive, got {cfg.lam}")
+    fullline = cfg.scenario == "breather" or (
+        cfg.scenario == "convergence" and cfg.conv_mode == "breather")
+    dx = (2.0 if fullline else 1.0) * cfg.L / (cfg.N + 1)
+    if cfg.lam < MIN_LAMBDA_OVER_DX * dx:
+        raise ConfigError(f"lambda={cfg.lam:g} is not resolved by the grid: it must be "
+                          f"at least {MIN_LAMBDA_OVER_DX:g}*dx = {MIN_LAMBDA_OVER_DX * dx:g}")
     if cfg.record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {cfg.record_every}")
     if not 0.0 < cfg.beta < 1.0:
@@ -332,27 +342,28 @@ def _base_summary(cfg: ExperimentConfig, grid: Grid, dt: float) -> dict:
 class _DecayProbe:
     """Per-record accumulation that the CSV schema does not carry."""
 
-    def __init__(self, model: Model, vcfg: VirialConfig, epsilon: float):
+    def __init__(self, model: Model, epsilon: float):
         self.model = model
-        self.vcfg = vcfg
         self.limit = SMALLNESS_FACTOR * epsilon
         self.sup_energy_norm = 0.0
         self.sfsix = []
         self.aborted = False
 
     def __call__(self, state: State, rec) -> None:
-        norm = math.sqrt(h1_l2_norm_sq(state.u1, state.u2))
+        norm = math.sqrt(rec.energy_norm_sq)
         self.sup_energy_norm = max(self.sup_energy_norm, norm)
-        dw = derivative(to_w(state.u1, self.vcfg)).values
-        dw_sq = integrate_fullline(dw * dw, state.grid, origin="even")
-        sup = float(np.max(np.abs(state.u1.values)))
         nonlinear = (-rec.dI_dt_rhs) - rec.B_val
-        denom = dw_sq * float(np.float64(sup) ** (self.model.p - 1.0))
+        denom = rec.dw_norm_sq * float(np.float64(rec.sup_u1) ** (self.model.p - 1.0))
         if denom > 0.0:
             self.sfsix.append(abs(nonlinear) / denom)
         if norm > self.limit:
             self.aborted = True
             raise StopRun()
+
+
+#: decay summary values that compare the run's last record with earlier ones
+_TWO_RECORD_RATIOS = ("H_ratio", "J_plateau_increment_ratio", "J_over_eps2",
+                      "min_virial_ratio_after_t1", "max_dH_ratio")
 
 
 def _decay_metrics(records, epsilon: float) -> dict:
@@ -394,13 +405,14 @@ def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
     settings = RunSettings(dt=dt, T=cfg.T, record_every=cfg.record_every)
     vcfg = VirialConfig(cfg.lam)
     initial = make_initial_data(cfg, grid)
-    probe = _DecayProbe(model, vcfg, cfg.epsilon)
+    probe = _DecayProbe(model, cfg.epsilon)
 
     status = "ok"
+    blowup = None
     try:
         records = run(initial, model, settings, vcfg, on_record=probe)
     except BlowupError as exc:
-        records = exc.records
+        records, blowup = exc.records, exc
         status = "aborted_nan"
     if probe.aborted:
         status = "aborted_smallness"
@@ -414,7 +426,13 @@ def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
     summary["max_sfsix_const"] = max(probe.sfsix) if probe.sfsix else math.nan
     summary["sup_energy_norm"] = probe.sup_energy_norm
     summary["smallness_bound"] = SMALLNESS_FACTOR * cfg.epsilon
-    summary["smallness_ok"] = not probe.aborted
+    summary["smallness_ok"] = status == "ok"
+    if blowup is not None:
+        summary["abort_step"] = blowup.step
+        summary["abort_t"] = blowup.t
+        if len(records) < 2:
+            # the only record precedes the blow-up: there is no span to compare over
+            summary.update(dict.fromkeys(_TWO_RECORD_RATIOS, math.nan))
     return ScenarioResult(status=status, summary=summary, records=records)
 
 

@@ -36,11 +36,6 @@ class Grid:
     x: np.ndarray
     fullline: bool = False
 
-    @property
-    def span(self) -> float:
-        """Total width covered by the Dirichlet interval."""
-        return 2.0 * self.L if self.fullline else self.L
-
 
 def make_grid(L: float, N: int) -> Grid:
     """Half-line grid on (0, L) with N interior nodes, dx = L/(N+1)."""
@@ -142,34 +137,39 @@ def integrate_fullline(integrand, grid: Grid | None = None, origin: str = "zero"
     return float(grid.dx * (g0 + 2.0 * v.sum()))
 
 
-def derivative(f: Field) -> Field:
-    """Central-difference derivative with zero ghost values at both ends."""
+def derivative(f: Field, out: np.ndarray | None = None) -> Field:
+    """Central-difference derivative with zero ghost values at both ends.
+
+    Writes into `out` (N values) when given, else into a fresh array.
+    """
     v = f.values
-    dx = f.grid.dx
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    out[0] = v[1] / (2.0 * dx)
-    out[-1] = -v[-2] / (2.0 * dx)
+    h = 2.0 * f.grid.dx
+    if out is None:
+        out = np.empty_like(v)
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[1:-1] /= h
+    out[0] = v[1] / h
+    out[-1] = -v[-2] / h
     return Field(f.grid, out)
 
 
-def l2_norm_sq(f: Field, origin: str = "zero") -> float:
-    """Full-line L2 norm squared of (the implied extension of) f."""
-    return integrate_fullline(f.values * f.values, f.grid, origin=origin)
-
-
-def gradient_sq_integral(f: Field) -> float:
+def gradient_sq_integral(f: Field, out: np.ndarray | None = None) -> float:
     """Full-line integral of (df/dx)^2 in the staggered (forward-difference) form.
 
     This is the stiffness term of the Hamiltonian that the semidiscrete
     flow conserves exactly: sum over cell midpoints of ((f_{j+1}-f_j)/dx)^2
     with zero ghosts.  It is second order for the continuum value and, in
     particular, integrates the origin cell correctly for odd fields whose
-    derivative does not vanish at x = 0.
+    derivative does not vanish at x = 0.  The N+1 differences go into
+    `out` when given, else into a fresh array.
     """
     v = f.values
     dx = f.grid.dx
-    d = np.diff(v, prepend=0.0, append=0.0) / dx
+    d = np.empty(v.size + 1) if out is None else out
+    d[0] = v[0]
+    np.subtract(v[1:], v[:-1], out=d[1:-1])
+    d[-1] = -v[-1]
+    d /= dx
     s = dx * float(np.dot(d, d))
     return s if f.grid.fullline else 2.0 * s
 

@@ -115,6 +115,7 @@ def run(
     u1 = initial.u1.values.copy()
     u2 = initial.u2.values.copy()
     a = np.empty_like(u1)
+    workspace: dict = {}  # record buffers, reused by every make_record below
 
     records: list[DiagnosticsRecord] = []
 
@@ -124,7 +125,7 @@ def run(
             fill_dI_dt_numeric(records)
             raise BlowupError(step, t, records)
         snap = State(Field(grid, u1.copy()), Field(grid, u2.copy()), t)
-        rec = make_record(snap, model, diagnostics)
+        rec = make_record(snap, model, diagnostics, workspace)
         records.append(rec)
         if on_record is not None:
             on_record(snap, rec)

@@ -42,6 +42,21 @@ MARGINAL_EIG_TOL = 1e-4
 #: absolute half-width to which bisection brackets each eigenvalue
 EIG_ATOL = 1e-10
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _bracket_done(lo: float, hi: float, width: float) -> bool:
+    """Bisection stop in the manner of LAPACK dstebz.
+
+    The bracket is narrow enough when hi - lo is within the requested
+    width plus 2*eps*max(|lo|, |hi|), a couple of float spacings at the
+    bracket, or when the midpoint rounds onto an endpoint, so that no
+    further split exists.  Without the relative term a bracket around a
+    large eigenvalue could never shrink below its own float spacing.
+    """
+    mid = 0.5 * (lo + hi)
+    return hi - lo <= width + 2.0 * _EPS * max(abs(lo), abs(hi)) or mid in (lo, hi)
+
 
 def pt_index(V0: float) -> int:
     """Largest integer strictly below sqrt(4*V0 + 1)/2 + 1/2.
@@ -161,7 +176,8 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     """The k smallest eigenvalues, ascending, by bisection on the Sturm count.
 
     Each eigenvalue is bracketed inside its Gershgorin interval to
-    absolute half-width EIG_ATOL; the returned midpoints carry that
+    absolute half-width EIG_ATOL, or to float resolution where that is
+    coarser (see _bracket_done); the returned midpoints carry that
     bracketing error plus the O(dx^2) error of the matrix itself.
     """
     n = d.size
@@ -181,7 +197,7 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
         # previous eigenvalue's bracket floor is a valid lower bound
         if i > 1:
             lo = out[i - 2] - 2.0 * EIG_ATOL
-        while hi - lo > 2.0 * EIG_ATOL:
+        while not _bracket_done(lo, hi, 2.0 * EIG_ATOL):
             mid = 0.5 * (lo + hi)
             if _sturm_count(diag, off_sq, mid, pivmin) >= i:
                 hi = mid
@@ -258,7 +274,7 @@ def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> Spect
             raise ArithmeticError("pencil minimum not bracketed above -2^40")
     if _pencil_count_below(stiff.diag, stiff.offdiag, Vdiag, hi) < 1:
         raise ArithmeticError("pencil minimum above the upper window edge 2")
-    while hi - lo > 1e-6:
+    while not _bracket_done(lo, hi, 1e-6):
         mid = 0.5 * (lo + hi)
         if _pencil_count_below(stiff.diag, stiff.offdiag, Vdiag, mid) >= 1:
             hi = mid

@@ -27,13 +27,16 @@ split into the weighted H1 and L2 pieces, with the exact derivative
 
 All weights (psi, psi', psi''', zeta, V, sech, sech') are evaluated from
 closed forms only; nothing here differentiates psi numerically.
+
+Each quantity is written once, in `_Kernel`, as np.dot(weight row,
+product) terms; make_record and the standalone functionals are views of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,83 +61,163 @@ class VirialConfig:
             raise ValueError(f"virial scale must be positive, got lam={self.lam}")
 
 
-class WeightTable:
-    """Closed-form weight arrays on one grid, shared by all functionals.
+class Weights:
+    """Closed-form weights on one grid, each times the quadrature row `even`.
 
-    psi    = lam tanh(x/lam)
-    psip   = sech^2(x/lam)                  (psi')
-    psippp = (2/lam^2) sech^2(x/lam) (3 tanh^2(x/lam) - 1)   (psi''')
-    zeta   = sech(x/lam)
-    V      = sech^2(x/lam) / (2 lam^2)
-    sech1  = sech(x)       (unit-scale localization weight)
-    dsech1 = -sech(x) tanh(x)
+    np.dot(even, g) is integrate_fullline(g, origin="even"): the row is
+    dx*(2, ..., 2) + dx*(4/3, -1/3, 0, ..., 0) on the half-line and
+    dx*(1, ..., 1) on the full line.  The weight rows are `even` times
+
+        psi    = lam tanh(x/lam)
+        psip   = sech^2(x/lam)                                  (psi')
+        psippp = (2/lam^2) sech^2(x/lam) (3 tanh^2(x/lam) - 1)  (psi''')
+        V      = sech^2(x/lam) / (2 lam^2)
+        sech   = sech(x)          (unit-scale localization weight)
+        dsech  = -sech(x) tanh(x)
+
+    and zeta = sech(x/lam), not a row, is the factor of w = zeta * u1.
     """
 
     def __init__(self, grid: Grid, lam: float):
-        x = grid.x
+        x, dx = grid.x, grid.dx
+        self.even = even = np.full(grid.N, dx if grid.fullline else 2.0 * dx)
+        if not grid.fullline:
+            even[0] += 4.0 * dx / 3.0
+            even[1] -= dx / 3.0
         s = 1.0 / np.cosh(x / lam)
         th = np.tanh(x / lam)
-        self.grid = grid
-        self.lam = lam
-        self.psi = lam * th
-        self.psip = s * s
-        self.psippp = (2.0 / lam ** 2) * s * s * (3.0 * th * th - 1.0)
+        sech1 = 1.0 / np.cosh(x)
+        self.psi = even * (lam * th)
+        self.psip = even * (s * s)
+        self.psippp = even * ((2.0 / lam ** 2) * s * s * (3.0 * th * th - 1.0))
+        self.V = even * (0.5 / lam ** 2 * s * s)
         self.zeta = s
-        self.V = 0.5 / lam ** 2 * s * s
-        self.sech1 = 1.0 / np.cosh(x)
-        self.dsech1 = -self.sech1 * np.tanh(x)
+        self.sech = even * sech1
+        self.dsech = even * (-sech1 * np.tanh(x))
 
 
-@lru_cache(maxsize=16)
-def _weights(grid: Grid, lam: float) -> WeightTable:
-    return WeightTable(grid, lam)
+#: grid -> {lam: Weights}; a grid's tables are freed together with the grid
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def weight_table(grid: Grid, cfg: VirialConfig) -> WeightTable:
-    return _weights(grid, cfg.lam)
+def _weights(grid: Grid, lam: float) -> Weights:
+    tables = _TABLES.get(grid) or _TABLES.setdefault(grid, {})
+    return tables[lam] if lam in tables else tables.setdefault(lam, Weights(grid, lam))
+
+
+def _dot(row: np.ndarray, product: np.ndarray) -> float:
+    return float(np.dot(row, product))
+
+
+class _Once:
+    """Kernel attribute: evaluated on first read, then shadowed by the instance's value."""
+
+    def __init__(self, recipe):
+        self.recipe = recipe
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, k, owner=None):
+        value = k.__dict__[self.name] = self.recipe(k)
+        return value
+
+
+class _Kernel:
+    """Every diagnostic quantity of one state, each evaluated on first read.
+
+    Arrays go into `workspace`, a dict of buffers by name.  `run` passes one
+    dict to all its records, so they allocate nothing N-sized here but what
+    model.f and model.F return; a standalone functional gets fresh buffers.
+    The arithmetic is the same either way, so records and standalone
+    functionals agree bit for bit.
+    """
+
+    def __init__(self, u1: Field, u2: Field | None = None, model: Model | None = None,
+                 lam: float = 1.0, q: float = 2.0, workspace: dict | None = None):
+        self.grid = u1.grid
+        self.W = _weights(u1.grid, lam)
+        self.field1, self.u1 = u1, u1.values
+        self.u2 = None if u2 is None else u2.values
+        self.model, self.q = model, q
+        self.ws = {} if workspace is None else workspace
+
+    def buf(self, name: str, size: int | None = None) -> np.ndarray:
+        out = self.ws.get(name)
+        if out is None:
+            out = self.ws[name] = np.empty(self.grid.N if size is None else size)
+        return out
+
+    # pointwise products, each written into its own workspace buffer
+    du1 = _Once(lambda k: derivative(k.field1, out=k.buf("du1")).values)
+    u1_sq = _Once(lambda k: np.multiply(k.u1, k.u1, out=k.buf("u1_sq")))
+    du1_sq = _Once(lambda k: np.multiply(k.du1, k.du1, out=k.buf("du1_sq")))
+    u2_sq = _Once(lambda k: np.multiply(k.u2, k.u2, out=k.buf("u2_sq")))
+    u1u2 = _Once(lambda k: np.multiply(k.u1, k.u2, out=k.buf("u1u2")))
+    du1u2 = _Once(lambda k: np.multiply(k.du1, k.u2, out=k.buf("du1u2")))
+    f = _Once(lambda k: k.model.f(k.u1))
+    F = _Once(lambda k: k.model.F(k.u1))
+    u1f = _Once(lambda k: np.multiply(k.u1, k.f, out=k.buf("u1f")))
+    fu2 = _Once(lambda k: np.multiply(k.f, k.u2, out=k.buf("fu2")))
+    # |u1|^(2+q); the catalog's p = 3 makes the quartic case the hot one
+    abs_pow = _Once(lambda k: np.square(k.u1_sq, out=k.buf("abs_pow")) if 2.0 + k.q == 4.0
+                    else np.power(np.abs(k.u1, out=k.buf("abs_pow")), 2.0 + k.q,
+                                  out=k.buf("abs_pow")))
+    w = _Once(lambda k: np.multiply(k.W.zeta, k.u1, out=k.buf("w")))
+    dw = _Once(lambda k: derivative(Field(k.grid, k.w), out=k.buf("dw")).values)
+    dw_sq = _Once(lambda k: np.square(k.dw, out=k.buf("dw_sq")))
+    h1_sum = _Once(lambda k: np.add(k.du1_sq, k.u1_sq, out=k.buf("h1_sum")))
+    h_sum = _Once(lambda k: np.add(k.h1_sum, k.u2_sq, out=k.buf("h_sum")))
+    # scalars (E and energy_norm_sq: the staggered gradient of models.energy)
+    grad_sq = _Once(lambda k: gradient_sq_integral(k.field1, out=k.buf("grad", k.grid.N + 1)))
+    u1_l2 = _Once(lambda k: integrate_fullline(k.u1_sq, k.grid))
+    u2_l2 = _Once(lambda k: integrate_fullline(k.u2_sq, k.grid))
+    E = _Once(lambda k: 0.5 * k.grad_sq + 0.5 * k.u2_l2 - 0.5 * k.model.m * k.u1_l2
+              - integrate_fullline(k.F, k.grid))
+    energy_norm_sq = _Once(lambda k: k.grad_sq + k.u1_l2 + k.u2_l2)
+    I = _Once(lambda k: _dot(k.W.psi, k.du1u2) + 0.5 * _dot(k.W.psip, k.u1u2))
+    B = _Once(lambda k: _dot(k.W.psip, k.du1_sq) - 0.25 * _dot(k.W.psippp, k.u1_sq))
+    nonlinear = _Once(lambda k: _dot(k.W.psip, k.F) - 0.5 * _dot(k.W.psip, k.u1f))
+    rhs = _Once(lambda k: k.B + k.nonlinear)
+    h1w = _Once(lambda k: _dot(k.W.sech, k.h1_sum))
+    l2w = _Once(lambda k: _dot(k.W.sech, k.u2_sq))
+    # H is its own quadrature of the summed integrand, not h1w + l2w
+    H = _Once(lambda k: _dot(k.W.sech, k.h_sum))
+    cross = _Once(lambda k: _dot(k.W.sech, k.u1u2))
+    dH = _Once(lambda k: 2.0 * (1.0 + k.model.m) * k.cross + 2.0 * _dot(k.W.sech, k.fu2)
+               - 2.0 * _dot(k.W.dsech, k.du1u2))
+    sup = _Once(lambda k: float(np.max(np.abs(k.u1, out=k.buf("abs_u1")))))
+    dw_norm_sq = _Once(lambda k: _dot(k.W.even, k.dw_sq))
+    # numpy pow overflows to inf rather than raising, as near-blow-up states need
+    sf_denom = _Once(lambda k: float(np.float64(k.sup) ** k.q) * k.dw_norm_sq)
+    sf = _Once(lambda k: _dot(k.W.psip, k.abs_pow) / k.sf_denom if k.sf_denom != 0.0 else 0.0)
+    # on the kernel of w itself: a route to B independent of the one via du1/dx
+    bsharp = _Once(lambda k: _dot(k.W.even, k.du1_sq) - _dot(k.W.V, k.u1_sq))
 
 
 def virial_I(state: State, cfg: VirialConfig) -> float:
     """I = integral (psi u1x + psi'/2 u1) u2; even integrand for odd data."""
-    wt = _weights(state.grid, cfg.lam)
-    du1 = derivative(state.u1).values
-    integrand = (wt.psi * du1 + 0.5 * wt.psip * state.u1.values) * state.u2.values
-    return integrate_fullline(integrand, state.grid, origin="even")
+    return _Kernel(state.u1, state.u2, lam=cfg.lam).I
 
 
 def bilinear_B(u1: Field, cfg: VirialConfig) -> float:
     """B = integral psi' u1x^2 - 1/4 integral psi''' u1^2."""
-    wt = _weights(u1.grid, cfg.lam)
-    du1 = derivative(u1).values
-    integrand = wt.psip * du1 * du1 - 0.25 * wt.psippp * u1.values * u1.values
-    return integrate_fullline(integrand, u1.grid, origin="even")
+    return _Kernel(u1, lam=cfg.lam).B
 
 
 def to_w(u1: Field, cfg: VirialConfig) -> Field:
     """Auxiliary function w = zeta * u1, zeta = sech(x/lam); odd when u1 is."""
-    wt = _weights(u1.grid, cfg.lam)
-    return Field(u1.grid, wt.zeta * u1.values)
+    return Field(u1.grid, _weights(u1.grid, cfg.lam).zeta * u1.values)
 
 
 def bsharp(w: Field, cfg: VirialConfig) -> float:
     """Bsharp = integral (dw/dx)^2 - V w^2 with V = sech^2(x/lam)/(2 lam^2)."""
-    wt = _weights(w.grid, cfg.lam)
-    dw = derivative(w).values
-    integrand = dw * dw - wt.V * w.values * w.values
-    return integrate_fullline(integrand, w.grid, origin="even")
-
-
-def nonlinear_virial_term(u1: Field, model: Model, cfg: VirialConfig) -> float:
-    """integral psi' [F(u1) - u1 f(u1)/2], the nonlinear part of -dI/dt."""
-    wt = _weights(u1.grid, cfg.lam)
-    v = u1.values
-    integrand = wt.psip * (model.F(v) - 0.5 * v * model.f(v))
-    return integrate_fullline(integrand, u1.grid, origin="even")
+    return _Kernel(w, lam=cfg.lam).bsharp
 
 
 def virial_rhs(state: State, model: Model, cfg: VirialConfig) -> float:
     """-dI/dt as predicted by the virial identity: B(u1) + nonlinear term."""
-    return bilinear_B(state.u1, cfg) + nonlinear_virial_term(state.u1, model, cfg)
+    return _Kernel(state.u1, model=model, lam=cfg.lam).rhs
 
 
 def weighted_norms(state: State) -> tuple[float, float]:
@@ -142,43 +225,23 @@ def weighted_norms(state: State) -> tuple[float, float]:
 
     The weight has unit scale, independent of the virial lam.
     """
-    wt = _weights(state.grid, 1.0)
-    u1 = state.u1.values
-    u2 = state.u2.values
-    du1 = derivative(state.u1).values
-    h1 = integrate_fullline(wt.sech1 * (du1 * du1 + u1 * u1), state.grid, origin="even")
-    l2 = integrate_fullline(wt.sech1 * u2 * u2, state.grid, origin="even")
-    return h1, l2
+    k = _Kernel(state.u1, state.u2)
+    return k.h1w, k.l2w
 
 
 def H_loc(state: State) -> float:
     """H = integral sech(x) [u1x^2 + u1^2 + u2^2]."""
-    wt = _weights(state.grid, 1.0)
-    u1 = state.u1.values
-    u2 = state.u2.values
-    du1 = derivative(state.u1).values
-    integrand = wt.sech1 * (du1 * du1 + u1 * u1 + u2 * u2)
-    return integrate_fullline(integrand, state.grid, origin="even")
+    return _Kernel(state.u1, state.u2).H
 
 
 def dH_analytic(state: State, model: Model) -> float:
     """Exact dH/dt: 2 int sech [(1+m)u1 + f(u1)] u2 - 2 int sech' u2 u1x."""
-    wt = _weights(state.grid, 1.0)
-    u1 = state.u1.values
-    u2 = state.u2.values
-    du1 = derivative(state.u1).values
-    integrand = (
-        2.0 * wt.sech1 * ((1.0 + model.m) * u1 + model.f(u1)) * u2
-        - 2.0 * wt.dsech1 * u2 * du1
-    )
-    return integrate_fullline(integrand, state.grid, origin="even")
+    return _Kernel(state.u1, state.u2, model).dH
 
 
 def cross_term(state: State) -> float:
     """integral sech(x) u1 u2."""
-    wt = _weights(state.grid, 1.0)
-    integrand = wt.sech1 * state.u1.values * state.u2.values
-    return integrate_fullline(integrand, state.grid, origin="even")
+    return _Kernel(state.u1, state.u2).cross
 
 
 def sf_ratio(u1: Field, cfg: VirialConfig, q: float) -> float:
@@ -191,19 +254,7 @@ def sf_ratio(u1: Field, cfg: VirialConfig, q: float) -> float:
     """
     if not q > 0:
         raise ValueError(f"exponent q must be positive, got {q}")
-    wt = _weights(u1.grid, cfg.lam)
-    v = u1.values
-    sup = float(np.max(np.abs(v)))
-    if sup == 0.0:
-        return 0.0
-    dw = derivative(to_w(u1, cfg)).values
-    dw_sq = integrate_fullline(dw * dw, u1.grid, origin="even")
-    if dw_sq == 0.0:
-        return 0.0
-    num = integrate_fullline(wt.psip * _abs_power(v, 2.0 + q), u1.grid, origin="even")
-    # numpy pow overflows to inf rather than raising, as near-blow-up states need
-    denom = float(np.float64(sup) ** q) * dw_sq
-    return num / denom if denom != 0.0 else 0.0
+    return _Kernel(u1, lam=cfg.lam, q=q).sf
 
 
 @dataclass
@@ -212,7 +263,9 @@ class DiagnosticsRecord:
 
     dI_dt_numeric is filled in a post-pass over a record sequence
     (centered differences over neighbouring records); it is NaN for a
-    standalone record.
+    standalone record.  The last three fields are not CSV columns (NaN
+    when read back from a CSV row): the staggered H1 x L2 norm squared,
+    sup|u1| and ||dw/dx||^2 with w = zeta * u1, for the decay probe.
     """
 
     t: float
@@ -227,6 +280,9 @@ class DiagnosticsRecord:
     cross: float
     dH_dt_analytic: float
     sf_ratio: float
+    energy_norm_sq: float = field(default=math.nan, compare=False)
+    sup_u1: float = field(default=math.nan, compare=False)
+    dw_norm_sq: float = field(default=math.nan, compare=False)
 
     def csv_row(self) -> str:
         return ",".join(f"{getattr(self, c):.16e}" for c in CSV_COLUMNS)
@@ -244,70 +300,16 @@ def record_from_csv_row(row: str) -> DiagnosticsRecord:
     return DiagnosticsRecord(**vals)
 
 
-def _abs_power(u: np.ndarray, expo: float) -> np.ndarray:
-    """|u|**expo, with the even-integer cases spelled as multiplications.
-
-    expo is 2 + q = 1 + p; the catalog has p = 3 throughout, so the quartic
-    fast path carries the per-record cost of the sf diagnostic.
-    """
-    if expo == 4.0:
-        s = u * u
-        return s * s
-    if expo == 2.0:
-        return u * u
-    return np.abs(u) ** expo
-
-
-def make_record(state: State, model: Model, cfg: VirialConfig) -> DiagnosticsRecord:
-    """Evaluate every diagnostic functional on one state.
-
-    Fused implementation: the derivative of u1, the nonlinearity values,
-    and the weight tables are computed once and shared (records are built
-    every few integrator steps, so this path is hot).  Each quantity uses
-    the same formulas as its standalone functional above.
-    """
-    grid = state.grid
-    wt = _weights(grid, cfg.lam)
-    w1 = _weights(grid, 1.0)
-    u1 = state.u1.values
-    u2 = state.u2.values
-    du1 = derivative(state.u1).values
-    f1 = model.f(u1)
-    F1 = model.F(u1)
-    m = model.m
-
-    def integ(v):
-        return integrate_fullline(v, grid, origin="even")
-
-    u1_sq = u1 * u1
-    du1_sq = du1 * du1
-    u2_sq = u2 * u2
-
-    E = 0.5 * gradient_sq_integral(state.u1) + integrate_fullline(
-        0.5 * u2_sq - 0.5 * m * u1_sq - F1, grid
-    )
-    I = integ((wt.psi * du1 + 0.5 * wt.psip * u1) * u2)
-    B_val = integ(wt.psip * du1_sq - 0.25 * wt.psippp * u1_sq)
-    rhs = B_val + integ(wt.psip * (F1 - 0.5 * u1 * f1))
-    h1w = integ(w1.sech1 * (du1_sq + u1_sq))
-    l2w = integ(w1.sech1 * u2_sq)
-    H = integ(w1.sech1 * (du1_sq + u1_sq + u2_sq))
-    cross = integ(w1.sech1 * u1 * u2)
-    dH = integ(2.0 * w1.sech1 * ((1.0 + m) * u1 + f1) * u2 - 2.0 * w1.dsech1 * u2 * du1)
-
-    q = model.p - 1.0
-    sup = float(np.max(np.abs(u1)))
-    if sup == 0.0:
-        sf = 0.0
-    else:
-        dw = derivative(Field(grid, wt.zeta * u1)).values
-        dw_sq = integ(dw * dw)
-        denom = float(np.float64(sup) ** q) * dw_sq
-        sf = integ(wt.psip * _abs_power(u1, 2.0 + q)) / denom if denom else 0.0
-
+def make_record(state: State, model: Model, cfg: VirialConfig,
+                workspace: dict | None = None) -> DiagnosticsRecord:
+    """Every diagnostic functional of one state, bit-identical to the standalone
+    ones; `run` passes one `workspace` (see `_Kernel`) to all its records."""
+    k = _Kernel(state.u1, state.u2, model, cfg.lam, model.p - 1.0, workspace)
     return DiagnosticsRecord(
-        t=state.t, E=E, I=I, dI_dt_numeric=math.nan, dI_dt_rhs=-rhs, B_val=B_val,
-        H=H, H1w_sq=h1w, L2w_sq=l2w, cross=cross, dH_dt_analytic=dH, sf_ratio=sf,
+        t=state.t, E=k.E, I=k.I, dI_dt_numeric=math.nan, dI_dt_rhs=-k.rhs, B_val=k.B,
+        H=k.H, H1w_sq=k.h1w, L2w_sq=k.l2w, cross=k.cross, dH_dt_analytic=k.dH,
+        sf_ratio=k.sf, energy_norm_sq=k.energy_norm_sq, sup_u1=k.sup,
+        dw_norm_sq=k.dw_norm_sq,
     )
 
 

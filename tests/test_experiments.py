@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,8 @@ from oddkg.experiments import (
 from oddkg.grid import h1_l2_norm_sq, integrate_fullline, make_grid
 from oddkg.models import energy, make_model
 from oddkg.virial import CSV_COLUMNS, csv_header, record_from_csv_row
+
+ROOT = Path(__file__).resolve().parents[1]
 
 QUICK_DECAY = """
 scenario=decay
@@ -367,3 +372,56 @@ def test_shipped_configs_parse(name):
         "configs", f"{name}.cfg").read_text()
     cfg = parse_config(text)
     assert cfg.scenario in ("decay", "breather", "spectral", "virial-check")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decay_nan_abort_summary_says_where_it_stopped(tmp_path):
+    # cubic-nlkg at epsilon=5 overflows between the t=0 record and the only
+    # other scheduled one, the last step: a single record survives
+    argv = ["decay", "--config", str(ROOT / "configs" / "decay_sine_gordon.cfg"),
+            "--set", "model=cubic-nlkg", "--set", "epsilon=5", "--set", "N=999",
+            "--set", "T=20", "--set", "record_every=100000",
+            "--set", f"output_dir={tmp_path}"]
+    assert cli_main(argv) == 1
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(": ", 1) for line in lines)
+    assert summary["status"] == "aborted_nan"
+    assert summary["smallness_ok"] == "false"
+    assert summary["n_records"] == "1"
+    dt = float(summary["dt"])
+    step = int(summary["abort_step"])
+    assert step == round(20.0 / dt)  # detected at the final record step
+    assert float(summary["abort_t"]) == step * dt
+    for key in ("H_ratio", "J_plateau_increment_ratio", "J_over_eps2",
+                "min_virial_ratio_after_t1", "max_dH_ratio"):
+        assert summary[key] == "nan", key
+
+
+def test_decay_ok_summary_has_no_abort_keys():
+    result = run_scenario(parse_config(QUICK_DECAY), write_files=False)
+    assert result.status == "ok"
+    assert result.summary["smallness_ok"] is True
+    assert "abort_step" not in result.summary and "abort_t" not in result.summary
+
+
+def test_lambda_below_four_dx_is_config_error():
+    with pytest.raises(ConfigError, match="not resolved"):
+        parse_config("scenario=spectral\nL=40\nN=99\nlambda=1.5\n")  # dx = 0.4
+    parse_config("scenario=spectral\nL=40\nN=99\nlambda=1.6\n")
+    # the breather runs on the full line, where dx = 2L/(N+1)
+    with pytest.raises(ConfigError, match="not resolved"):
+        parse_config("scenario=breather\nL=40\nN=99\nlambda=3\n")
+
+
+def test_cli_unresolved_lambda_exits_2_without_traceback(tmp_path):
+    # this input used to spin forever in the eigenvalue bisection
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddkg", "spectral", "--set", "lambda=1e-9",
+         "--set", "N=99", "--set", f"output_dir={tmp_path}"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "config error" in proc.stderr

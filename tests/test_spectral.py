@@ -7,6 +7,10 @@ eigensolves on small random tridiagonals for the Sturm machinery itself.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,3 +201,23 @@ def test_coercivity_battery_across_scales(lam):
     rep = coercivity_certificate(lam, grid, parity="odd")
     assert rep.coercivity_min_ratio >= 0.75 - 1e-3
     assert rep.residual_min_eig >= -1e-6
+
+
+def test_bisection_stops_at_float_resolution():
+    # lambda = 1e-9 puts eigenvalues near -2e18, whose float spacing (256)
+    # is far above EIG_ATOL; bisection must still end.  Run in a child
+    # process so that a regression fails on the timeout instead of hanging.
+    code = (
+        "from oddkg.grid import make_grid\n"
+        "from oddkg.spectral import assemble, coercivity_certificate, lowest_eigs\n"
+        "g = make_grid(40.0, 99)\n"
+        "print(lowest_eigs(assemble(g, 2.0, 1e-9, 'even'), 3)[0])\n"
+        "coercivity_certificate(1e-9, g, 'odd')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(-2e18, rel=1e-6)
