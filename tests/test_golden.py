@@ -30,9 +30,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-9
 ATOL = 1e-12
 
-# name -> (shipped config, overrides); decay is shortened as in the benchmark
+# name -> (shipped config, overrides); decay is shortened as in the benchmark,
+# convergence (no shipped config) takes the quick-test settings in decay mode
 RUNS = {
     "decay": ("decay_sine_gordon.cfg", {"T": "20"}),
+    "convergence": ("decay_sine_gordon.cfg", {"scenario": "convergence", "L": "20",
+                                              "N": "999", "T": "4", "record_every": "10"}),
     "breather": ("breather.cfg", {}),
     "spectral": ("spectral.cfg", {}),
     "virial_check": ("virial_check.cfg", {}),
