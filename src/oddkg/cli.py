@@ -9,7 +9,8 @@ file); --set overrides are applied after the file is parsed.  --describe
 prints the fully resolved configuration and exits without running.
 
 Exit codes: 0 success, 1 scenario assertion failure (NaN abort, smallness
-abort, failed identity checks), 2 configuration error.
+abort, failed identity checks), 2 configuration error (including an
+output_dir that cannot be created).
 """
 
 from __future__ import annotations
@@ -68,13 +69,13 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = _resolve_config(args)
+        if args.describe:
+            print(describe(cfg), end="")
+            return 0
+        result = run_scenario(cfg)  # creates output_dir first: failing there is a config error
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.describe:
-        print(describe(cfg), end="")
-        return 0
-    result = run_scenario(cfg)
     for key, value in result.summary.items():
         print(f"{key}: {_format_value(value)}")
     print(f"wrote {result.csv_path}")

@@ -18,8 +18,13 @@ Five scenarios turn the decay machinery into runnable experiments:
 * virial-check single-state identity tests over 100 reproducible
                pseudo-random odd fields.
 
+The time-stepping scenarios share one pipeline: `_fullline` picks the grid
+kind, `_Simulation` builds a run at one resolution, and its `simulate` turns
+a NaN/Inf blow-up into `status: aborted_nan` with `abort_step`/`abort_t`.
+
 Outputs: ``timeseries.csv`` (fixed column order, 17 significant digits)
-and ``summary.txt`` (flat ``key: value`` lines), written atomically.
+and ``summary.txt`` (flat ``key: value`` lines), written atomically into
+``output_dir``, which is created first (failure is a ConfigError).
 Identical configs produce byte-identical outputs.
 """
 
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +45,7 @@ from .grid import (
 from .integrator import BlowupError, RunSettings, StopRun, cfl_dt, run
 from .models import CATALOG_NAMES, Model, make_model
 from .virial import (
-    H_loc, VirialConfig, bilinear_B, bsharp, csv_header, to_w, virial_I,
+    H_loc, VirialConfig, _weights, bilinear_B, bsharp, csv_header, to_w, virial_I,
     weighted_norms,
 )
 
@@ -85,8 +90,12 @@ class ExperimentConfig:
     data_family: str = "gauss-odd-displacement"
     conv_mode: str = "decay"
 
+    @property
+    def virial(self) -> VirialConfig:
+        """The virial weight scale of every scenario that measures it."""
+        return VirialConfig(self.lam)
 
-# config key -> (attribute, parser)
+
 def _parse_coeffs(text: str) -> tuple:
     try:
         return tuple(float(c) for c in text.split(",") if c.strip() != "")
@@ -94,25 +103,11 @@ def _parse_coeffs(text: str) -> tuple:
         raise ConfigError(f"bad poly_coeffs value {text!r}: {exc}") from None
 
 
-_KEY_TABLE = {
-    "scenario": ("scenario", str),
-    "model": ("model", str),
-    "poly_m": ("poly_m", float),
-    "poly_coeffs": ("poly_coeffs", _parse_coeffs),
-    "epsilon": ("epsilon", float),
-    "sigma": ("sigma", float),
-    "L": ("L", float),
-    "N": ("N", int),
-    "dt_safety": ("dt_safety", float),
-    "T": ("T", float),
-    "lambda": ("lam", float),
-    "record_every": ("record_every", int),
-    "beta": ("beta", float),
-    "seed": ("seed", int),
-    "output_dir": ("output_dir", str),
-    "data_family": ("data_family", str),
-    "conv_mode": ("conv_mode", str),
-}
+#: config key -> (attribute, parser), one per ExperimentConfig field, in field
+#: order; the key of `lam` is "lambda"
+_PARSERS = {"str": str, "float": float, "int": int, "tuple": _parse_coeffs}
+_KEY_TABLE = {"lambda" if f.name == "lam" else f.name: (f.name, _PARSERS[f.type])
+              for f in fields(ExperimentConfig)}
 
 
 def parse_pairs(text: str) -> dict:
@@ -168,9 +163,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"T must be nonnegative, got {cfg.T}")
     if not cfg.lam > 0:
         raise ConfigError(f"lambda must be positive, got {cfg.lam}")
-    fullline = cfg.scenario == "breather" or (
-        cfg.scenario == "convergence" and cfg.conv_mode == "breather")
-    dx = (2.0 if fullline else 1.0) * cfg.L / (cfg.N + 1)
+    dx = (2.0 if _fullline(cfg) else 1.0) * cfg.L / (cfg.N + 1)
     if cfg.lam < MIN_LAMBDA_OVER_DX * dx:
         raise ConfigError(f"lambda={cfg.lam:g} is not resolved by the grid: it must be "
                           f"at least {MIN_LAMBDA_OVER_DX:g}*dx = {MIN_LAMBDA_OVER_DX * dx:g}")
@@ -182,6 +175,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown data_family {cfg.data_family!r}")
     if cfg.conv_mode not in ("decay", "breather"):
         raise ConfigError(f"conv_mode must be 'decay' or 'breather', got {cfg.conv_mode!r}")
+    if _fullline(cfg) and cfg.model != "sine-gordon":
+        raise ConfigError("breather data (scenario=breather, conv_mode=breather) "
+                          "requires model=sine-gordon")
+
+
+def _fullline(cfg: ExperimentConfig) -> bool:
+    """The one place that decides the grid kind: only breather data runs on the full line."""
+    return cfg.scenario == "breather" or (
+        cfg.scenario == "convergence" and cfg.conv_mode == "breather")
+
+
+def _grid(cfg: ExperimentConfig, N: int) -> Grid:
+    if _fullline(cfg):
+        return make_fullline_grid(cfg.L, N)
+    return make_grid(cfg.L, N)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -200,10 +208,7 @@ def describe(cfg: ExperimentConfig) -> str:
     lines = []
     for key, (attr, _) in _KEY_TABLE.items():
         val = getattr(cfg, attr)
-        if attr == "poly_coeffs":
-            val = ",".join(f"{c:.17g}" for c in val)
-        elif isinstance(val, float):
-            val = f"{val:.17g}"
+        val = ",".join(map(_format_value, val)) if attr == "poly_coeffs" else _format_value(val)
         lines.append(f"{key}={val}")
     return "\n".join(lines) + "\n"
 
@@ -218,10 +223,8 @@ def make_initial_data(cfg: ExperimentConfig, grid: Grid) -> State:
     profile = grid.x * np.exp(-(grid.x ** 2) / cfg.sigma ** 2)
     zero = np.zeros(grid.N)
     if cfg.data_family == "gauss-odd-displacement":
-        raw = State(Field(grid, profile), Field(grid, zero))
-        Z = math.sqrt(h1_l2_norm_sq(raw.u1, raw.u2))
+        Z = math.sqrt(h1_l2_norm_sq(Field(grid, profile), Field(grid, zero)))
         return State(Field(grid, cfg.epsilon * profile / Z), Field(grid, zero.copy()))
-    raw = Field(grid, profile)
     Z = math.sqrt(integrate_fullline(profile * profile, grid))
     return State(Field(grid, zero), Field(grid, cfg.epsilon * profile / Z))
 
@@ -268,12 +271,15 @@ def random_odd_field(grid: Grid, lcg: Lcg, n_modes: int = 5) -> Field:
 
 @dataclass
 class ScenarioResult:
-    status: str
     summary: dict
     records: list = field(default_factory=list)
     extra_columns: dict = field(default_factory=dict)
     csv_path: str = ""
     summary_path: str = ""
+
+    @property
+    def status(self) -> str:
+        return self.summary["status"]
 
     @property
     def ok(self) -> bool:
@@ -320,15 +326,64 @@ def write_summary(summary: dict, path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _base_summary(cfg: ExperimentConfig, grid: Grid, dt: float) -> dict:
+# ----------------------------------------------------------------------
+# the time-stepping pipeline: setup, run, breather-error probe
+# ----------------------------------------------------------------------
+
+class _Simulation:
+    """One time-stepping run of `cfg` at N nodes: grid, model, dt (the CFL
+    step of the grid unless given), settings and initial state."""
+
+    def __init__(self, cfg: ExperimentConfig, N: int, dt: float | None = None):
+        self.grid = _grid(cfg, N)
+        self.model = config_model(cfg)
+        if dt is None:
+            dt = cfl_dt(self.grid, self.model, cfg.dt_safety)
+        self.settings = RunSettings(dt=dt, T=cfg.T, record_every=cfg.record_every)
+        self.vcfg = cfg.virial
+        #: the exact solution, when the data is a breather (on the full line)
+        self.breather = BreatherParams(cfg.beta) if _fullline(cfg) else None
+        if self.breather is None:
+            self.initial = make_initial_data(cfg, self.grid)
+        else:
+            self.initial = breather_state(self.breather, 0.0, self.grid)
+
+    def simulate(self, on_record=None) -> tuple[list, dict]:
+        """Run to T; returns the records and the abort keys.
+
+        A NaN/Inf state is a scenario outcome, not an exception: the records
+        before it come back with {abort_step, abort_t}, for the summary of a
+        run with status aborted_nan.  Otherwise the abort keys are {}.
+        """
+        try:
+            return run(self.initial, self.model, self.settings, self.vcfg,
+                       on_record=on_record), {}
+        except BlowupError as exc:
+            return exc.records, {"abort_step": exc.step, "abort_t": exc.t}
+
+
+class _BreatherError:
+    """On-record probe: L2 distance of u1 from the exact breather at the same t."""
+
+    def __init__(self, sim: _Simulation):
+        self.params = sim.breather
+        self.grid = sim.grid
+        self.errors = []
+
+    def __call__(self, state: State, rec) -> None:
+        diff = state.u1.values - breather_exact(self.params, state.t, self.grid.x)
+        self.errors.append(math.sqrt(integrate_fullline(diff * diff, self.grid)))
+
+
+def _base_summary(cfg: ExperimentConfig, sim: _Simulation, abort: dict) -> dict:
     return {
         "scenario": cfg.scenario,
-        "status": "ok",
+        "status": "aborted_nan" if abort else "ok",
         "model": cfg.model,
         "L": cfg.L,
         "N": cfg.N,
-        "dx": grid.dx,
-        "dt": dt,
+        "dx": sim.grid.dx,
+        "dt": sim.settings.dt,
         "T": cfg.T,
         "lambda": cfg.lam,
         "record_every": cfg.record_every,
@@ -399,26 +454,13 @@ def _decay_metrics(records, epsilon: float) -> dict:
 
 
 def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
-    grid = make_grid(cfg.L, cfg.N)
-    model = config_model(cfg)
-    dt = cfl_dt(grid, model, cfg.dt_safety)
-    settings = RunSettings(dt=dt, T=cfg.T, record_every=cfg.record_every)
-    vcfg = VirialConfig(cfg.lam)
-    initial = make_initial_data(cfg, grid)
-    probe = _DecayProbe(model, cfg.epsilon)
+    sim = _Simulation(cfg, cfg.N)
+    probe = _DecayProbe(sim.model, cfg.epsilon)
+    records, abort = sim.simulate(on_record=probe)
 
-    status = "ok"
-    blowup = None
-    try:
-        records = run(initial, model, settings, vcfg, on_record=probe)
-    except BlowupError as exc:
-        records, blowup = exc.records, exc
-        status = "aborted_nan"
+    summary = _base_summary(cfg, sim, abort)
     if probe.aborted:
-        status = "aborted_smallness"
-
-    summary = _base_summary(cfg, grid, dt)
-    summary["status"] = status
+        summary["status"] = "aborted_smallness"
     summary["epsilon"] = cfg.epsilon
     summary["sigma"] = cfg.sigma
     summary["data_family"] = cfg.data_family
@@ -426,14 +468,12 @@ def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
     summary["max_sfsix_const"] = max(probe.sfsix) if probe.sfsix else math.nan
     summary["sup_energy_norm"] = probe.sup_energy_norm
     summary["smallness_bound"] = SMALLNESS_FACTOR * cfg.epsilon
-    summary["smallness_ok"] = status == "ok"
-    if blowup is not None:
-        summary["abort_step"] = blowup.step
-        summary["abort_t"] = blowup.t
-        if len(records) < 2:
-            # the only record precedes the blow-up: there is no span to compare over
-            summary.update(dict.fromkeys(_TWO_RECORD_RATIOS, math.nan))
-    return ScenarioResult(status=status, summary=summary, records=records)
+    summary["smallness_ok"] = summary["status"] == "ok"
+    summary.update(abort)
+    if abort and len(records) < 2:
+        # the only record precedes the blow-up: there is no span to compare over
+        summary.update(dict.fromkeys(_TWO_RECORD_RATIOS, math.nan))
+    return ScenarioResult(summary, records)
 
 
 # ----------------------------------------------------------------------
@@ -441,31 +481,11 @@ def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
 # ----------------------------------------------------------------------
 
 def _run_breather(cfg: ExperimentConfig) -> ScenarioResult:
-    if cfg.model != "sine-gordon":
-        raise ConfigError("the breather scenario requires model=sine-gordon")
-    grid = make_fullline_grid(cfg.L, cfg.N)
-    model = config_model(cfg)
-    dt = cfl_dt(grid, model, cfg.dt_safety)
-    settings = RunSettings(dt=dt, T=cfg.T, record_every=cfg.record_every)
-    vcfg = VirialConfig(cfg.lam)
-    params = BreatherParams(cfg.beta)
-    initial = breather_state(params, 0.0, grid)
+    sim = _Simulation(cfg, cfg.N)
+    params, probe = sim.breather, _BreatherError(sim)
+    records, abort = sim.simulate(on_record=probe)
 
-    err_l2 = []
-
-    def probe(state: State, rec) -> None:
-        diff = state.u1.values - breather_exact(params, state.t, grid.x)
-        err_l2.append(math.sqrt(integrate_fullline(diff * diff, grid)))
-
-    status = "ok"
-    try:
-        records = run(initial, model, settings, vcfg, on_record=probe)
-    except BlowupError as exc:
-        records = exc.records
-        status = "aborted_nan"
-
-    summary = _base_summary(cfg, grid, dt)
-    summary["status"] = status
+    summary = _base_summary(cfg, sim, abort)
     summary["beta"] = cfg.beta
     summary["alpha"] = params.alpha
     summary["period"] = params.period
@@ -482,37 +502,29 @@ def _run_breather(cfg: ExperimentConfig) -> ScenarioResult:
         summary[f"H_period_ratio_{kper}"] = ratio
         ratios.append(ratio)
     summary["min_period_ratio"] = min(ratios) if ratios else math.nan
-    summary["max_exact_err_l2"] = max(err_l2) if err_l2 else math.nan
-    summary["final_exact_err_l2"] = err_l2[-1] if err_l2 else math.nan
-    return ScenarioResult(
-        status=status, summary=summary, records=records,
-        extra_columns={"exact_err_l2": err_l2},
-    )
+    summary["max_exact_err_l2"] = max(probe.errors) if probe.errors else math.nan
+    summary["final_exact_err_l2"] = probe.errors[-1] if probe.errors else math.nan
+    summary.update(abort)
+    return ScenarioResult(summary, records, {"exact_err_l2": probe.errors})
 
 
 # ----------------------------------------------------------------------
 # convergence scenario
 # ----------------------------------------------------------------------
 
-def _refinement_metrics(cfg: ExperimentConfig, N: int, dt: float) -> dict:
-    """One resolution of the convergence study; returns the raw metrics."""
-    model = config_model(cfg)
-    vcfg = VirialConfig(cfg.lam)
-    holder = {}
-    probe = None
-    if cfg.conv_mode == "breather":
-        grid = make_fullline_grid(cfg.L, N)
-        params = BreatherParams(cfg.beta)
-        initial = breather_state(params, 0.0, grid)
+#: (raw metric, summary key of its observed order); exact_err in breather mode only
+_ORDERS = (("drift", "order_energy_drift"), ("virial_resid", "order_virial_residual"),
+           ("exact_err", "order_exact_error"))
+_NAN_METRICS = dict.fromkeys((key for key, _ in _ORDERS), math.nan)
 
-        def probe(state, rec):
-            diff = state.u1.values - breather_exact(params, state.t, grid.x)
-            holder["err"] = math.sqrt(integrate_fullline(diff * diff, grid))
-    else:
-        grid = make_grid(cfg.L, N)
-        initial = make_initial_data(cfg, grid)
-    settings = RunSettings(dt=dt, T=cfg.T, record_every=cfg.record_every)
-    records = run(initial, model, settings, vcfg, on_record=probe)
+
+def _refinement_metrics(sim: _Simulation, resolution: str) -> tuple[dict, dict]:
+    """One resolution of the convergence study: its raw metrics and abort keys.
+    A run that blew up covers a shorter span than the other, so its metrics are nan."""
+    probe = _BreatherError(sim) if sim.breather is not None else None
+    records, abort = sim.simulate(on_record=probe)
+    if abort:
+        return _NAN_METRICS, {**abort, "abort_resolution": resolution}
 
     E = np.array([r.E for r in records])
     scale = abs(E[0]) if E[0] != 0.0 else 1.0
@@ -520,59 +532,46 @@ def _refinement_metrics(cfg: ExperimentConfig, N: int, dt: float) -> dict:
     resid = np.array([abs(r.dI_dt_numeric - r.dI_dt_rhs) for r in records])
     rhs_scale = float(np.max(np.abs([r.dI_dt_rhs for r in records])))
     virial_resid = float(np.max(resid) / rhs_scale) if rhs_scale > 0 else math.nan
-    out = {"drift": drift, "virial_resid": virial_resid, "dx": grid.dx, "dt": dt}
-    if cfg.conv_mode == "breather":
-        out["exact_err"] = holder["err"]
-    return out
+    exact_err = probe.errors[-1] if probe is not None else math.nan
+    return {"drift": drift, "virial_resid": virial_resid, "exact_err": exact_err}, {}
 
 
 def _run_convergence(cfg: ExperimentConfig) -> ScenarioResult:
-    grid = make_grid(cfg.L, cfg.N)
-    model = config_model(cfg)
-    dt = cfl_dt(grid, model, cfg.dt_safety)
-    coarse = _refinement_metrics(cfg, cfg.N, dt)
-    fine = _refinement_metrics(cfg, 2 * cfg.N + 1, 0.5 * dt)
+    coarse = _Simulation(cfg, cfg.N)
+    fine = _Simulation(cfg, 2 * cfg.N + 1, 0.5 * coarse.settings.dt)
+    c, abort = _refinement_metrics(coarse, "coarse")
+    # a blown-up coarse run leaves nothing to compare the fine run with
+    f, abort = (_NAN_METRICS, abort) if abort else _refinement_metrics(fine, "fine")
 
-    def order(a, b):
-        if a > 0 and b > 0:
-            return math.log2(a / b)
-        return math.nan
-
-    summary = _base_summary(cfg, grid, dt)
+    summary = _base_summary(cfg, coarse, abort)
     summary["conv_mode"] = cfg.conv_mode
-    summary["dx_coarse"] = coarse["dx"]
-    summary["dx_fine"] = fine["dx"]
-    summary["dt_coarse"] = coarse["dt"]
-    summary["dt_fine"] = fine["dt"]
-    summary["drift_coarse"] = coarse["drift"]
-    summary["drift_fine"] = fine["drift"]
-    summary["order_energy_drift"] = order(coarse["drift"], fine["drift"])
-    summary["virial_resid_coarse"] = coarse["virial_resid"]
-    summary["virial_resid_fine"] = fine["virial_resid"]
-    summary["order_virial_residual"] = order(coarse["virial_resid"], fine["virial_resid"])
-    if cfg.conv_mode == "breather":
-        summary["exact_err_coarse"] = coarse["exact_err"]
-        summary["exact_err_fine"] = fine["exact_err"]
-        summary["order_exact_error"] = order(coarse["exact_err"], fine["exact_err"])
-    return ScenarioResult(status="ok", summary=summary, records=[])
+    summary["dx_coarse"] = coarse.grid.dx
+    summary["dx_fine"] = fine.grid.dx
+    summary["dt_coarse"] = coarse.settings.dt
+    summary["dt_fine"] = fine.settings.dt
+    for key, order_key in _ORDERS if coarse.breather is not None else _ORDERS[:2]:
+        a = summary[f"{key}_coarse"] = c[key]
+        b = summary[f"{key}_fine"] = f[key]
+        summary[order_key] = math.log2(a / b) if a > 0 and b > 0 else math.nan
+    summary.update(abort)
+    return ScenarioResult(summary)
 
 
 # ----------------------------------------------------------------------
 # spectral scenario
 # ----------------------------------------------------------------------
 
+def _check_summary(cfg: ExperimentConfig, grid: Grid) -> dict:
+    """Leading summary keys of the scenarios that check a grid, not a run."""
+    return {"scenario": cfg.scenario, "status": "ok", "lambda": cfg.lam, "L": cfg.L,
+            "N": cfg.N, "dx": grid.dx}
+
+
 def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
     from .spectral import coercivity_certificate, index_check
 
-    grid = make_grid(cfg.L, cfg.N)
-    summary = {
-        "scenario": cfg.scenario,
-        "status": "ok",
-        "lambda": cfg.lam,
-        "L": cfg.L,
-        "N": cfg.N,
-        "dx": grid.dx,
-    }
+    grid = _grid(cfg, cfg.N)
+    summary = _check_summary(cfg, grid)
     all_ok = True
     for V0 in SPECTRAL_BATTERY_V0:
         chk = index_check(grid, V0, cfg.lam)
@@ -589,7 +588,7 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
         summary.update(rep.as_summary(prefix=f"cert_{parity}_"))
     if not all_ok:
         summary["status"] = "failed_checks"
-    return ScenarioResult(status=summary["status"], summary=summary, records=[])
+    return ScenarioResult(summary)
 
 
 # ----------------------------------------------------------------------
@@ -597,8 +596,9 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
 # ----------------------------------------------------------------------
 
 def _run_virial_check(cfg: ExperimentConfig, n_fields: int = 100) -> ScenarioResult:
-    grid = make_grid(cfg.L, cfg.N)
-    vcfg = VirialConfig(cfg.lam)
+    grid = _grid(cfg, cfg.N)
+    vcfg = cfg.virial
+    W = _weights(grid, cfg.lam)
     lcg = Lcg(cfg.seed)
 
     max_b = 0.0
@@ -611,13 +611,9 @@ def _run_virial_check(cfg: ExperimentConfig, n_fields: int = 100) -> ScenarioRes
         max_b = max(max_b, abs(B - Bs) / max(abs(B), 1e-12))
 
         state = State(u1, u1.copy())
-        du1 = derivative(u1).values
-        wt_psi = vcfg.lam * np.tanh(grid.x / vcfg.lam)
-        wt_psip = 1.0 / np.cosh(grid.x / vcfg.lam) ** 2
-        scale = integrate_fullline(
-            np.abs(wt_psi * du1 * u1.values) + 0.5 * wt_psip * u1.values ** 2,
-            grid, origin="even",
-        )
+        # I(u1, u1) against the integral of its integrand's magnitude (psi >= 0)
+        scale = float(np.dot(W.psi, np.abs(derivative(u1).values * u1.values))
+                      + 0.5 * np.dot(W.psip, u1.values ** 2))
         ipair = virial_I(state, vcfg)
         max_ipair = max(max_ipair, abs(ipair) / max(scale, 1e-12))
 
@@ -630,13 +626,10 @@ def _run_virial_check(cfg: ExperimentConfig, n_fields: int = 100) -> ScenarioRes
         and max_ipair < VIRIAL_CHECK_TOL["I_selfpair"]
         and max_hdec < VIRIAL_CHECK_TOL["H_decomp"]
     )
-    summary = {
-        "scenario": cfg.scenario,
-        "status": "ok" if ok else "failed_checks",
-        "lambda": cfg.lam,
-        "L": cfg.L,
-        "N": cfg.N,
-        "dx": grid.dx,
+    summary = _check_summary(cfg, grid)
+    if not ok:
+        summary["status"] = "failed_checks"
+    summary.update({
         "seed": cfg.seed,
         "n_fields": n_fields,
         "max_rel_B_vs_Bsharp": max_b,
@@ -645,8 +638,8 @@ def _run_virial_check(cfg: ExperimentConfig, n_fields: int = 100) -> ScenarioRes
         "tol_B_vs_Bsharp": VIRIAL_CHECK_TOL["B_vs_Bsharp"],
         "tol_I_selfpair": VIRIAL_CHECK_TOL["I_selfpair"],
         "tol_H_decomp": VIRIAL_CHECK_TOL["H_decomp"],
-    }
-    return ScenarioResult(status=summary["status"], summary=summary, records=[])
+    })
+    return ScenarioResult(summary)
 
 
 _SCENARIO_RUNNERS = {
@@ -661,10 +654,14 @@ _SCENARIO_RUNNERS = {
 def run_scenario(cfg: ExperimentConfig, write_files: bool = True) -> ScenarioResult:
     """Execute the configured scenario; optionally write the artifacts."""
     validate_config(cfg)
+    outdir = Path(cfg.output_dir)
+    if write_files:
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output_dir {outdir}: {exc}") from exc
     result = _SCENARIO_RUNNERS[cfg.scenario](cfg)
     if write_files:
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
         csv_path = outdir / "timeseries.csv"
         summary_path = outdir / "summary.txt"
         write_timeseries(result.records, csv_path, result.extra_columns or None)

@@ -12,7 +12,8 @@ from oddkg.experiments import (
     ConfigError, ExperimentConfig, Lcg, describe, make_initial_data,
     parse_config, random_odd_field, run_scenario, write_summary, write_timeseries,
 )
-from oddkg.grid import h1_l2_norm_sq, integrate_fullline, make_grid
+from oddkg.grid import h1_l2_norm_sq, integrate_fullline, make_fullline_grid, make_grid
+from oddkg.integrator import cfl_dt
 from oddkg.models import energy, make_model
 from oddkg.virial import CSV_COLUMNS, csv_header, record_from_csv_row
 
@@ -425,3 +426,59 @@ def test_cli_unresolved_lambda_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "config error" in proc.stderr
+
+
+def test_convergence_breather_mode_steps_on_the_fullline_grid():
+    # dt and the reported dx come from the grid the breather runs on
+    cfg = parse_config(
+        "scenario=convergence\nconv_mode=breather\nmodel=sine-gordon\nbeta=0.5\n"
+        "L=40\nN=1999\nT=0.5\nrecord_every=25\n"
+    )
+    s = run_scenario(cfg, write_files=False).summary
+    assert s["status"] == "ok"
+    assert s["dx"] == s["dx_coarse"]
+    assert s["dt"] == s["dt_coarse"] == cfl_dt(
+        make_fullline_grid(cfg.L, cfg.N), make_model("sine-gordon"), cfg.dt_safety)
+
+
+def test_breather_data_requires_sine_gordon_at_parse():
+    with pytest.raises(ConfigError, match="sine-gordon"):
+        parse_config("scenario=convergence\nconv_mode=breather\nmodel=phi4\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_convergence_nan_abort_summary_says_where_it_stopped(tmp_path, capsys):
+    # cubic-nlkg at epsilon=5 overflows in the coarse run at its second
+    # record step; the fine run is not attempted
+    argv = ["convergence", "--set", "model=cubic-nlkg", "--set", "epsilon=5",
+            "--set", "N=999", "--set", "T=20", "--set", f"output_dir={tmp_path}"]
+    assert cli_main(argv) == 1
+    assert "status: aborted_nan" in capsys.readouterr().out
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(": ", 1) for line in lines)
+    assert summary["status"] == "aborted_nan"
+    assert summary["abort_resolution"] == "coarse"
+    step = int(summary["abort_step"])
+    assert step == 50
+    assert float(summary["abort_t"]) == step * float(summary["dt_coarse"])
+    for key in ("drift_coarse", "drift_fine", "order_energy_drift",
+                "virial_resid_coarse", "virial_resid_fine", "order_virial_residual"):
+        assert summary[key] == "nan", key
+    assert list(summary)[-3:] == ["abort_step", "abort_t", "abort_resolution"]
+
+
+@pytest.mark.parametrize("target", ("blocker", "blocker/sub"))
+def test_cli_output_dir_that_cannot_be_created_exits_2(tmp_path, target):
+    # a file where the output directory should go fails before the run
+    (tmp_path / "blocker").write_text("not a directory\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddkg", "decay", "--set", "L=20", "--set", "N=999",
+         "--set", "T=1", "--set", f"output_dir={target}"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: cannot create output_dir")
+    assert proc.stdout == ""
