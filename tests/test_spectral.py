@@ -121,6 +121,23 @@ def test_negative_count_free_laplacian_zero():
         assert negative_count(assemble(LAM1_GRID, 0.0, 1.0, parity)) == 0
 
 
+def test_negative_count_zero_pivot_retries_then_raises():
+    # an exact zero pivot at shift 0 is retried once at shift -1e-12
+    from oddkg.spectral import SchrodingerDiscretization
+
+    def sector(diag, off):
+        return SchrodingerDiscretization(
+            grid=LAM1_GRID, V0=0.0, lam=1.0, parity="odd",
+            diag=np.array(diag, dtype=float), offdiag=np.array(off, dtype=float),
+        )
+
+    # eigenvalues (1 -+ sqrt 2)/2: one negative, found through the retry
+    assert negative_count(sector([0.0, 1.0], [0.5])) == 1
+    # the second pivot is exactly zero at the fallback shift too
+    with pytest.raises(ArithmeticError):
+        negative_count(sector([0.0, -1e-12], [0.0]))
+
+
 def test_poschl_teller_ground_state_even():
     # V0 = 2, lam = 1: single even bound state sech(x) at eigenvalue -1
     assert negative_count(assemble(LAM1_GRID, 2.0, 1.0, "even")) == 1
