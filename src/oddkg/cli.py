@@ -10,7 +10,7 @@ prints the fully resolved configuration and exits without running.
 
 Exit codes: 0 success, 1 scenario assertion failure (NaN abort, smallness
 abort, failed identity checks), 2 configuration error (including an
-output_dir that cannot be created).
+output_dir that cannot be created or an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
         if args.describe:
             print(describe(cfg), end="")
             return 0
-        result = run_scenario(cfg)  # creates output_dir first: failing there is a config error
+        result = run_scenario(cfg)  # an unusable output_dir or file is a config error
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,12 +24,13 @@ a NaN/Inf blow-up into `status: aborted_nan` with `abort_step`/`abort_t`.
 
 Outputs: ``timeseries.csv`` (fixed column order, 17 significant digits)
 and ``summary.txt`` (flat ``key: value`` lines), written atomically into
-``output_dir``, which is created first (failure is a ConfigError).
+``output_dir``, created first; failing to create or write it is a ConfigError.
 Identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -292,6 +293,8 @@ def _atomic_write(path: Path, text: str) -> None:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
@@ -664,8 +667,11 @@ def run_scenario(cfg: ExperimentConfig, write_files: bool = True) -> ScenarioRes
     if write_files:
         csv_path = outdir / "timeseries.csv"
         summary_path = outdir / "summary.txt"
-        write_timeseries(result.records, csv_path, result.extra_columns or None)
-        write_summary(result.summary, summary_path)
+        try:
+            write_timeseries(result.records, csv_path, result.extra_columns or None)
+            write_summary(result.summary, summary_path)
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
         result.csv_path = str(csv_path)
         result.summary_path = str(summary_path)
     return result

@@ -75,18 +75,25 @@ def _acceleration(u1: np.ndarray, model: Model, inv_dx2: float, out: np.ndarray)
     return out
 
 
+def _kick_drift_kick(u1: np.ndarray, u2: np.ndarray, a: np.ndarray, model: Model,
+                     inv_dx2: float, dt: float) -> None:
+    """One step in place.  `a` holds the acceleration at u1 on entry and,
+    because u1 does not move between the trailing half-kick of one step and
+    the leading half-kick of the next, again on exit."""
+    u2 += 0.5 * dt * a
+    u1 += dt * u2
+    _acceleration(u1, model, inv_dx2, a)
+    u2 += 0.5 * dt * a
+
+
 def leapfrog_step(state: State, model: Model, dt: float) -> State:
     """One kick-drift-kick step; dt may be negative (time reversal)."""
     grid = state.grid
     inv_dx2 = 1.0 / grid.dx ** 2
     u1 = state.u1.values.copy()
     u2 = state.u2.values.copy()
-    a = np.empty_like(u1)
-    _acceleration(u1, model, inv_dx2, a)
-    u2 += 0.5 * dt * a
-    u1 += dt * u2
-    _acceleration(u1, model, inv_dx2, a)
-    u2 += 0.5 * dt * a
+    a = _acceleration(u1, model, inv_dx2, np.empty_like(u1))
+    _kick_drift_kick(u1, u2, a, model, inv_dx2, dt)
     return State(Field(grid, u1), Field(grid, u2), state.t + dt)
 
 
@@ -101,15 +108,19 @@ def run(
 
     Records always include t=0 and the final step, in strictly increasing
     time order; dI_dt_numeric is filled over the collected sequence before
-    returning.  The state is checked for NaN/Inf at record times; a hit
-    raises BlowupError carrying the step index and the records so far
-    (instability is experimentally meaningful data, not silent output).
-    `on_record` receives a copy of the state and the fresh record; it may
-    raise StopRun to end the run early with the records collected so far.
+    returning.  A non-finite initial state raises BlowupError at step 0; the
+    steps run under np.errstate(over="raise", invalid="raise"), the records
+    outside it, so a blow-up raises BlowupError at the step whose arithmetic
+    first overflowed or turned invalid, carrying that step index and the
+    records so far (instability is experimentally meaningful data, not
+    silent output).  `on_record` receives a copy of the state and the fresh
+    record; it may raise StopRun to end the run early with the records
+    collected so far.
     """
     grid = initial.grid
     inv_dx2 = 1.0 / grid.dx ** 2
     dt = settings.dt
+    every = settings.record_every
     n_steps = int(round(settings.T / dt)) if settings.T > 0 else 0
 
     u1 = initial.u1.values.copy()
@@ -118,31 +129,32 @@ def run(
     workspace: dict = {}  # record buffers, reused by every make_record below
 
     records: list[DiagnosticsRecord] = []
+    if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
+        raise BlowupError(0, 0.0, records)
 
     def emit(step: int) -> None:
-        t = step * dt
-        if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
-            fill_dI_dt_numeric(records)
-            raise BlowupError(step, t, records)
-        snap = State(Field(grid, u1.copy()), Field(grid, u2.copy()), t)
+        snap = State(Field(grid, u1.copy()), Field(grid, u2.copy()), step * dt)
         rec = make_record(snap, model, diagnostics, workspace)
         records.append(rec)
         if on_record is not None:
             on_record(snap, rec)
 
+    k = 0  # steps completed
     try:
         emit(0)
-        if n_steps > 0:
-            # the trailing half-kick acceleration of step k is the leading
-            # one of step k+1 (u1 unchanged in between): evaluate once
-            _acceleration(u1, model, inv_dx2, a)
-        for k in range(1, n_steps + 1):
-            u2 += 0.5 * dt * a
-            u1 += dt * u2
-            _acceleration(u1, model, inv_dx2, a)
-            u2 += 0.5 * dt * a
-            if k % settings.record_every == 0 or k == n_steps:
-                emit(k)
+        while k < n_steps:
+            stop = min(k - k % every + every, n_steps)  # the next record step
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    if k == 0:  # step 1's leading acceleration; later steps reuse
+                        _acceleration(u1, model, inv_dx2, a)
+                    while k < stop:
+                        _kick_drift_kick(u1, u2, a, model, inv_dx2, dt)
+                        k += 1
+            except FloatingPointError:
+                fill_dI_dt_numeric(records)
+                raise BlowupError(k + 1, (k + 1) * dt, records) from None
+            emit(k)
     except StopRun:
         pass
     fill_dI_dt_numeric(records)

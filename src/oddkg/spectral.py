@@ -29,6 +29,7 @@ Parity is encoded in the boundary treatment at x = 0:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -45,17 +46,25 @@ EIG_ATOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _bracket_done(lo: float, hi: float, width: float) -> bool:
-    """Bisection stop in the manner of LAPACK dstebz.
+def _bisect(holds, lo: float, hi: float, width: float) -> float:
+    """Midpoint of a bracket [lo, hi] around the point where `holds` turns true.
 
-    The bracket is narrow enough when hi - lo is within the requested
-    width plus 2*eps*max(|lo|, |hi|), a couple of float spacings at the
-    bracket, or when the midpoint rounds onto an endpoint, so that no
-    further split exists.  Without the relative term a bracket around a
-    large eigenvalue could never shrink below its own float spacing.
+    `holds` must be false at lo, true at hi and monotone in between.  The
+    stop follows LAPACK dstebz: the bracket is narrow enough when hi - lo
+    is within the requested width plus 2*eps*max(|lo|, |hi|), a couple of
+    float spacings at the bracket, or when the midpoint rounds onto an
+    endpoint, so that no further split exists.  Without the relative term
+    a bracket around a large eigenvalue could never shrink below its own
+    float spacing.
     """
-    mid = 0.5 * (lo + hi)
-    return hi - lo <= width + 2.0 * _EPS * max(abs(lo), abs(hi)) or mid in (lo, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= width + 2.0 * _EPS * max(abs(lo), abs(hi)) or mid in (lo, hi):
+            return mid
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def pt_index(V0: float) -> int:
@@ -120,15 +129,20 @@ def _sturm_count(diag: list, off_sq: list, shift: float, pivmin: float) -> int:
     interpreter loop over floats is an order of magnitude faster than
     per-element numpy scalars.  Pivots landing exactly on zero are nudged
     to -pivmin (the marginal eigenvalue counts as below the shift), which
-    the bisection callers tolerate in either direction.
+    the bisection callers tolerate in either direction; with pivmin = 0 a
+    zero pivot raises ZeroDivisionError instead.
     """
     d = diag[0] - shift
     if d == 0.0:
+        if not pivmin:
+            raise ZeroDivisionError(f"zero LDL^T pivot 0 at shift {shift}")
         d = -pivmin
     count = 1 if d < 0.0 else 0
     for j in range(1, len(diag)):
         d = diag[j] - shift - off_sq[j - 1] / d
         if d == 0.0:
+            if not pivmin:
+                raise ZeroDivisionError(f"zero LDL^T pivot {j} at shift {shift}")
             d = -pivmin
         if d < 0.0:
             count += 1
@@ -156,19 +170,8 @@ def negative_count(d: SchrodingerDiscretization) -> int:
     """
     diag, off_sq, _ = _as_lists(d.diag, d.offdiag)
     for shift in (0.0, -1e-12):
-        piv = diag[0] - shift
-        count = 1 if piv < 0.0 else 0
-        ok = piv != 0.0
-        if ok:
-            for j in range(1, len(diag)):
-                piv = diag[j] - shift - off_sq[j - 1] / piv
-                if piv == 0.0:
-                    ok = False
-                    break
-                if piv < 0.0:
-                    count += 1
-        if ok:
-            return count
+        with contextlib.suppress(ZeroDivisionError):
+            return _sturm_count(diag, off_sq, shift, 0.0)
     raise ArithmeticError("LDL^T breakdown at shift 0 and at the fallback shift -1e-12")
 
 
@@ -177,7 +180,7 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
 
     Each eigenvalue is bracketed inside its Gershgorin interval to
     absolute half-width EIG_ATOL, or to float resolution where that is
-    coarser (see _bracket_done); the returned midpoints carry that
+    coarser (see _bisect); the returned midpoints carry that
     bracketing error plus the O(dx^2) error of the matrix itself.
     """
     n = d.size
@@ -191,19 +194,11 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     gu = float(np.max(d.diag + radius))
 
     out = np.empty(k)
-    hi_cache = gu
     for i in range(1, k + 1):
-        lo, hi = gl, hi_cache
         # previous eigenvalue's bracket floor is a valid lower bound
-        if i > 1:
-            lo = out[i - 2] - 2.0 * EIG_ATOL
-        while not _bracket_done(lo, hi, 2.0 * EIG_ATOL):
-            mid = 0.5 * (lo + hi)
-            if _sturm_count(diag, off_sq, mid, pivmin) >= i:
-                hi = mid
-            else:
-                lo = mid
-        out[i - 1] = 0.5 * (lo + hi)
+        lo = gl if i == 1 else out[i - 2] - 2.0 * EIG_ATOL
+        out[i - 1] = _bisect(lambda x: _sturm_count(diag, off_sq, x, pivmin) >= i,
+                             lo, gu, 2.0 * EIG_ATOL)
     return out
 
 
@@ -215,7 +210,6 @@ class SpectralReport:
     lowest_eigs: tuple
     coercivity_min_ratio: float
     residual_min_eig: float
-    parameters: dict
 
     def as_summary(self, prefix: str = "") -> dict:
         """Flat key:value block for the experiment summary file."""
@@ -274,21 +268,14 @@ def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> Spect
             raise ArithmeticError("pencil minimum not bracketed above -2^40")
     if _pencil_count_below(stiff.diag, stiff.offdiag, Vdiag, hi) < 1:
         raise ArithmeticError("pencil minimum above the upper window edge 2")
-    while not _bracket_done(lo, hi, 1e-6):
-        mid = 0.5 * (lo + hi)
-        if _pencil_count_below(stiff.diag, stiff.offdiag, Vdiag, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    ratio = 0.5 * (lo + hi)
+    ratio = _bisect(lambda mu: _pencil_count_below(stiff.diag, stiff.offdiag, Vdiag, mu) >= 1,
+                    lo, hi, 1e-6)
 
     return SpectralReport(
         negative_count=neg,
         lowest_eigs=tuple(float(e) for e in res_eigs),
         coercivity_min_ratio=ratio,
         residual_min_eig=float(res_eigs[0]),
-        parameters={"V0": 2.0, "lambda": float(lam), "L": grid.L, "N": grid.N,
-                    "parity": parity},
     )
 
 
@@ -296,14 +283,11 @@ def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> Spect
 class IndexCheck:
     """pt_index verification for one V0: sector counts plus marginal eigenvalues."""
 
-    V0: float
     predicted: int
     count_odd: int
     count_even: int
     marginal_odd: float
     marginal_even: float
-    lowest_odd: tuple
-    lowest_even: tuple
 
     @property
     def counts_match(self) -> bool:
@@ -325,18 +309,14 @@ def index_check(grid: Grid, V0: float, lam: float) -> IndexCheck:
     """
     predicted = pt_index(V0)
     counts = {}
-    lowest = {}
     marginal = {}
     for parity in ("odd", "even"):
         op = assemble(grid, V0, lam, parity)
-        c = negative_count(op)
-        counts[parity] = c
+        c = counts[parity] = negative_count(op)
         eigs = lowest_eigs(op, min(c + 1, op.size))
-        lowest[parity] = tuple(float(e) for e in eigs[:c])
         marginal[parity] = float(eigs[c]) if c < eigs.size else math.inf
     return IndexCheck(
-        V0=float(V0), predicted=predicted,
+        predicted=predicted,
         count_odd=counts["odd"], count_even=counts["even"],
         marginal_odd=marginal["odd"], marginal_even=marginal["even"],
-        lowest_odd=lowest["odd"], lowest_even=lowest["even"],
     )

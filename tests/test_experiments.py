@@ -9,11 +9,11 @@ import pytest
 
 from oddkg.cli import main as cli_main
 from oddkg.experiments import (
-    ConfigError, ExperimentConfig, Lcg, describe, make_initial_data,
+    ConfigError, ExperimentConfig, Lcg, config_model, describe, make_initial_data,
     parse_config, random_odd_field, run_scenario, write_summary, write_timeseries,
 )
 from oddkg.grid import h1_l2_norm_sq, integrate_fullline, make_fullline_grid, make_grid
-from oddkg.integrator import cfl_dt
+from oddkg.integrator import cfl_dt, leapfrog_step
 from oddkg.models import energy, make_model
 from oddkg.virial import CSV_COLUMNS, csv_header, record_from_csv_row
 
@@ -375,10 +375,27 @@ def test_shipped_configs_parse(name):
     assert cfg.scenario in ("decay", "breather", "spectral", "virial-check")
 
 
+def _first_nonfinite_step(cfg: ExperimentConfig) -> int:
+    """Walk leapfrog_step from the half-line initial data of `cfg` at its CFL
+    step and return the first step whose state is not finite."""
+    grid = make_grid(cfg.L, cfg.N)
+    model = config_model(cfg)
+    dt = cfl_dt(grid, model, cfg.dt_safety)
+    state = make_initial_data(cfg, grid)
+    with np.errstate(all="ignore"):
+        for step in range(1, round(cfg.T / dt) + 1):
+            state = leapfrog_step(state, model, dt)
+            if not (np.isfinite(state.u1.values).all()
+                    and np.isfinite(state.u2.values).all()):
+                return step
+    raise AssertionError("the state stayed finite up to T")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_decay_nan_abort_summary_says_where_it_stopped(tmp_path):
     # cubic-nlkg at epsilon=5 overflows between the t=0 record and the only
-    # other scheduled one, the last step: a single record survives
+    # other scheduled one, the last step: a single record survives, and the
+    # abort names the step where the state first went non-finite
     argv = ["decay", "--config", str(ROOT / "configs" / "decay_sine_gordon.cfg"),
             "--set", "model=cubic-nlkg", "--set", "epsilon=5", "--set", "N=999",
             "--set", "T=20", "--set", "record_every=100000",
@@ -391,7 +408,9 @@ def test_decay_nan_abort_summary_says_where_it_stopped(tmp_path):
     assert summary["n_records"] == "1"
     dt = float(summary["dt"])
     step = int(summary["abort_step"])
-    assert step == round(20.0 / dt)  # detected at the final record step
+    cfg = parse_config((ROOT / "configs" / "decay_sine_gordon.cfg").read_text()
+                       + "model=cubic-nlkg\nepsilon=5\nN=999\nT=20\n")
+    assert step == _first_nonfinite_step(cfg) < round(20.0 / dt)
     assert float(summary["abort_t"]) == step * dt
     for key in ("H_ratio", "J_plateau_increment_ratio", "J_over_eps2",
                 "min_virial_ratio_after_t1", "max_dH_ratio"):
@@ -448,7 +467,7 @@ def test_breather_data_requires_sine_gordon_at_parse():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_convergence_nan_abort_summary_says_where_it_stopped(tmp_path, capsys):
-    # cubic-nlkg at epsilon=5 overflows in the coarse run at its second
+    # cubic-nlkg at epsilon=5 overflows in the coarse run before its second
     # record step; the fine run is not attempted
     argv = ["convergence", "--set", "model=cubic-nlkg", "--set", "epsilon=5",
             "--set", "N=999", "--set", "T=20", "--set", f"output_dir={tmp_path}"]
@@ -459,7 +478,8 @@ def test_convergence_nan_abort_summary_says_where_it_stopped(tmp_path, capsys):
     assert summary["status"] == "aborted_nan"
     assert summary["abort_resolution"] == "coarse"
     step = int(summary["abort_step"])
-    assert step == 50
+    cfg = parse_config("scenario=convergence\nmodel=cubic-nlkg\nepsilon=5\nN=999\nT=20\n")
+    assert step == _first_nonfinite_step(cfg)
     assert float(summary["abort_t"]) == step * float(summary["dt_coarse"])
     for key in ("drift_coarse", "drift_fine", "order_energy_drift",
                 "virial_resid_coarse", "virial_resid_fine", "order_virial_residual"):
@@ -482,3 +502,22 @@ def test_cli_output_dir_that_cannot_be_created_exits_2(tmp_path, target):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: cannot create output_dir")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("blocked", ("timeseries.csv", "summary.txt"))
+def test_cli_output_file_that_cannot_be_written_exits_2(tmp_path, blocked):
+    # a directory where an output file should go fails the write after the
+    # run: one config-error line, exit 2, and no temporary file left behind
+    (tmp_path / "o3" / blocked).mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddkg", "virial-check", "--set", "L=20", "--set", "N=999",
+         "--set", "output_dir=o3"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"config error: failed writing o3/{blocked}")
+    assert proc.stdout == ""
+    assert not list((tmp_path / "o3").glob("*.tmp"))

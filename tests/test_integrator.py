@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,31 @@ def test_nan_abort_carries_records():
     assert exc.value.step > 0
     assert len(exc.value.records) >= 1
     assert exc.value.records[0].t == 0.0
+
+
+def test_blowup_is_reported_at_the_first_non_finite_step():
+    # f = +u^3 with large data overflows within a few dozen steps, long before
+    # the only record step after t=0; the run stops at the very step whose
+    # arithmetic overflows, as a BlowupError and without a RuntimeWarning
+    g = make_grid(40.0, 999)
+    nl = make_model("cubic-nlkg")
+    dt = cfl_dt(g, nl, 0.4)
+    st = State(Field(g, 5.0 * g.x * np.exp(-g.x ** 2 / 4.0)), Field(g, np.zeros(g.N)))
+    walk, first = st, None
+    with np.errstate(all="ignore"):
+        for step in range(1, 1001):
+            walk = leapfrog_step(walk, nl, dt)
+            if not (np.isfinite(walk.u1.values).all() and np.isfinite(walk.u2.values).all()):
+                first = step
+                break
+    assert first is not None and first > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupError) as exc:
+            run(st, nl, RunSettings(dt=dt, T=1000 * dt, record_every=100000), VC)
+    assert exc.value.step == first
+    assert exc.value.t == first * dt
+    assert [r.t for r in exc.value.records] == [0.0]
 
 
 def test_on_record_stop_run():
