@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import weakref
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -146,6 +147,11 @@ def build_config(pairs: dict) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    for key, (attr, conv) in _KEY_TABLE.items():
+        if conv is float and not math.isfinite(getattr(cfg, attr)):
+            raise ConfigError(f"{key} must be finite, got {getattr(cfg, attr)}")
+    if not all(map(math.isfinite, cfg.poly_coeffs)):
+        raise ConfigError(f"poly_coeffs must be finite, got {cfg.poly_coeffs}")
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}; choose one of {SCENARIOS}")
     if cfg.model not in CATALOG_NAMES:
@@ -256,13 +262,26 @@ class Lcg:
         return 2.0 * self.state / _LCG_M - 1.0
 
 
+#: grid -> {n_modes: (envelope, sine rows)}; freed together with the grid
+_MODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _odd_modes(grid: Grid, n_modes: int) -> tuple:
+    """The envelope exp(-x^2/25) and the rows sin(k pi x / L), k = 1..n_modes."""
+    tables = _MODES.setdefault(grid, {})
+    if n_modes not in tables:
+        tables[n_modes] = (np.exp(-(grid.x ** 2) / 25.0),
+                           [np.sin(k * math.pi * grid.x / grid.L)
+                            for k in range(1, n_modes + 1)])
+    return tables[n_modes]
+
+
 def random_odd_field(grid: Grid, lcg: Lcg, n_modes: int = 5) -> Field:
     """Sum of sine modes under a fixed Gaussian envelope exp(-x^2/25)."""
-    envelope = np.exp(-(grid.x ** 2) / 25.0)
+    envelope, rows = _odd_modes(grid, n_modes)
     vals = np.zeros(grid.N)
-    for k in range(1, n_modes + 1):
-        c = lcg.uniform_pm1()
-        vals += c * np.sin(k * math.pi * grid.x / grid.L)
+    for row in rows:
+        vals += lcg.uniform_pm1() * row
     return Field(grid, vals * envelope)
 
 
@@ -575,9 +594,12 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
 
     grid = _grid(cfg, cfg.N)
     summary = _check_summary(cfg, grid)
+    # the certificates bisect the V0 = 2 sectors that index_check does:
+    # shared tables let them reuse the Sturm counts taken there
+    tables = {}
     all_ok = True
     for V0 in SPECTRAL_BATTERY_V0:
-        chk = index_check(grid, V0, cfg.lam)
+        chk = index_check(grid, V0, cfg.lam, tables)
         tag = f"V0_{V0:g}"
         summary[f"pt_index_{tag}"] = chk.predicted
         summary[f"count_odd_{tag}"] = chk.count_odd
@@ -587,7 +609,7 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
         summary[f"marginal_even_{tag}"] = chk.marginal_even
         all_ok = all_ok and chk.counts_match and chk.marginals_near_zero
     for parity in ("odd", "even"):
-        rep = coercivity_certificate(cfg.lam, grid, parity=parity)
+        rep = coercivity_certificate(cfg.lam, grid, parity=parity, tables=tables)
         summary.update(rep.as_summary(prefix=f"cert_{parity}_"))
     if not all_ok:
         summary["status"] = "failed_checks"

@@ -29,6 +29,7 @@ Parity is encoded in the boundary treatment at x = 0:
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 from dataclasses import dataclass, field
@@ -122,29 +123,36 @@ def assemble(grid: Grid, V0: float, lam: float, parity: str) -> SchrodingerDiscr
     )
 
 
+def _count_table(tables: dict | None, V0: float, lam: float, parity: str) -> tuple | None:
+    """The count table of one sector in `tables`, the caller's tables for one grid."""
+    return None if tables is None else tables.setdefault((V0, lam, parity), ([], []))
+
+
 def _sturm_count(diag: list, off_sq: list, shift: float, pivmin: float) -> int:
     """Eigenvalues below `shift`, from the signs of the LDL^T pivots.
 
     Runs on plain Python floats: the recurrence is sequential, and the
     interpreter loop over floats is an order of magnitude faster than
-    per-element numpy scalars.  Pivots landing exactly on zero are nudged
-    to -pivmin (the marginal eigenvalue counts as below the shift), which
-    the bisection callers tolerate in either direction; with pivmin = 0 a
-    zero pivot raises ZeroDivisionError instead.
+    per-element numpy scalars, so `shift` must be a float too.  Pivots
+    landing exactly on zero are nudged to -pivmin (the marginal eigenvalue
+    counts as below the shift), which the bisection callers tolerate in
+    either direction; with pivmin = 0 a zero pivot raises
+    ZeroDivisionError instead.
     """
     d = diag[0] - shift
     if d == 0.0:
         if not pivmin:
-            raise ZeroDivisionError(f"zero LDL^T pivot 0 at shift {shift}")
+            raise ZeroDivisionError(f"zero LDL^T pivot at shift {shift}")
         d = -pivmin
     count = 1 if d < 0.0 else 0
-    for j in range(1, len(diag)):
-        d = diag[j] - shift - off_sq[j - 1] / d
-        if d == 0.0:
-            if not pivmin:
-                raise ZeroDivisionError(f"zero LDL^T pivot {j} at shift {shift}")
-            d = -pivmin
+    for a, b2 in zip(diag[1:], off_sq):
+        d = a - shift - b2 / d
         if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            if not pivmin:
+                raise ZeroDivisionError(f"zero LDL^T pivot at shift {shift}")
+            d = -pivmin
             count += 1
     return count
 
@@ -175,13 +183,23 @@ def negative_count(d: SchrodingerDiscretization) -> int:
     raise ArithmeticError("LDL^T breakdown at shift 0 and at the fallback shift -1e-12")
 
 
-def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
+def lowest_eigs(d: SchrodingerDiscretization, k: int, table: tuple | None = None) -> np.ndarray:
     """The k smallest eigenvalues, ascending, by bisection on the Sturm count.
 
     Each eigenvalue is bracketed inside its Gershgorin interval to
     absolute half-width EIG_ATOL, or to float resolution where that is
     coarser (see _bisect); the returned midpoints carry that
     bracketing error plus the O(dx^2) error of the matrix itself.
+
+    A count is skipped when the counts already taken on the matrix decide
+    it, as in Barth, Martin & Wilkinson's `bisect` and LAPACK dstebz.  The
+    computed count is monotone in the shift, so a count of at least i at
+    or below x means count(x) >= i, and a count below i at or above x
+    means count(x) < i.  The bisection visits the same midpoints either
+    way, so the result is bit for bit the one that counts every midpoint
+    afresh.  `table` holds counts taken on this same matrix by earlier
+    calls, as two lists in shift order, (shifts, counts); this call adds
+    its own to it.  Without one, the counts are reused within the call.
     """
     n = d.size
     if not 1 <= k <= n:
@@ -192,14 +210,25 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     radius[1:] += np.abs(d.offdiag)
     gl = float(np.min(d.diag - radius))
     gu = float(np.max(d.diag + radius))
+    shifts, counts = ([], []) if table is None else table
 
-    out = np.empty(k)
+    def at_least(i: int, x: float) -> bool:
+        j = bisect.bisect_left(shifts, x)
+        if j and counts[j - 1] >= i:
+            return True
+        if j < len(shifts) and (shifts[j] == x or counts[j] < i):
+            return counts[j] >= i
+        c = _sturm_count(diag, off_sq, x, pivmin)
+        shifts.insert(j, x)
+        counts.insert(j, c)
+        return c >= i
+
+    out = []
     for i in range(1, k + 1):
         # previous eigenvalue's bracket floor is a valid lower bound
-        lo = gl if i == 1 else out[i - 2] - 2.0 * EIG_ATOL
-        out[i - 1] = _bisect(lambda x: _sturm_count(diag, off_sq, x, pivmin) >= i,
-                             lo, gu, 2.0 * EIG_ATOL)
-    return out
+        lo = gl if i == 1 else out[-1] - 2.0 * EIG_ATOL
+        out.append(_bisect(lambda x: at_least(i, x), lo, gu, 2.0 * EIG_ATOL))
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -234,7 +263,8 @@ def _pencil_count_below(stiff_diag: np.ndarray, stiff_off: np.ndarray,
     return _sturm_count(diag, off_sq, 0.0, pivmin)
 
 
-def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> SpectralReport:
+def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd",
+                           tables: dict | None = None) -> SpectralReport:
     """Certify the coercivity of Bsharp on one parity sector.
 
     Two independent routes are reported:
@@ -252,9 +282,15 @@ def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> Spect
 
     On the odd sector both routes say the same thing: ratio >= 3/4 and
     residual eigenvalue >= 0, up to the truncation-induced margin.
+
+    `tables` holds the Sturm counts taken on the sectors of `grid`, per
+    (V0, lam, parity), and gets the residual operator's.  The residual
+    operator is the V0 = 2 sector, so with the tables of index_check(V0=2)
+    its eigenvalues are not bisected twice.
     """
     residual_op = assemble(grid, 2.0, lam, parity)
-    res_eigs = lowest_eigs(residual_op, min(3, residual_op.size))
+    res_eigs = lowest_eigs(residual_op, min(3, residual_op.size),
+                           _count_table(tables, 2.0, lam, parity))
     neg = negative_count(residual_op)
 
     stiff = assemble(grid, 0.0, lam, parity)
@@ -299,13 +335,16 @@ class IndexCheck:
                 and self.marginal_even >= -MARGINAL_EIG_TOL)
 
 
-def index_check(grid: Grid, V0: float, lam: float) -> IndexCheck:
+def index_check(grid: Grid, V0: float, lam: float, tables: dict | None = None) -> IndexCheck:
     """Compare the discrete sector counts against the closed-form index.
 
     For each parity the first eigenvalue above the counted ones is
     reported as the marginal one; at threshold V0 (where the index bound
     is an exact integer) it hugs zero from above, reflecting the
     continuum resonance pushed up by the Dirichlet truncation.
+
+    `tables` holds the Sturm counts taken on the sectors of `grid`, per
+    (V0, lam, parity), as in coercivity_certificate.
     """
     predicted = pt_index(V0)
     counts = {}
@@ -313,7 +352,7 @@ def index_check(grid: Grid, V0: float, lam: float) -> IndexCheck:
     for parity in ("odd", "even"):
         op = assemble(grid, V0, lam, parity)
         c = counts[parity] = negative_count(op)
-        eigs = lowest_eigs(op, min(c + 1, op.size))
+        eigs = lowest_eigs(op, min(c + 1, op.size), _count_table(tables, V0, lam, parity))
         marginal[parity] = float(eigs[c]) if c < eigs.size else math.inf
     return IndexCheck(
         predicted=predicted,

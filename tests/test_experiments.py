@@ -433,6 +433,25 @@ def test_lambda_below_four_dx_is_config_error():
         parse_config("scenario=breather\nL=40\nN=99\nlambda=3\n")
 
 
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("key", ("epsilon", "sigma", "L", "T", "lambda", "dt_safety",
+                                 "beta", "poly_m"))
+def test_cli_non_finite_float_key_exits_2(key, value, tmp_path, capsys):
+    # T=nan used to run no step and report status ok, T=inf to end in an
+    # OverflowError traceback, lambda=inf to report ok with degenerate weights
+    rc = cli_main(["decay", "--set", "N=99", "--set", f"{key}={value}",
+                   "--set", f"output_dir={tmp_path / 'out'}"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err == [f"config error: {key} must be finite, got {value}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_poly_coeff_is_config_error():
+    with pytest.raises(ConfigError, match="poly_coeffs must be finite"):
+        parse_config("scenario=decay\nmodel=custom-poly\npoly_coeffs=0,0,nan\n")
+
+
 def test_cli_unresolved_lambda_exits_2_without_traceback(tmp_path):
     # this input used to spin forever in the eigenvalue bisection
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -2,11 +2,13 @@
 
 Spectral: on random symmetric tridiagonals, the Sturm count, the count at
 zero and the bisected lowest eigenvalues agree with scipy's tridiagonal
-eigensolver.  Integrator: on random half-line grids and catalog models with
-small odd data, `run` lands bit for bit on the state that repeated
-`leapfrog_step` calls reach, and stepping back with -dt undoes n steps to
-roundoff, as amplified by the linear instability of the zero state when
-m > 0 (phi4).
+eigensolver; the computed count is monotone in the shift, which is what
+lets `lowest_eigs` skip counts that earlier ones decide, and that skipping
+changes no bit of its result.  Integrator: on random half-line grids and
+catalog models with small odd data, `run` lands bit for bit on the state
+that repeated `leapfrog_step` calls reach, and stepping back with -dt
+undoes n steps to roundoff, as amplified by the linear instability of the
+zero state when m > 0 (phi4).
 """
 
 import math
@@ -20,7 +22,8 @@ from oddkg.grid import Field, State, make_grid
 from oddkg.integrator import RunSettings, cfl_dt, leapfrog_step, run
 from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.spectral import (
-    SchrodingerDiscretization, count_below, lowest_eigs, negative_count,
+    EIG_ATOL, SchrodingerDiscretization, _as_lists, _bisect, _sturm_count, count_below,
+    lowest_eigs, negative_count,
 )
 from oddkg.virial import VirialConfig, make_record
 
@@ -76,6 +79,48 @@ def test_lowest_eigs_match_scipy(tri, k_frac):
     k = 1 + int(k_frac * (diag.size - 1))
     assert np.allclose(lowest_eigs(_sector(diag, off), k), eigs[:k],
                        rtol=0.0, atol=_roundoff(diag, off))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tri=tridiagonals(), data=st.data())
+def test_sturm_count_is_monotone_in_the_shift(tri, data):
+    diag, off = tri
+    # a shift equal to diag[0] makes the first pivot exactly zero (pivmin nudge)
+    shift = st.one_of(st.floats(-40.0, 40.0), st.sampled_from(diag.tolist()))
+    lo, hi = sorted((data.draw(shift), data.draw(shift)))
+    dl, off_sq, pivmin = _as_lists(diag, off)
+    assert _sturm_count(dl, off_sq, lo, pivmin) <= _sturm_count(dl, off_sq, hi, pivmin)
+
+
+def _lowest_eigs_counting_afresh(diag, off, k):
+    """lowest_eigs as it reads without reuse: one new count per midpoint."""
+    dl, off_sq, pivmin = _as_lists(diag, off)
+    radius = np.zeros(diag.size)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    gl = float(np.min(diag - radius))
+    gu = float(np.max(diag + radius))
+    out = []
+    for i in range(1, k + 1):
+        lo = gl if i == 1 else out[-1] - 2.0 * EIG_ATOL
+        out.append(_bisect(lambda x: _sturm_count(dl, off_sq, x, pivmin) >= i,
+                           lo, gu, 2.0 * EIG_ATOL))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(tri=tridiagonals(), k_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_reused_counts_change_no_bit(tri, k_fracs):
+    diag, off = tri
+    sector = _sector(diag, off)
+    table = ([], [])
+    # later calls with the same table start from the counts of earlier ones
+    for k_frac in k_fracs:
+        k = 1 + int(k_frac * (diag.size - 1))
+        fresh = _lowest_eigs_counting_afresh(diag, off, k)
+        assert lowest_eigs(sector, k).tolist() == fresh
+        assert lowest_eigs(sector, k, table).tolist() == fresh
+    assert table[0] == sorted(table[0])
 
 
 def _odd_state(N, L, seed, amplitude):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oddkg import spectral
 from oddkg.grid import make_grid
 from oddkg.spectral import (
     MARGINAL_EIG_TOL, assemble, coercivity_certificate, count_below,
@@ -181,6 +182,23 @@ def test_parities_sum_to_index_at_half():
     total = (negative_count(assemble(LAM1_GRID, 0.5, 1.0, "odd"))
              + negative_count(assemble(LAM1_GRID, 0.5, 1.0, "even")))
     assert total == pt_index(0.5) == 1
+
+
+@pytest.mark.parametrize("parity", ("odd", "even"))
+def test_certificate_reuses_the_counts_of_index_check(parity, monkeypatch):
+    # the spectral scenario passes one set of count tables to every check;
+    # the residual operator is the V0 = 2 sector that index_check bisects
+    grid = make_grid(40.0, 399)
+    tables = {}
+    assert index_check(grid, 2.0, 1.0, tables) == index_check(grid, 2.0, 1.0)
+    shifts = []
+    counting = spectral._sturm_count
+    monkeypatch.setattr(spectral, "_sturm_count",
+                        lambda *args: shifts.append(args[2]) or counting(*args))
+    shared = coercivity_certificate(1.0, grid, parity, tables)
+    n_shared = len(shifts)
+    assert shared == coercivity_certificate(1.0, grid, parity)
+    assert 0 < n_shared < len(shifts) - n_shared
 
 
 def test_coercivity_certificate_odd():
