@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import weakref
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -158,8 +157,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown model {cfg.model!r}; choose one of {CATALOG_NAMES}")
     if not cfg.epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {cfg.epsilon}")
-    if not cfg.sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {cfg.sigma}")
+    # the summary divides by epsilon^2; the smallness guard squares norms up to 3 epsilon
+    bound = SMALLNESS_FACTOR * cfg.epsilon
+    if not (cfg.epsilon * cfg.epsilon > 0.0 and bound * bound < math.inf):
+        raise ConfigError(f"epsilon={cfg.epsilon:g} is out of range: epsilon^2 and "
+                          f"({SMALLNESS_FACTOR:g}*epsilon)^2 must be positive and finite")
+    if not (cfg.sigma > 0 and 0.0 < cfg.sigma * cfg.sigma < math.inf):
+        raise ConfigError(f"sigma must be positive, with a positive and finite square, "
+                          f"got {cfg.sigma}")
     if not cfg.L > 0:
         raise ConfigError(f"L must be positive, got {cfg.L}")
     if cfg.N < 16:
@@ -171,6 +176,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not cfg.lam > 0:
         raise ConfigError(f"lambda must be positive, got {cfg.lam}")
     dx = (2.0 if _fullline(cfg) else 1.0) * cfg.L / (cfg.N + 1)
+    if not (dx > 0.0 and math.isfinite(4.0 / dx / dx)):  # the time step needs 4/dx^2
+        raise ConfigError(f"dx = {dx:g} is too small: L={cfg.L:g} over N+1={cfg.N + 1}")
     if cfg.lam < MIN_LAMBDA_OVER_DX * dx:
         raise ConfigError(f"lambda={cfg.lam:g} is not resolved by the grid: it must be "
                           f"at least {MIN_LAMBDA_OVER_DX:g}*dx = {MIN_LAMBDA_OVER_DX * dx:g}")
@@ -194,9 +201,11 @@ def _fullline(cfg: ExperimentConfig) -> bool:
 
 
 def _grid(cfg: ExperimentConfig, N: int) -> Grid:
-    if _fullline(cfg):
-        return make_fullline_grid(cfg.L, N)
-    return make_grid(cfg.L, N)
+    make = make_fullline_grid if _fullline(cfg) else make_grid
+    try:
+        return make(cfg.L, N)
+    except MemoryError:
+        raise ConfigError(f"a grid of N={N} nodes does not fit in memory") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -229,11 +238,14 @@ def make_initial_data(cfg: ExperimentConfig, grid: Grid) -> State:
     """
     profile = grid.x * np.exp(-(grid.x ** 2) / cfg.sigma ** 2)
     zero = np.zeros(grid.N)
-    if cfg.data_family == "gauss-odd-displacement":
-        Z = math.sqrt(h1_l2_norm_sq(Field(grid, profile), Field(grid, zero)))
-        return State(Field(grid, cfg.epsilon * profile / Z), Field(grid, zero.copy()))
-    Z = math.sqrt(integrate_fullline(profile * profile, grid))
-    return State(Field(grid, zero), Field(grid, cfg.epsilon * profile / Z))
+    displaced = cfg.data_family == "gauss-odd-displacement"
+    Z = math.sqrt(h1_l2_norm_sq(Field(grid, profile), Field(grid, zero)) if displaced
+                  else integrate_fullline(profile * profile, grid))
+    if not 0.0 < Z < math.inf:
+        raise ConfigError(f"the profile of sigma={cfg.sigma:g} has norm {Z:g} on this grid; "
+                          f"it must be positive and finite")
+    u = Field(grid, cfg.epsilon * profile / Z)
+    return State(u, Field(grid, zero)) if displaced else State(Field(grid, zero), u)
 
 
 # ----------------------------------------------------------------------
@@ -262,18 +274,11 @@ class Lcg:
         return 2.0 * self.state / _LCG_M - 1.0
 
 
-#: grid -> {n_modes: (envelope, sine rows)}; freed together with the grid
-_MODES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _odd_modes(grid: Grid, n_modes: int) -> tuple:
     """The envelope exp(-x^2/25) and the rows sin(k pi x / L), k = 1..n_modes."""
-    tables = _MODES.setdefault(grid, {})
-    if n_modes not in tables:
-        tables[n_modes] = (np.exp(-(grid.x ** 2) / 25.0),
-                           [np.sin(k * math.pi * grid.x / grid.L)
-                            for k in range(1, n_modes + 1)])
-    return tables[n_modes]
+    return grid.table(("odd_modes", n_modes), lambda: (
+        np.exp(-(grid.x ** 2) / 25.0),
+        [np.sin(k * math.pi * grid.x / grid.L) for k in range(1, n_modes + 1)]))
 
 
 def random_odd_field(grid: Grid, lcg: Lcg, n_modes: int = 5) -> Field:
@@ -419,8 +424,7 @@ def _base_summary(cfg: ExperimentConfig, sim: _Simulation, abort: dict) -> dict:
 class _DecayProbe:
     """Per-record accumulation that the CSV schema does not carry."""
 
-    def __init__(self, model: Model, epsilon: float):
-        self.model = model
+    def __init__(self, epsilon: float):
         self.limit = SMALLNESS_FACTOR * epsilon
         self.sup_energy_norm = 0.0
         self.sfsix = []
@@ -430,9 +434,8 @@ class _DecayProbe:
         norm = math.sqrt(rec.energy_norm_sq)
         self.sup_energy_norm = max(self.sup_energy_norm, norm)
         nonlinear = (-rec.dI_dt_rhs) - rec.B_val
-        denom = rec.dw_norm_sq * float(np.float64(rec.sup_u1) ** (self.model.p - 1.0))
-        if denom > 0.0:
-            self.sfsix.append(abs(nonlinear) / denom)
+        if rec.sf_denom > 0.0:
+            self.sfsix.append(abs(nonlinear) / rec.sf_denom)
         if norm > self.limit:
             self.aborted = True
             raise StopRun()
@@ -477,7 +480,7 @@ def _decay_metrics(records, epsilon: float) -> dict:
 
 def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
     sim = _Simulation(cfg, cfg.N)
-    probe = _DecayProbe(sim.model, cfg.epsilon)
+    probe = _DecayProbe(cfg.epsilon)
     records, abort = sim.simulate(on_record=probe)
 
     summary = _base_summary(cfg, sim, abort)
@@ -594,12 +597,9 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
 
     grid = _grid(cfg, cfg.N)
     summary = _check_summary(cfg, grid)
-    # the certificates bisect the V0 = 2 sectors that index_check does:
-    # shared tables let them reuse the Sturm counts taken there
-    tables = {}
     all_ok = True
     for V0 in SPECTRAL_BATTERY_V0:
-        chk = index_check(grid, V0, cfg.lam, tables)
+        chk = index_check(grid, V0, cfg.lam)
         tag = f"V0_{V0:g}"
         summary[f"pt_index_{tag}"] = chk.predicted
         summary[f"count_odd_{tag}"] = chk.count_odd
@@ -609,7 +609,7 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
         summary[f"marginal_even_{tag}"] = chk.marginal_even
         all_ok = all_ok and chk.counts_match and chk.marginals_near_zero
     for parity in ("odd", "even"):
-        rep = coercivity_certificate(cfg.lam, grid, parity=parity, tables=tables)
+        rep = coercivity_certificate(cfg.lam, grid, parity=parity)
         summary.update(rep.as_summary(prefix=f"cert_{parity}_"))
     if not all_ok:
         summary["status"] = "failed_checks"

@@ -19,7 +19,7 @@ exact, so the stencil is second order up to the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,13 +28,24 @@ MIN_INTERIOR_POINTS = 16
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform mesh; use make_grid / make_fullline_grid to construct."""
+    """Uniform mesh; use make_grid / make_fullline_grid to construct.
+
+    `tables` keeps what is derived from the grid alone, by key (see `table`).
+    Nothing in it refers back to the grid, so refcount frees both together.
+    """
 
     L: float
     N: int
     dx: float
     x: np.ndarray
     fullline: bool = False
+    tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    def table(self, key, make):
+        """The table under `key`, made by `make()` on first request."""
+        if key not in self.tables:
+            self.tables[key] = make()
+        return self.tables[key]
 
 
 def make_grid(L: float, N: int) -> Grid:

@@ -85,12 +85,10 @@ def pt_index(V0: float) -> int:
 class SchrodingerDiscretization:
     """Symmetric tridiagonal discretization of one parity sector."""
 
-    grid: Grid
-    V0: float
-    lam: float
-    parity: str
     diag: np.ndarray = field(repr=False)
     offdiag: np.ndarray = field(repr=False)
+    #: Sturm counts taken on the matrix so far, (shifts, counts) in shift order
+    counts: tuple = field(default_factory=lambda: ([], []), repr=False)
 
     @property
     def size(self) -> int:
@@ -98,7 +96,11 @@ class SchrodingerDiscretization:
 
 
 def assemble(grid: Grid, V0: float, lam: float, parity: str) -> SchrodingerDiscretization:
-    """Assemble the parity sector of the operator on the half-line grid."""
+    """Assemble the parity sector of the operator on the half-line grid.
+
+    The same inputs assemble the same matrix, so its sectors share the count
+    table that `grid` keeps for them (the certificates reuse index_check's).
+    """
     if grid.fullline:
         raise ValueError("spectral sectors are assembled on the half-line grid")
     if V0 < 0:
@@ -118,14 +120,8 @@ def assemble(grid: Grid, V0: float, lam: float, parity: str) -> SchrodingerDiscr
         diag[1:] = 2.0 * inv_dx2 - V_interior
         offdiag = np.full(grid.N, -inv_dx2)
         offdiag[0] = -math.sqrt(2.0) * inv_dx2
-    return SchrodingerDiscretization(
-        grid=grid, V0=float(V0), lam=float(lam), parity=parity, diag=diag, offdiag=offdiag
-    )
-
-
-def _count_table(tables: dict | None, V0: float, lam: float, parity: str) -> tuple | None:
-    """The count table of one sector in `tables`, the caller's tables for one grid."""
-    return None if tables is None else tables.setdefault((V0, lam, parity), ([], []))
+    counts = grid.table(("sturm_counts", V0, lam, parity), lambda: ([], []))
+    return SchrodingerDiscretization(diag=diag, offdiag=offdiag, counts=counts)
 
 
 def _sturm_count(diag: list, off_sq: list, shift: float, pivmin: float) -> int:
@@ -183,7 +179,7 @@ def negative_count(d: SchrodingerDiscretization) -> int:
     raise ArithmeticError("LDL^T breakdown at shift 0 and at the fallback shift -1e-12")
 
 
-def lowest_eigs(d: SchrodingerDiscretization, k: int, table: tuple | None = None) -> np.ndarray:
+def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     """The k smallest eigenvalues, ascending, by bisection on the Sturm count.
 
     Each eigenvalue is bracketed inside its Gershgorin interval to
@@ -197,9 +193,7 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int, table: tuple | None = None
     or below x means count(x) >= i, and a count below i at or above x
     means count(x) < i.  The bisection visits the same midpoints either
     way, so the result is bit for bit the one that counts every midpoint
-    afresh.  `table` holds counts taken on this same matrix by earlier
-    calls, as two lists in shift order, (shifts, counts); this call adds
-    its own to it.  Without one, the counts are reused within the call.
+    afresh.  The counts come from, and go into, `d.counts`.
     """
     n = d.size
     if not 1 <= k <= n:
@@ -210,7 +204,7 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int, table: tuple | None = None
     radius[1:] += np.abs(d.offdiag)
     gl = float(np.min(d.diag - radius))
     gu = float(np.max(d.diag + radius))
-    shifts, counts = ([], []) if table is None else table
+    shifts, counts = d.counts
 
     def at_least(i: int, x: float) -> bool:
         j = bisect.bisect_left(shifts, x)
@@ -263,8 +257,7 @@ def _pencil_count_below(stiff_diag: np.ndarray, stiff_off: np.ndarray,
     return _sturm_count(diag, off_sq, 0.0, pivmin)
 
 
-def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd",
-                           tables: dict | None = None) -> SpectralReport:
+def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> SpectralReport:
     """Certify the coercivity of Bsharp on one parity sector.
 
     Two independent routes are reported:
@@ -282,15 +275,9 @@ def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd",
 
     On the odd sector both routes say the same thing: ratio >= 3/4 and
     residual eigenvalue >= 0, up to the truncation-induced margin.
-
-    `tables` holds the Sturm counts taken on the sectors of `grid`, per
-    (V0, lam, parity), and gets the residual operator's.  The residual
-    operator is the V0 = 2 sector, so with the tables of index_check(V0=2)
-    its eigenvalues are not bisected twice.
     """
     residual_op = assemble(grid, 2.0, lam, parity)
-    res_eigs = lowest_eigs(residual_op, min(3, residual_op.size),
-                           _count_table(tables, 2.0, lam, parity))
+    res_eigs = lowest_eigs(residual_op, min(3, residual_op.size))
     neg = negative_count(residual_op)
 
     stiff = assemble(grid, 0.0, lam, parity)
@@ -335,16 +322,13 @@ class IndexCheck:
                 and self.marginal_even >= -MARGINAL_EIG_TOL)
 
 
-def index_check(grid: Grid, V0: float, lam: float, tables: dict | None = None) -> IndexCheck:
+def index_check(grid: Grid, V0: float, lam: float) -> IndexCheck:
     """Compare the discrete sector counts against the closed-form index.
 
     For each parity the first eigenvalue above the counted ones is
     reported as the marginal one; at threshold V0 (where the index bound
     is an exact integer) it hugs zero from above, reflecting the
     continuum resonance pushed up by the Dirichlet truncation.
-
-    `tables` holds the Sturm counts taken on the sectors of `grid`, per
-    (V0, lam, parity), as in coercivity_certificate.
     """
     predicted = pt_index(V0)
     counts = {}
@@ -352,7 +336,7 @@ def index_check(grid: Grid, V0: float, lam: float, tables: dict | None = None) -
     for parity in ("odd", "even"):
         op = assemble(grid, V0, lam, parity)
         c = counts[parity] = negative_count(op)
-        eigs = lowest_eigs(op, min(c + 1, op.size), _count_table(tables, V0, lam, parity))
+        eigs = lowest_eigs(op, min(c + 1, op.size))
         marginal[parity] = float(eigs[c]) if c < eigs.size else math.inf
     return IndexCheck(
         predicted=predicted,

@@ -35,7 +35,6 @@ product) terms; make_record and the standalone functionals are views of it.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,13 +95,8 @@ class Weights:
         self.dsech = even * (-sech1 * np.tanh(x))
 
 
-#: grid -> {lam: Weights}; a grid's tables are freed together with the grid
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _weights(grid: Grid, lam: float) -> Weights:
-    tables = _TABLES.get(grid) or _TABLES.setdefault(grid, {})
-    return tables[lam] if lam in tables else tables.setdefault(lam, Weights(grid, lam))
+    return grid.table(("weights", lam), lambda: Weights(grid, lam))
 
 
 def _dot(row: np.ndarray, product: np.ndarray) -> float:
@@ -263,9 +257,9 @@ class DiagnosticsRecord:
 
     dI_dt_numeric is filled in a post-pass over a record sequence
     (centered differences over neighbouring records); it is NaN for a
-    standalone record.  The last three fields are not CSV columns (NaN
-    when read back from a CSV row): the staggered H1 x L2 norm squared,
-    sup|u1| and ||dw/dx||^2 with w = zeta * u1, for the decay probe.
+    standalone record.  The last two fields are not CSV columns (NaN when
+    read back from a CSV row): the staggered H1 x L2 norm squared and the
+    denominator of sf_ratio, ||u1||_inf^q ||dw/dx||^2, for the decay probe.
     """
 
     t: float
@@ -281,8 +275,7 @@ class DiagnosticsRecord:
     dH_dt_analytic: float
     sf_ratio: float
     energy_norm_sq: float = field(default=math.nan, compare=False)
-    sup_u1: float = field(default=math.nan, compare=False)
-    dw_norm_sq: float = field(default=math.nan, compare=False)
+    sf_denom: float = field(default=math.nan, compare=False)
 
     def csv_row(self) -> str:
         return ",".join(f"{getattr(self, c):.16e}" for c in CSV_COLUMNS)
@@ -308,8 +301,7 @@ def make_record(state: State, model: Model, cfg: VirialConfig,
     return DiagnosticsRecord(
         t=state.t, E=k.E, I=k.I, dI_dt_numeric=math.nan, dI_dt_rhs=-k.rhs, B_val=k.B,
         H=k.H, H1w_sq=k.h1w, L2w_sq=k.l2w, cross=k.cross, dH_dt_analytic=k.dH,
-        sf_ratio=k.sf, energy_norm_sq=k.energy_norm_sq, sup_u1=k.sup,
-        dw_norm_sq=k.dw_norm_sq,
+        sf_ratio=k.sf, energy_norm_sq=k.energy_norm_sq, sf_denom=k.sf_denom,
     )
 
 

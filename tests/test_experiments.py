@@ -466,6 +466,26 @@ def test_cli_unresolved_lambda_exits_2_without_traceback(tmp_path):
     assert "config error" in proc.stderr
 
 
+@pytest.mark.parametrize("setting", (
+    "L=1e-300",  # dx^2 underflows: was a ZeroDivisionError in cfl_dt
+    "sigma=1e-300",  # zero profile norm: was a NaN state, then an IndexError
+    "epsilon=1e308",  # was an OverflowError at epsilon**2
+    "N=1000000000000000",  # 8 PB, beyond the address space: was an _ArrayMemoryError
+))
+def test_cli_out_of_range_value_exits_2_without_traceback(setting, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddkg", "decay",
+         "--config", str(ROOT / "configs" / "decay_sine_gordon.cfg"), "--set", "N=99",
+         "--set", "T=1", "--set", setting, "--set", f"output_dir={tmp_path / 'out'}"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), proc.stderr
+
+
 def test_convergence_breather_mode_steps_on_the_fullline_grid():
     # dt and the reported dx come from the grid the breather runs on
     cfg = parse_config(

@@ -12,16 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddkg import virial
+from oddkg.experiments import Lcg, random_odd_field
 from oddkg.grid import (
     Field, State, derivative, h1_l2_norm_sq, integrate_fullline, make_fullline_grid, make_grid,
 )
 from oddkg.models import CATALOG_NAMES, energy, make_model
+from oddkg.spectral import coercivity_certificate, index_check
 from oddkg.virial import (
     CSV_COLUMNS, VirialConfig, H_loc, bilinear_B, bsharp, cross_term, dH_analytic,
     make_record, sf_ratio, to_w, virial_I, virial_rhs, weighted_norms,
 )
 
-EXTRA_FIELDS = ("energy_norm_sq", "sup_u1", "dw_norm_sq")
+EXTRA_FIELDS = ("energy_norm_sq", "sf_denom")
 
 
 @st.composite
@@ -81,7 +83,6 @@ def test_record_from_reused_workspace_matches_fresh_and_standalone(
     assert rec.dH_dt_analytic == dH_analytic(state, model)
     assert rec.sf_ratio == sf_ratio(u1, cfg, q=q)
     assert rec.energy_norm_sq == h1_l2_norm_sq(u1, u2)
-    assert rec.sup_u1 == float(np.max(np.abs(u1.values)))
     assert math.isnan(rec.dI_dt_numeric)
 
     # the remaining values against independent quadratures, to roundoff
@@ -90,18 +91,40 @@ def test_record_from_reused_workspace_matches_fresh_and_standalone(
     assert abs(rec.E - E) <= 1e-12 * scale
     dw = derivative(to_w(u1, cfg)).values
     dw_sq = integrate_fullline(dw * dw, grid, origin="even")
-    assert abs(rec.dw_norm_sq - dw_sq) <= 1e-12 * dw_sq
+    sf_denom = float(np.max(np.abs(u1.values))) ** q * dw_sq
+    assert abs(rec.sf_denom - sf_denom) <= 1e-12 * sf_denom
     V_w_sq = dw_sq - bsharp(to_w(u1, cfg), cfg)  # integral V w^2 >= 0
     assert V_w_sq >= -1e-12 * dw_sq
 
 
+def _weigh(grid):
+    bilinear_B(Field(grid, grid.x * np.exp(-grid.x ** 2)), VirialConfig(2.0))
+    assert virial._weights(grid, 2.0) is virial._weights(grid, 2.0)  # kept while the grid lives
+
+
+def _draw_odd_field(grid):
+    random_odd_field(grid, Lcg(1))
+
+
+def _certify(grid):
+    index_check(grid, 2.0, 1.0)
+    coercivity_certificate(1.0, grid, "odd")
+
+
 def test_weight_tables_live_as_long_as_their_grid():
-    grid = make_grid(10.0, 99)
-    u1 = Field(grid, grid.x * np.exp(-grid.x ** 2))
-    bilinear_B(u1, VirialConfig(2.0))
-    table = virial._weights(grid, 2.0)
-    assert virial._weights(grid, 2.0) is table  # cached while the grid lives
-    ref = weakref.ref(table)
-    del grid, u1, table
-    gc.collect()
-    assert ref() is None
+    # weights, odd-mode rows and Sturm counts; a table that referred back to
+    # its grid would make a cycle that only the cycle collector frees
+    for derive, kind in ((_weigh, "weights"), (_draw_odd_field, "odd_modes"),
+                         (_certify, "sturm_counts")):
+        grid = make_grid(40.0, 399)
+        derive(grid)
+        assert kind in {key[0] for key in grid.tables}
+        ref = weakref.ref(grid)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del grid
+            assert ref() is None, kind
+        finally:
+            if enabled:
+                gc.enable()

@@ -27,7 +27,6 @@ from oddkg.spectral import (
 )
 from oddkg.virial import VirialConfig, make_record
 
-GRID = make_grid(1.0, 16)  # carried by the sector object, unused by the counts
 ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 MODELS = [make_model(name) for name in CATALOG_NAMES if name != "custom-poly"]
@@ -44,8 +43,7 @@ def tridiagonals(draw):
 
 
 def _sector(diag, off):
-    return SchrodingerDiscretization(grid=GRID, V0=0.0, lam=1.0, parity="odd",
-                                     diag=diag, offdiag=off)
+    return SchrodingerDiscretization(diag=diag, offdiag=off)
 
 
 def _roundoff(diag, off) -> float:
@@ -112,15 +110,14 @@ def _lowest_eigs_counting_afresh(diag, off, k):
 @given(tri=tridiagonals(), k_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
 def test_reused_counts_change_no_bit(tri, k_fracs):
     diag, off = tri
-    sector = _sector(diag, off)
-    table = ([], [])
-    # later calls with the same table start from the counts of earlier ones
+    shared = _sector(diag, off)
+    # later calls on the shared sector start from the counts of earlier ones
     for k_frac in k_fracs:
         k = 1 + int(k_frac * (diag.size - 1))
         fresh = _lowest_eigs_counting_afresh(diag, off, k)
-        assert lowest_eigs(sector, k).tolist() == fresh
-        assert lowest_eigs(sector, k, table).tolist() == fresh
-    assert table[0] == sorted(table[0])
+        assert lowest_eigs(_sector(diag, off), k).tolist() == fresh
+        assert lowest_eigs(shared, k).tolist() == fresh
+    assert shared.counts[0] == sorted(shared.counts[0])
 
 
 def _odd_state(N, L, seed, amplitude):

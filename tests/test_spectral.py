@@ -75,10 +75,7 @@ def test_sturm_count_against_dense_eigensolver():
         for shift in (-2.0, -0.5, 0.0, 0.3, 1.7):
             # exercise the raw counting kernel through a wrapper object
             from oddkg.spectral import SchrodingerDiscretization
-            d = SchrodingerDiscretization(
-                grid=LAM1_GRID, V0=0.0, lam=1.0, parity="odd",
-                diag=diag, offdiag=off,
-            )
+            d = SchrodingerDiscretization(diag=diag, offdiag=off)
             assert count_below(d, shift) == int(np.sum(eigs < shift))
 
 
@@ -88,8 +85,7 @@ def test_lowest_eigs_against_dense_eigensolver():
     diag = rng.normal(size=n)
     off = rng.normal(size=n - 1)
     from oddkg.spectral import SchrodingerDiscretization
-    d = SchrodingerDiscretization(grid=LAM1_GRID, V0=0.0, lam=1.0, parity="odd",
-                                  diag=diag, offdiag=off)
+    d = SchrodingerDiscretization(diag=diag, offdiag=off)
     M = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     dense = np.sort(np.linalg.eigvalsh(M))
     mine = lowest_eigs(d, 7)
@@ -128,7 +124,6 @@ def test_negative_count_zero_pivot_retries_then_raises():
 
     def sector(diag, off):
         return SchrodingerDiscretization(
-            grid=LAM1_GRID, V0=0.0, lam=1.0, parity="odd",
             diag=np.array(diag, dtype=float), offdiag=np.array(off, dtype=float),
         )
 
@@ -186,18 +181,17 @@ def test_parities_sum_to_index_at_half():
 
 @pytest.mark.parametrize("parity", ("odd", "even"))
 def test_certificate_reuses_the_counts_of_index_check(parity, monkeypatch):
-    # the spectral scenario passes one set of count tables to every check;
-    # the residual operator is the V0 = 2 sector that index_check bisects
+    # the grid keeps the count tables of its sectors; the residual operator
+    # is the V0 = 2 sector that index_check bisects
     grid = make_grid(40.0, 399)
-    tables = {}
-    assert index_check(grid, 2.0, 1.0, tables) == index_check(grid, 2.0, 1.0)
+    assert index_check(grid, 2.0, 1.0) == index_check(make_grid(40.0, 399), 2.0, 1.0)
     shifts = []
     counting = spectral._sturm_count
     monkeypatch.setattr(spectral, "_sturm_count",
                         lambda *args: shifts.append(args[2]) or counting(*args))
-    shared = coercivity_certificate(1.0, grid, parity, tables)
+    shared = coercivity_certificate(1.0, grid, parity)
     n_shared = len(shifts)
-    assert shared == coercivity_certificate(1.0, grid, parity)
+    assert shared == coercivity_certificate(1.0, make_grid(40.0, 399), parity)
     assert 0 < n_shared < len(shifts) - n_shared
 
 
