@@ -17,7 +17,7 @@ from .grid import (
     Field, Grid, State, derivative, integrate_fullline, make_fullline_grid, make_grid,
 )
 from .integrator import BlowupError, RunSettings, cfl_dt, leapfrog_step, run
-from .models import Model, ModelError, energy, eval_F, eval_f, make_model
+from .models import Model, ModelError, energy, make_model
 from .spectral import (
     SpectralReport, assemble, coercivity_certificate, index_check, lowest_eigs,
     negative_count, pt_index,
@@ -33,7 +33,7 @@ __all__ = [
     "RunSettings", "SpectralReport", "State", "VirialConfig", "assemble",
     "bilinear_B", "breather_exact", "breather_state", "bsharp", "cfl_dt",
     "coercivity_certificate", "cross_term", "dH_analytic", "derivative",
-    "energy", "eval_F", "eval_f", "index_check", "integrate_fullline",
+    "energy", "index_check", "integrate_fullline",
     "leapfrog_step", "linear_standing_wave", "lowest_eigs", "make_fullline_grid",
     "make_grid", "make_initial_data", "make_model", "negative_count",
     "parse_config", "pt_index", "run", "run_scenario", "sf_ratio", "to_w",

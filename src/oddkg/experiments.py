@@ -44,7 +44,7 @@ from .grid import (
     make_fullline_grid, make_grid,
 )
 from .integrator import BlowupError, RunSettings, StopRun, cfl_dt, run
-from .models import CATALOG_NAMES, Model, make_model
+from .models import CATALOG_NAMES, Model, ModelError, make_model
 from .virial import (
     H_loc, VirialConfig, _weights, bilinear_B, bsharp, csv_header, to_w, virial_I,
     weighted_norms,
@@ -61,6 +61,10 @@ VIRIAL_CHECK_TOL = {"B_vs_Bsharp": 1e-4, "I_selfpair": 1e-4, "H_decomp": 1e-12}
 
 #: decay runs abort once the energy norm exceeds this multiple of epsilon
 SMALLNESS_FACTOR = 3.0
+
+#: most time steps one run may take: a run asking for more (a tiny dx with a
+#: long T can ask for 1e150) is a config error, not an endless loop
+MAX_STEPS = 10 ** 8
 
 #: smallest lambda/dx accepted: the sech^2(x/lambda) weights and potentials
 #: need a few grid points across their width
@@ -214,9 +218,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def config_model(cfg: ExperimentConfig) -> Model:
-    if cfg.model == "custom-poly":
-        return make_model("custom-poly", {"m": cfg.poly_m, "coeffs": cfg.poly_coeffs})
-    return make_model(cfg.model)
+    """The configured model; invalid model parameters are a ConfigError."""
+    try:
+        if cfg.model == "custom-poly":
+            return make_model("custom-poly", {"m": cfg.poly_m, "coeffs": cfg.poly_coeffs})
+        return make_model(cfg.model)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def describe(cfg: ExperimentConfig) -> str:
@@ -236,7 +244,8 @@ def make_initial_data(cfg: ExperimentConfig, grid: Grid) -> State:
     Z fixed so the discrete H1 x L2 norm of the state equals eps.
     gauss-odd-velocity: the same profile placed in u2, normalized in L2.
     """
-    profile = grid.x * np.exp(-(grid.x ** 2) / cfg.sigma ** 2)
+    with np.errstate(over="ignore"):  # x^2/sigma^2 overflows for a tiny sigma: Z = 0 below
+        profile = grid.x * np.exp(-(grid.x ** 2) / cfg.sigma ** 2)
     zero = np.zeros(grid.N)
     displaced = cfg.data_family == "gauss-odd-displacement"
     Z = math.sqrt(h1_l2_norm_sq(Field(grid, profile), Field(grid, zero)) if displaced
@@ -366,6 +375,9 @@ class _Simulation:
         self.model = config_model(cfg)
         if dt is None:
             dt = cfl_dt(self.grid, self.model, cfg.dt_safety)
+        if cfg.T / dt > MAX_STEPS:
+            raise ConfigError(f"T={cfg.T:g} at dt={dt:g} is {cfg.T / dt:.3g} steps, "
+                              f"more than the {MAX_STEPS:g} one run may take")
         self.settings = RunSettings(dt=dt, T=cfg.T, record_every=cfg.record_every)
         self.vcfg = cfg.virial
         #: the exact solution, when the data is a breather (on the full line)
@@ -393,12 +405,12 @@ class _BreatherError:
     """On-record probe: L2 distance of u1 from the exact breather at the same t."""
 
     def __init__(self, sim: _Simulation):
-        self.params = sim.breather
+        self.breather = sim.breather
         self.grid = sim.grid
         self.errors = []
 
     def __call__(self, state: State, rec) -> None:
-        diff = state.u1.values - breather_exact(self.params, state.t, self.grid.x)
+        diff = state.u1.values - breather_exact(self.breather, state.t, self.grid.x)
         self.errors.append(math.sqrt(integrate_fullline(diff * diff, self.grid)))
 
 

@@ -2,20 +2,19 @@
 
 Each entry fixes the linear coefficient m and an odd C^1 nonlinearity f
 with f(0) = 0 and |f'(u)| <= C |u|^(p-1) near 0 for some p > 1, together
-with the exact antiderivative F(u) = integral_0^u f.  Closed forms for F
-are stored (never quadrature) so the energy and the virial right-hand
-side carry no spurious quadrature-of-f error.
+with the exact antiderivative F(u) = integral_0^u f (never quadrature, so
+the energy and the virial right-hand side carry no quadrature-of-f error).
+Every polynomial model is one row: m and the coefficients P_k of
+f(u) = u^3 P(u^2); F(u) = u^4 Q(u^2) with Q_k = P_k / (2k + 4) follows.
 
-Catalog:
-
-    name         m    f(u)                 F(u)
-    ----------   ---  ------------------   --------------------
-    sine-gordon  -1   u - sin(u)           u^2/2 + cos(u) - 1
-    phi4         +1   -u^3                 -u^4/4
-    phi6         -1   4u^3 - 3u^5          u^4 - u^6/2
-    cubic-nlkg   -1   u^3                  u^4/4
-    linear-kg    -1   0                    0
-    custom-poly  user odd polynomial       exact antiderivative
+    name         m    row P        f(u)          F(u)
+    ----------   ---  -----------  ------------  --------------------
+    sine-gordon  -1   -            u - sin(u)    u^2/2 + cos(u) - 1
+    phi4         +1   (-1,)        -u^3          -u^4/4
+    phi6         -1   (4, -3)      4u^3 - 3u^5   u^4 - u^6/2
+    cubic-nlkg   -1   (1,)         u^3           u^4/4
+    linear-kg    -1   (0,)         0             0
+    custom-poly  user odd polynomial from poly_coeffs
 
 For sine-gordon, m*u + f(u) = -sin(u); for phi4, m*u + f(u) = u - u^3.
 Note that phi4 has m = +1: the zero state sits on the local maximum of
@@ -30,11 +29,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .grid import Grid, State, gradient_sq_integral, integrate_fullline
 
 CATALOG_NAMES = ("sine-gordon", "phi4", "phi6", "cubic-nlkg", "linear-kg", "custom-poly")
+
+#: the polynomial models: name -> (m, coefficients of u^3, u^5, ... in f)
+_POLYNOMIALS = {
+    "phi4": (1.0, (-1.0,)),
+    "phi6": (-1.0, (4.0, -3.0)),
+    "cubic-nlkg": (-1.0, (1.0,)),
+    "linear-kg": (-1.0, (0.0,)),
+}
 
 
 class ModelError(ValueError):
@@ -50,18 +56,31 @@ class Model:
     p: float
     f: Callable = field(repr=False)
     F: Callable = field(repr=False)
-    params: tuple = ()
 
 
-def _poly_callable(coeffs: np.ndarray) -> Callable:
+def _horner(coeffs: tuple, s):
+    """coeffs[0] + coeffs[1]*s + coeffs[2]*s^2 + ..., by Horner's rule."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * s + c
+    return acc
+
+
+def _polynomial(name: str, m: float, coeffs: tuple, p: float = 3.0) -> Model:
+    """f(u) = u^3 P(u^2) and F(u) = u^4 Q(u^2) from the nonempty row P = coeffs."""
+    Fcoeffs = tuple(c / (2 * k + 4) for k, c in enumerate(coeffs))
+
+    # powers are spelled with multiplications: np.power is an order of
+    # magnitude slower and f sits in the integrator's inner loop
     def f(u):
-        return npoly.polyval(u, coeffs)
+        s = u * u
+        return (u * s) * _horner(coeffs, s)
 
-    return f
+    def F(u):
+        s = u * u
+        return (s * s) * _horner(Fcoeffs, s)
 
-
-def _zero(u):
-    return np.multiply(u, 0.0)
+    return Model(name, m=m, p=p, f=f, F=F)
 
 
 def make_model(name: str, params: Mapping | None = None) -> Model:
@@ -71,36 +90,17 @@ def make_model(name: str, params: Mapping | None = None) -> Model:
     `coeffs` (ascending-degree coefficients of f).  Coefficients of even
     degree must vanish (f must be odd) and the linear coefficient must
     vanish as well: a linear term belongs in m, and keeping it out of f
-    preserves |f'(u)| <= C|u|^(p-1) with p > 1.
+    preserves |f'(u)| <= C|u|^(p-1) with p > 1.  The small-amplitude degree
+    p is the lowest degree with a nonzero coefficient, or 3 if f is zero.
     """
-    # cubes etc. are spelled with multiplications: np.power is an order of
-    # magnitude slower and these sit in the integrator's inner loop
     if name == "sine-gordon":
         return Model(
             name, m=-1.0, p=3.0,
             f=lambda u: u - np.sin(u),
             F=lambda u: 0.5 * u * u + np.cos(u) - 1.0,
         )
-    if name == "phi4":
-        return Model(
-            name, m=1.0, p=3.0,
-            f=lambda u: -(u * u * u),
-            F=lambda u: -0.25 * (u * u) * (u * u),
-        )
-    if name == "phi6":
-        return Model(
-            name, m=-1.0, p=3.0,
-            f=lambda u: u * (u * u) * (4.0 - 3.0 * (u * u)),
-            F=lambda u: (u * u) * (u * u) * (1.0 - 0.5 * (u * u)),
-        )
-    if name == "cubic-nlkg":
-        return Model(
-            name, m=-1.0, p=3.0,
-            f=lambda u: u * u * u,
-            F=lambda u: 0.25 * (u * u) * (u * u),
-        )
-    if name == "linear-kg":
-        return Model(name, m=-1.0, p=3.0, f=_zero, F=_zero)
+    if name in _POLYNOMIALS:
+        return _polynomial(name, *_POLYNOMIALS[name])
     if name == "custom-poly":
         if params is None or "m" not in params or "coeffs" not in params:
             raise ModelError("custom-poly requires params with 'm' and 'coeffs'")
@@ -117,32 +117,11 @@ def make_model(name: str, params: Mapping | None = None) -> Model:
                 "custom-poly linear coefficient must be zero; fold linear terms into m"
             )
         nonzero = np.nonzero(coeffs)[0]
-        if "p" in params:
-            p = float(params["p"])
-        elif nonzero.size:
-            p = float(nonzero[0])
-        else:
-            p = 3.0
-        if not p > 1:
-            raise ModelError(f"small-amplitude degree must satisfy p > 1, got p={p}")
-        Fcoeffs = np.zeros(coeffs.size + 1)
-        Fcoeffs[1:] = coeffs / np.arange(1, coeffs.size + 1)
-        return Model(
-            "custom-poly", m=float(params["m"]), p=p,
-            f=_poly_callable(coeffs), F=_poly_callable(Fcoeffs),
-            params=tuple(coeffs),
-        )
+        p = float(nonzero[0]) if nonzero.size else 3.0
+        # an f of degree below 3 is zero: linear-kg's row
+        row = tuple(coeffs[3::2].tolist()) or (0.0,)
+        return _polynomial(name, float(params["m"]), row, p)
     raise ModelError(f"unknown model {name!r}; choose one of {CATALOG_NAMES}")
-
-
-def eval_f(model: Model, u):
-    """Nonlinearity f(u); accepts scalars or arrays."""
-    return model.f(u)
-
-
-def eval_F(model: Model, u):
-    """Exact antiderivative F(u) with F(0) = 0."""
-    return model.F(u)
 
 
 def energy(state: State, model: Model, grid: Grid) -> float:

@@ -30,9 +30,9 @@ Parity is encoded in the boundary treatment at x = 0:
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +94,11 @@ class SchrodingerDiscretization:
     def size(self) -> int:
         return self.diag.size
 
+    @cached_property
+    def lists(self) -> tuple[list, list, float]:
+        """The float lists and pivmin of `_sturm_count`, made on the first count."""
+        return _as_lists(self.diag, self.offdiag)
+
 
 def assemble(grid: Grid, V0: float, lam: float, parity: str) -> SchrodingerDiscretization:
     """Assemble the parity sector of the operator on the half-line grid.
@@ -131,14 +136,11 @@ def _sturm_count(diag: list, off_sq: list, shift: float, pivmin: float) -> int:
     interpreter loop over floats is an order of magnitude faster than
     per-element numpy scalars, so `shift` must be a float too.  Pivots
     landing exactly on zero are nudged to -pivmin (the marginal eigenvalue
-    counts as below the shift), which the bisection callers tolerate in
-    either direction; with pivmin = 0 a zero pivot raises
-    ZeroDivisionError instead.
+    counts as below the shift), as in LAPACK dstebz; the bisection callers
+    tolerate either direction.
     """
     d = diag[0] - shift
     if d == 0.0:
-        if not pivmin:
-            raise ZeroDivisionError(f"zero LDL^T pivot at shift {shift}")
         d = -pivmin
     count = 1 if d < 0.0 else 0
     for a, b2 in zip(diag[1:], off_sq):
@@ -146,8 +148,6 @@ def _sturm_count(diag: list, off_sq: list, shift: float, pivmin: float) -> int:
         if d < 0.0:
             count += 1
         elif d == 0.0:
-            if not pivmin:
-                raise ZeroDivisionError(f"zero LDL^T pivot at shift {shift}")
             d = -pivmin
             count += 1
     return count
@@ -161,22 +161,22 @@ def _as_lists(diag: np.ndarray, offdiag: np.ndarray) -> tuple[list, list, float]
 
 
 def count_below(d: SchrodingerDiscretization, shift: float) -> int:
-    """Certified count of eigenvalues of the sector matrix below `shift`."""
-    diag, off_sq, pivmin = _as_lists(d.diag, d.offdiag)
-    return _sturm_count(diag, off_sq, shift, pivmin)
+    """Certified count of eigenvalues of the sector matrix below `shift`,
+    taken once per shift: it comes from, and goes into, `d.counts`."""
+    shift = float(shift)
+    shifts, counts = d.counts
+    j = bisect.bisect_left(shifts, shift)
+    if j == len(shifts) or shifts[j] != shift:
+        diag, off_sq, pivmin = d.lists
+        shifts.insert(j, shift)
+        counts.insert(j, _sturm_count(diag, off_sq, shift, pivmin))
+    return counts[j]
 
 
 def negative_count(d: SchrodingerDiscretization) -> int:
-    """Number of eigenvalues < 0, by exact pivot signs at shift 0.
-
-    A zero pivot (exact eigenvalue hit or factorization breakdown)
-    triggers one retry at shift -1e-12; a second breakdown is reported.
-    """
-    diag, off_sq, _ = _as_lists(d.diag, d.offdiag)
-    for shift in (0.0, -1e-12):
-        with contextlib.suppress(ZeroDivisionError):
-            return _sturm_count(diag, off_sq, shift, 0.0)
-    raise ArithmeticError("LDL^T breakdown at shift 0 and at the fallback shift -1e-12")
+    """Number of eigenvalues < 0: the count at shift 0, whose zero pivots
+    are nudged like every other count's (an eigenvalue exactly at 0 counts)."""
+    return count_below(d, 0.0)
 
 
 def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
@@ -198,7 +198,6 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     n = d.size
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    diag, off_sq, pivmin = _as_lists(d.diag, d.offdiag)
     radius = np.zeros(n)
     radius[:-1] += np.abs(d.offdiag)
     radius[1:] += np.abs(d.offdiag)
@@ -210,12 +209,9 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
         j = bisect.bisect_left(shifts, x)
         if j and counts[j - 1] >= i:
             return True
-        if j < len(shifts) and (shifts[j] == x or counts[j] < i):
-            return counts[j] >= i
-        c = _sturm_count(diag, off_sq, x, pivmin)
-        shifts.insert(j, x)
-        counts.insert(j, c)
-        return c >= i
+        if j < len(shifts) and counts[j] < i:
+            return False
+        return count_below(d, x) >= i
 
     out = []
     for i in range(1, k + 1):

@@ -471,6 +471,9 @@ def test_cli_unresolved_lambda_exits_2_without_traceback(tmp_path):
     "sigma=1e-300",  # zero profile norm: was a NaN state, then an IndexError
     "epsilon=1e308",  # was an OverflowError at epsilon**2
     "N=1000000000000000",  # 8 PB, beyond the address space: was an _ArrayMemoryError
+    "L=1e-150",  # dx = 1e-152 asks for ~1e152 steps: ran without end
+    "sigma=1e-153",  # x^2/sigma^2 overflows: numpy warnings came before the error line
+    "model=custom-poly",  # no poly_coeffs: was a ModelError traceback
 ))
 def test_cli_out_of_range_value_exits_2_without_traceback(setting, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from oddkg.grid import Field, State, make_fullline_grid, make_grid
-from oddkg.models import ModelError, energy, eval_F, eval_f, make_model
+from oddkg.models import ModelError, energy, make_model
 from oddkg.exact import BreatherParams, breather_state
 
 CATALOG = ("sine-gordon", "phi4", "phi6", "cubic-nlkg", "linear-kg")
@@ -23,19 +23,19 @@ FPRIME_BOUND = {
 def test_catalog_coefficients():
     sg = make_model("sine-gordon")
     assert sg.m == -1.0
-    assert sg.m * (math.pi / 2) + eval_f(sg, math.pi / 2) == pytest.approx(-1.0, abs=1e-15)
+    assert sg.m * (math.pi / 2) + sg.f(math.pi / 2) == pytest.approx(-1.0, abs=1e-15)
     p4 = make_model("phi4")
     assert p4.m == 1.0
-    assert eval_f(p4, 0.5) == -0.125
+    assert p4.f(0.5) == -0.125
     p6 = make_model("phi6")
     assert p6.m == -1.0
-    assert eval_f(p6, 1.0) == pytest.approx(1.0)  # 4 - 3
+    assert p6.f(1.0) == pytest.approx(1.0)  # 4 - 3
     cn = make_model("cubic-nlkg")
     assert cn.m == -1.0
-    assert eval_f(cn, 2.0) == 8.0
+    assert cn.f(2.0) == 8.0
     lk = make_model("linear-kg")
     assert lk.m == -1.0
-    assert eval_f(lk, 1.7) == 0.0
+    assert lk.f(1.7) == 0.0
 
 
 def test_unknown_model_rejected():
@@ -45,7 +45,7 @@ def test_unknown_model_rejected():
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_f_vanishes_at_origin(name):
-    assert eval_f(make_model(name), 0.0) == 0.0
+    assert make_model(name).f(0.0) == 0.0
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -71,30 +71,54 @@ def test_F_is_antiderivative_of_f(name):
     model = make_model(name)
     h = 1e-5
     for u in np.linspace(-2.0, 2.0, 41):
-        fd = (eval_F(model, u + h) - eval_F(model, u - h)) / (2 * h)
-        assert fd == pytest.approx(eval_f(model, u), abs=1e-8)
-    assert eval_F(model, 0.0) == 0.0
+        fd = (model.F(u + h) - model.F(u - h)) / (2 * h)
+        assert fd == pytest.approx(model.f(u), abs=1e-8)
+    assert model.F(0.0) == 0.0
 
 
 def test_sine_gordon_F_closed_form():
     sg = make_model("sine-gordon")
     for u in (0.3, 1.0, 2.5):
-        assert eval_F(sg, u) == pytest.approx(0.5 * u * u + math.cos(u) - 1.0, rel=1e-15)
+        assert sg.F(u) == pytest.approx(0.5 * u * u + math.cos(u) - 1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("name", ("sine-gordon", "phi6", "cubic-nlkg"))
 @pytest.mark.parametrize("u_top", (0.3, 1.0, 2.5))
 def test_F_matches_quadrature_of_f(name, u_top):
     model = make_model(name)
-    val, err = quad(lambda s: eval_f(model, s), 0.0, u_top, epsabs=1e-12)
-    assert eval_F(model, u_top) == pytest.approx(val, abs=10 * err + 1e-12)
+    val, err = quad(lambda s: model.f(s), 0.0, u_top, epsabs=1e-12)
+    assert model.F(u_top) == pytest.approx(val, abs=10 * err + 1e-12)
 
 
 def test_custom_poly():
     m = make_model("custom-poly", {"m": -1.0, "coeffs": (0.0, 0.0, 0.0, 2.0)})
-    assert eval_f(m, 2.0) == 16.0
-    assert eval_F(m, 2.0) == pytest.approx(8.0)  # 2 u^4 / 4
+    assert m.f(2.0) == 16.0
+    assert m.F(2.0) == pytest.approx(8.0)  # 2 u^4 / 4
     assert m.p == 3.0
+
+
+# (m, coefficients of u^3, u^5, ...) of each polynomial catalog model
+POLYNOMIAL_ROWS = {
+    "phi4": (1.0, (-1.0,)),
+    "phi6": (-1.0, (4.0, -3.0)),
+    "cubic-nlkg": (-1.0, (1.0,)),
+    "linear-kg": (-1.0, (0.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYNOMIAL_ROWS))
+def test_custom_poly_of_a_catalog_row_is_the_catalog_model(name):
+    # the same m and coefficients give the same f, bit for bit
+    m, row = POLYNOMIAL_ROWS[name]
+    coeffs = [0.0, 0.0]
+    for c in row:
+        coeffs += [0.0, c]
+    custom = make_model("custom-poly", {"m": m, "coeffs": coeffs})
+    catalog = make_model(name)
+    assert (custom.m, custom.p) == (catalog.m, catalog.p)
+    tiny = np.logspace(-320, -1, 2001)
+    u = np.concatenate([np.linspace(-3.0, 3.0, 100_001), tiny, -tiny])
+    assert np.array_equal(custom.f(u).view(np.int64), catalog.f(u).view(np.int64))
 
 
 def test_custom_poly_rejects_even_degrees():

@@ -14,7 +14,7 @@ zero state when m > 0 (phi4).
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
@@ -62,6 +62,8 @@ def test_count_below_matches_scipy(tri, shift):
 
 @settings(max_examples=30, deadline=None)
 @given(tri=tridiagonals())
+# zero pivots at shift 0, and at shift -1e-12 too: eigenvalues -1, +1 and about -1, +1
+@example(tri=(np.array([0.0, 0.0, -1e-12, 0.0]), np.array([1.0, 0.0, 1.0])))
 def test_negative_count_matches_scipy(tri):
     diag, off = tri
     eigs = eigvalsh_tridiagonal(diag, off)

@@ -118,8 +118,8 @@ def test_negative_count_free_laplacian_zero():
         assert negative_count(assemble(LAM1_GRID, 0.0, 1.0, parity)) == 0
 
 
-def test_negative_count_zero_pivot_retries_then_raises():
-    # an exact zero pivot at shift 0 is retried once at shift -1e-12
+def test_negative_count_nudges_zero_pivots():
+    # an exact zero pivot at shift 0 becomes -pivmin, as in LAPACK dstebz
     from oddkg.spectral import SchrodingerDiscretization
 
     def sector(diag, off):
@@ -127,11 +127,10 @@ def test_negative_count_zero_pivot_retries_then_raises():
             diag=np.array(diag, dtype=float), offdiag=np.array(off, dtype=float),
         )
 
-    # eigenvalues (1 -+ sqrt 2)/2: one negative, found through the retry
+    # eigenvalues (1 -+ sqrt 2)/2: one negative, past a zero first pivot
     assert negative_count(sector([0.0, 1.0], [0.5])) == 1
-    # the second pivot is exactly zero at the fallback shift too
-    with pytest.raises(ArithmeticError):
-        negative_count(sector([0.0, -1e-12], [0.0]))
+    # eigenvalues -1, +1 and about -1, +1: zero pivots at shift 0 and at -1e-12
+    assert negative_count(sector([0.0, 0.0, -1e-12, 0.0], [1.0, 0.0, 1.0])) == 2
 
 
 def test_poschl_teller_ground_state_even():
