@@ -59,6 +59,10 @@ SPECTRAL_BATTERY_V0 = (0.0, 0.5, 2.0, 6.0)
 #: identity-test thresholds for the virial-check scenario (dx = 0.01 scale)
 VIRIAL_CHECK_TOL = {"B_vs_Bsharp": 1e-4, "I_selfpair": 1e-4, "H_decomp": 1e-12}
 
+#: the virial-check battery: this many random odd fields of this many sine modes
+VIRIAL_CHECK_FIELDS = 100
+VIRIAL_CHECK_MODES = 5
+
 #: decay runs abort once the energy norm exceeds this multiple of epsilon
 SMALLNESS_FACTOR = 3.0
 
@@ -177,8 +181,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"dt_safety must lie in (0, 1), got {cfg.dt_safety}")
     if cfg.T < 0:
         raise ConfigError(f"T must be nonnegative, got {cfg.T}")
-    if not cfg.lam > 0:
-        raise ConfigError(f"lambda must be positive, got {cfg.lam}")
+    if not (cfg.lam > 0 and cfg.lam * cfg.lam < math.inf):  # the weights divide by lambda^2
+        raise ConfigError(f"lambda must be positive, with a finite square, got {cfg.lam}")
     dx = (2.0 if _fullline(cfg) else 1.0) * cfg.L / (cfg.N + 1)
     if not (dx > 0.0 and math.isfinite(4.0 / dx / dx)):  # the time step needs 4/dx^2
         raise ConfigError(f"dx = {dx:g} is too small: L={cfg.L:g} over N+1={cfg.N + 1}")
@@ -283,16 +287,16 @@ class Lcg:
         return 2.0 * self.state / _LCG_M - 1.0
 
 
-def _odd_modes(grid: Grid, n_modes: int) -> tuple:
-    """The envelope exp(-x^2/25) and the rows sin(k pi x / L), k = 1..n_modes."""
-    return grid.table(("odd_modes", n_modes), lambda: (
+def _odd_modes(grid: Grid) -> tuple:
+    """The envelope exp(-x^2/25) and the rows sin(k pi x / L), k = 1..VIRIAL_CHECK_MODES."""
+    return grid.table(("odd_modes",), lambda: (
         np.exp(-(grid.x ** 2) / 25.0),
-        [np.sin(k * math.pi * grid.x / grid.L) for k in range(1, n_modes + 1)]))
+        [np.sin(k * math.pi * grid.x / grid.L) for k in range(1, VIRIAL_CHECK_MODES + 1)]))
 
 
-def random_odd_field(grid: Grid, lcg: Lcg, n_modes: int = 5) -> Field:
+def random_odd_field(grid: Grid, lcg: Lcg) -> Field:
     """Sum of sine modes under a fixed Gaussian envelope exp(-x^2/25)."""
-    envelope, rows = _odd_modes(grid, n_modes)
+    envelope, rows = _odd_modes(grid)
     vals = np.zeros(grid.N)
     for row in rows:
         vals += lcg.uniform_pm1() * row
@@ -390,9 +394,9 @@ class _Simulation:
     def simulate(self, on_record=None) -> tuple[list, dict]:
         """Run to T; returns the records and the abort keys.
 
-        A NaN/Inf state is a scenario outcome, not an exception: the records
-        before it come back with {abort_step, abort_t}, for the summary of a
-        run with status aborted_nan.  Otherwise the abort keys are {}.
+        A NaN/Inf state or record is a scenario outcome, not an exception: the
+        records so far come back with {abort_step, abort_t}, for the summary
+        of a run with status aborted_nan.  Otherwise the abort keys are {}.
         """
         try:
             return run(self.initial, self.model, self.settings, self.vcfg,
@@ -632,7 +636,7 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
 # virial-check scenario
 # ----------------------------------------------------------------------
 
-def _run_virial_check(cfg: ExperimentConfig, n_fields: int = 100) -> ScenarioResult:
+def _run_virial_check(cfg: ExperimentConfig) -> ScenarioResult:
     grid = _grid(cfg, cfg.N)
     vcfg = cfg.virial
     W = _weights(grid, cfg.lam)
@@ -641,7 +645,7 @@ def _run_virial_check(cfg: ExperimentConfig, n_fields: int = 100) -> ScenarioRes
     max_b = 0.0
     max_ipair = 0.0
     max_hdec = 0.0
-    for _ in range(n_fields):
+    for _ in range(VIRIAL_CHECK_FIELDS):
         u1 = random_odd_field(grid, lcg)
         B = bilinear_B(u1, vcfg)
         Bs = bsharp(to_w(u1, vcfg), vcfg)
@@ -668,7 +672,7 @@ def _run_virial_check(cfg: ExperimentConfig, n_fields: int = 100) -> ScenarioRes
         summary["status"] = "failed_checks"
     summary.update({
         "seed": cfg.seed,
-        "n_fields": n_fields,
+        "n_fields": VIRIAL_CHECK_FIELDS,
         "max_rel_B_vs_Bsharp": max_b,
         "max_rel_I_selfpair": max_ipair,
         "max_rel_H_decomp": max_hdec,

@@ -20,14 +20,14 @@ import numpy as np
 
 from .grid import Field, Grid, State
 from .models import Model
-from .virial import DiagnosticsRecord, VirialConfig, fill_dI_dt_numeric, make_record
+from .virial import CSV_COLUMNS, DiagnosticsRecord, VirialConfig, fill_dI_dt_numeric, make_record
 
 
 class BlowupError(RuntimeError):
-    """NaN/Inf appeared in the state; carries the records collected so far."""
+    """NaN/Inf appeared in the state or a record; carries the records so far."""
 
     def __init__(self, step: int, t: float, records):
-        super().__init__(f"non-finite state detected at step {step} (t={t:.6g})")
+        super().__init__(f"non-finite state or record at step {step} (t={t:.6g})")
         self.step = step
         self.t = t
         self.records = records
@@ -108,14 +108,15 @@ def run(
 
     Records always include t=0 and the final step, in strictly increasing
     time order; dI_dt_numeric is filled over the collected sequence before
-    returning.  A non-finite initial state raises BlowupError at step 0; the
-    steps run under np.errstate(over="raise", invalid="raise"), the records
-    outside it, so a blow-up raises BlowupError at the step whose arithmetic
-    first overflowed or turned invalid, carrying that step index and the
-    records so far (instability is experimentally meaningful data, not
-    silent output).  `on_record` receives a copy of the state and the fresh
-    record; it may raise StopRun to end the run early with the records
-    collected so far.
+    returning.  A blow-up raises BlowupError with its step and the records
+    so far (instability is experimentally meaningful data, not silent
+    output): a non-finite initial state at step 0; a step whose arithmetic
+    overflows or turns invalid (steps run under np.errstate(over="raise",
+    invalid="raise")) at that step; a record with a non-finite CSV value
+    other than dI_dt_numeric (records run under np.errstate(all="ignore"))
+    at its own step, after it is kept and passed to `on_record`.
+    `on_record` receives a copy of the state and the fresh record; it may
+    raise StopRun to end the run early with the records collected so far.
     """
     grid = initial.grid
     inv_dx2 = 1.0 / grid.dx ** 2
@@ -129,15 +130,23 @@ def run(
     workspace: dict = {}  # record buffers, reused by every make_record below
 
     records: list[DiagnosticsRecord] = []
+
+    def blowup(step: int) -> BlowupError:
+        fill_dI_dt_numeric(records)
+        return BlowupError(step, step * dt, records)
+
     if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
-        raise BlowupError(0, 0.0, records)
+        raise blowup(0)
 
     def emit(step: int) -> None:
         snap = State(Field(grid, u1.copy()), Field(grid, u2.copy()), step * dt)
-        rec = make_record(snap, model, diagnostics, workspace)
+        with np.errstate(all="ignore"):
+            rec = make_record(snap, model, diagnostics, workspace)
         records.append(rec)
         if on_record is not None:
             on_record(snap, rec)
+        if not all(math.isfinite(getattr(rec, c)) for c in CSV_COLUMNS if c != "dI_dt_numeric"):
+            raise blowup(step)
 
     k = 0  # steps completed
     try:
@@ -152,8 +161,7 @@ def run(
                         _kick_drift_kick(u1, u2, a, model, inv_dx2, dt)
                         k += 1
             except FloatingPointError:
-                fill_dI_dt_numeric(records)
-                raise BlowupError(k + 1, (k + 1) * dt, records) from None
+                raise blowup(k + 1) from None
             emit(k)
     except StopRun:
         pass

@@ -14,7 +14,8 @@ coercive with the sharp constant 3/4 on odd functions.
 Everything here is computed from inertia (Sturm) counts on symmetric
 tridiagonal matrices: counts are certified integers obtained from LDL^T
 pivot signs, and the few eigenvalues needed are isolated by bisection on
-the same count, never by a general-purpose dense eigensolver.
+the same count, never by a general-purpose dense eigensolver.  Every count,
+the coercivity pencil's included, is `count_below` on an assembled sector.
 
 Parity is encoded in the boundary treatment at x = 0:
 
@@ -240,19 +241,6 @@ class SpectralReport:
         return out
 
 
-def _pencil_count_below(stiff_diag: np.ndarray, stiff_off: np.ndarray,
-                        Vdiag: np.ndarray, mu: float) -> int:
-    """Generalized eigenvalues of (A_stiff - M_V) w = mu A_stiff w below mu.
-
-    Valid because A_stiff is positive definite on the Dirichlet grid, so
-    the inertia of A_Bsharp - mu * A_stiff counts pencil eigenvalues below
-    mu (Sylvester's law under the congruence that diagonalizes A_stiff).
-    """
-    diag, off_sq, pivmin = _as_lists((1.0 - mu) * stiff_diag - Vdiag,
-                                     (1.0 - mu) * stiff_off)
-    return _sturm_count(diag, off_sq, 0.0, pivmin)
-
-
 def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> SpectralReport:
     """Certify the coercivity of Bsharp on one parity sector.
 
@@ -263,11 +251,13 @@ def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> Spect
       whose sector nonnegativity is exactly the decomposition
       Bsharp = 3/4 * stiffness + 1/4 * residual.
     * coercivity_min_ratio: min over the sector of Bsharp(w)/||dw/dx||^2,
-      the smallest generalized eigenvalue of the pencil
-      (A_stiff - M_V, A_stiff), by bisection on inertia counts to 1e-6
-      resolution, starting from the window [-2, 2] and doubling the lower
-      edge downward when the sector minimum lies below it (the even
-      sector does at moderate L/lam).
+      the smallest eigenvalue of the pencil (A_stiff - M_V, A_stiff), M_V of
+      strength 1/2.  As A_stiff - M_V - mu A_stiff = (1 - mu)(A_stiff -
+      M_V/(1 - mu)), for mu < 1 the pencil has an eigenvalue below mu exactly
+      when the sector of strength V0 = 1/(2(1 - mu)) has one below 0, so 3/4
+      is the mu of the V0 = 2 sector; for mu >= 1 it always has one.  It is
+      bisected on those counts to 1e-6 from [-2, 2], doubling the lower edge
+      while the minimum lies below it (the even sector's does at moderate L/lam).
 
     On the odd sector both routes say the same thing: ratio >= 3/4 and
     residual eigenvalue >= 0, up to the truncation-induced margin.
@@ -276,19 +266,16 @@ def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> Spect
     res_eigs = lowest_eigs(residual_op, min(3, residual_op.size))
     neg = negative_count(residual_op)
 
-    stiff = assemble(grid, 0.0, lam, parity)
-    half = assemble(grid, 0.5, lam, parity)  # M_V carries strength V0 = 1/2
-    Vdiag = stiff.diag - half.diag
+    def below(mu: float) -> bool:  # the pencil has an eigenvalue below mu
+        return mu >= 1.0 or count_below(
+            assemble(grid, 0.5 / (1.0 - mu), lam, parity), 0.0) >= 1
 
-    lo, hi = -2.0, 2.0
-    while _pencil_count_below(stiff.diag, stiff.offdiag, Vdiag, lo) > 0:
+    lo = -2.0
+    while below(lo):
         lo *= 2.0
         if lo < -2.0 ** 40:
             raise ArithmeticError("pencil minimum not bracketed above -2^40")
-    if _pencil_count_below(stiff.diag, stiff.offdiag, Vdiag, hi) < 1:
-        raise ArithmeticError("pencil minimum above the upper window edge 2")
-    ratio = _bisect(lambda mu: _pencil_count_below(stiff.diag, stiff.offdiag, Vdiag, mu) >= 1,
-                    lo, hi, 1e-6)
+    ratio = _bisect(below, lo, 2.0, 1e-6)
 
     return SpectralReport(
         negative_count=neg,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,23 @@ def test_decay_nan_abort_summary_says_where_it_stopped(tmp_path):
     for key in ("H_ratio", "J_plateau_increment_ratio", "J_over_eps2",
                 "min_virial_ratio_after_t1", "max_dH_ratio"):
         assert summary[key] == "nan", key
+
+
+def test_decay_whose_records_overflow_aborts_nan(tmp_path, capsys):
+    # the state stays finite but E, dI_dt_rhs and sf_ratio overflow to nan:
+    # this used to print numpy warnings and report status ok, smallness_ok true
+    argv = ["decay", "--config", str(ROOT / "configs" / "decay_sine_gordon.cfg"),
+            "--set", "N=99", "--set", "T=1", "--set", "model=linear-kg",
+            "--set", "epsilon=1e100", "--set", f"output_dir={tmp_path}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(argv) == 1
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(": ", 1) for line in lines)
+    assert summary["status"] == "aborted_nan"
+    assert summary["smallness_ok"] == "false"
+    assert (summary["abort_step"], summary["abort_t"], summary["n_records"]) == ("0", "0", "1")
 
 
 def test_decay_ok_summary_has_no_abort_keys():

@@ -190,6 +190,23 @@ def test_blowup_is_reported_at_the_first_non_finite_step():
     assert [r.t for r in exc.value.records] == [0.0]
 
 
+def test_a_record_that_overflows_is_a_blowup_at_its_step():
+    # the state stays finite, but F(u) = 0 * u^4 of linear-kg turns inf * 0 into
+    # nan at this amplitude: the run keeps that record, hands it to on_record
+    # and stops at its step, without a RuntimeWarning
+    g = make_grid(20.0, 199)
+    st = State(Field(g, 1e100 * g.x * np.exp(-g.x ** 2)), Field(g, np.zeros(g.N)))
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupError) as exc:
+            run(st, LK, RunSettings(dt=cfl_dt(g, LK, 0.4), T=1.0, record_every=1), VC,
+                on_record=lambda state, rec: seen.append(rec))
+    assert exc.value.step == 0 and exc.value.t == 0.0
+    assert exc.value.records == seen and len(seen) == 1
+    assert math.isnan(seen[0].E) and math.isfinite(seen[0].H)
+
+
 def test_on_record_stop_run():
     g = make_grid(20.0, 199)
     st = State(Field(g, 0.01 * g.x * np.exp(-g.x ** 2)), Field(g, np.zeros(g.N)))

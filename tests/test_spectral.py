@@ -223,6 +223,24 @@ def test_certificate_scale_equivariance():
     )
 
 
+def _dense(d):
+    return np.diag(d.diag) + np.diag(d.offdiag, 1) + np.diag(d.offdiag, -1)
+
+
+@pytest.mark.parametrize("parity", ("odd", "even"))
+@pytest.mark.parametrize("lam, L, N", ((1.0, 20.0, 199), (2.0, 10.0, 99), (0.5, 8.0, 150),
+                                       (3.7, 40.0, 200)))
+def test_coercivity_min_ratio_matches_a_dense_pencil_solve(lam, L, N, parity):
+    # an independent oracle: the smallest generalized eigenvalue of
+    # (A_stiff - M_V, A_stiff), the V0 = 1/2 and V0 = 0 sectors, by LAPACK
+    from scipy.linalg import eigh
+    grid = make_grid(L, N)
+    pencil = [_dense(assemble(grid, V0, lam, parity)) for V0 in (0.5, 0.0)]
+    dense = eigh(*pencil, eigvals_only=True, subset_by_index=[0, 0])[0]
+    ratio = coercivity_certificate(lam, grid, parity).coercivity_min_ratio
+    assert abs(ratio - dense) <= 1e-6
+
+
 @pytest.mark.parametrize("lam", (1.0, 10.0, 100.0))
 def test_coercivity_battery_across_scales(lam):
     grid = make_grid(40.0 * lam, 3999)
