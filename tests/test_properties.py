@@ -1,14 +1,16 @@
-"""Property tests of the two numerical cores.
+"""Property tests of the numerical cores.
 
 Spectral: on random symmetric tridiagonals, the Sturm count, the count at
 zero and the bisected lowest eigenvalues agree with scipy's tridiagonal
 eigensolver; the computed count is monotone in the shift, which is what
 lets `lowest_eigs` skip counts that earlier ones decide, and that skipping
-changes no bit of its result.  Integrator: on random half-line grids and
-catalog models with small odd data, `run` lands bit for bit on the state
-that repeated `leapfrog_step` calls reach, and stepping back with -dt
-undoes n steps to roundoff, as amplified by the linear instability of the
-zero state when m > 0 (phi4).
+changes no bit of its result.  On assembled sectors, the free-Laplacian
+bounds enclose every eigenvalue and the counts they skip change no bit
+either.  Grid: the "even" origin estimate is exact for even quadratics.
+Integrator: on random half-line grids and catalog models with small odd
+data, `run` lands bit for bit on the state that repeated `leapfrog_step`
+calls reach, and stepping back with -dt undoes n steps to roundoff, as
+amplified by the linear instability of the zero state when m > 0 (phi4).
 """
 
 import math
@@ -18,12 +20,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from oddkg.grid import Field, State, make_grid
+from oddkg.grid import Field, State, integrate_fullline, make_grid
 from oddkg.integrator import RunSettings, cfl_dt, leapfrog_step, run
 from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.spectral import (
-    EIG_ATOL, SchrodingerDiscretization, _as_lists, _bisect, _sturm_count, count_below,
-    lowest_eigs, negative_count,
+    EIG_ATOL, SchrodingerDiscretization, _as_lists, _bisect, _sturm_count, assemble,
+    count_below, lowest_eigs, negative_count,
 )
 from oddkg.virial import VirialConfig, make_record
 
@@ -122,6 +124,37 @@ def test_reused_counts_change_no_bit(tri, k_fracs):
     assert shared.counts[0] == sorted(shared.counts[0])
 
 
+@st.composite
+def assembled_sectors(draw):
+    """(sector, its free V0 = 0 sector, depth V0/lam^2) on a drawn grid."""
+    grid = make_grid(draw(st.floats(5.0, 40.0)), draw(st.integers(16, 300)))
+    V0, lam = draw(st.floats(0.0, 12.0)), draw(st.floats(0.5, 4.0))
+    parity = draw(st.sampled_from(("odd", "even")))
+    return assemble(grid, V0, lam, parity), assemble(grid, 0.0, lam, parity), V0 / lam ** 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(sector=assembled_sectors())
+def test_free_laplacian_bounds_enclose_every_eigenvalue(sector):
+    d, free_sector, depth = sector
+    eigs = eigvalsh_tridiagonal(d.diag, d.offdiag)
+    free = eigvalsh_tridiagonal(free_sector.diag, free_sector.offdiag)
+    tol = 1e-12 * (float(np.max(np.abs(d.diag))) + 2.0 * float(np.max(np.abs(d.offdiag))))
+    # Weyl: lambda_i(A0) - V0/lam^2 <= lambda_i(A) <= lambda_i(A0)
+    assert np.all(free - depth - tol <= eigs) and np.all(eigs <= free + tol)
+    lower, upper = np.array([d.eig_bounds(i) for i in range(1, d.size + 1)]).T
+    assert np.max(np.abs(upper - free)) <= tol
+    assert np.max(np.abs(lower - (free - depth))) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(sector=assembled_sectors(), k_frac=st.floats(0.0, 1.0))
+def test_free_laplacian_bounds_change_no_bit(sector, k_frac):
+    d = sector[0]
+    k = 1 + int(k_frac * (min(d.size, 40) - 1))
+    assert lowest_eigs(d, k).tolist() == _lowest_eigs_counting_afresh(d.diag, d.offdiag, k)
+
+
 def _odd_state(N, L, seed, amplitude):
     grid = make_grid(L, N)
     rng = np.random.default_rng(seed)
@@ -169,3 +202,16 @@ def test_run_is_repeated_leapfrog_and_reversible(N, L, model, seed, amplitude, s
     diff = math.sqrt(float(np.sum((walk.u1.values - st0.u1.values) ** 2)
                            + np.sum((walk.u2.values - st0.u2.values) ** 2)))
     assert diff <= 1e-10 * growth * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=ENTRIES, b=ENTRIES, L=st.floats(1.0, 40.0), N=st.integers(16, 500))
+def test_even_origin_estimate_recovers_even_quadratics(a, b, L, N):
+    # (4 g(dx) - g(2 dx))/3 is exact for g = a + b x^2, so the half-line
+    # rule is dx (g(0) + 2 sum g) with g(0) = a, up to roundoff
+    grid = make_grid(L, N)
+    g = a + b * grid.x ** 2
+    expected = grid.dx * (a + 2.0 * g.sum())
+    eps = np.finfo(float).eps
+    tol = 16.0 * eps * grid.dx * (abs(a) + 4.0 * abs(b) * grid.dx ** 2) + 4.0 * eps * abs(expected)
+    assert abs(integrate_fullline(g, grid, origin="even") - expected) <= tol

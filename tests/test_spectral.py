@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from oddkg import spectral
+from oddkg.experiments import build_config, parse_pairs, run_scenario
 from oddkg.grid import make_grid
 from oddkg.spectral import (
     MARGINAL_EIG_TOL, assemble, coercivity_certificate, count_below,
@@ -23,6 +24,7 @@ from oddkg.spectral import (
 )
 
 LAM1_GRID = make_grid(40.0, 3999)  # dx = 0.01, the battery grid
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_pt_index_values():
@@ -111,6 +113,39 @@ def test_free_laplacian_even_sector_closed_form():
     exact = [(4.0 / dx ** 2) * math.sin(j * math.pi / (2 * (2 * N + 2))) ** 2
              for j in (1, 3, 5)]
     assert np.allclose(eigs, exact, atol=1e-9)
+
+
+@pytest.mark.parametrize("parity", ("odd", "even"))
+@pytest.mark.parametrize("N", (16, 17, 64))
+def test_free_spectrum_closed_form_matches_a_dense_solve(N, parity):
+    # every eigenvalue of the free sector, not only the lowest few
+    grid = make_grid(10.0, N)
+    op = assemble(grid, 0.0, 1.0, parity)
+    dense = np.linalg.eigvalsh(_dense(op))
+    bounds = [op.eig_bounds(i) for i in range(1, op.size + 1)]
+    assert all(lower == upper for lower, upper in bounds)
+    assert np.max(np.abs(np.array(bounds)[:, 1] - dense)) <= 1e-13 * 4.0 / grid.dx ** 2
+
+
+def test_bounds_that_are_not_finite_decide_nothing():
+    d = assemble(make_grid(10.0, 40), 2.0, 1.0, "even")
+    bare = spectral.SchrodingerDiscretization(diag=d.diag, offdiag=d.offdiag)
+    broken = spectral.SchrodingerDiscretization(
+        diag=d.diag, offdiag=d.offdiag, eig_bounds=lambda i: (math.inf, -math.inf))
+    assert lowest_eigs(broken, 5).tolist() == lowest_eigs(bare, 5).tolist()
+    assert lowest_eigs(d, 5).tolist() == lowest_eigs(bare, 5).tolist()
+
+
+def test_shipped_spectral_run_takes_at_most_450_counts(tmp_path, monkeypatch):
+    # 657 counts without the free-Laplacian bounds, 930 without reused counts
+    shifts = []
+    counting = spectral._sturm_count
+    monkeypatch.setattr(spectral, "_sturm_count",
+                        lambda *args: shifts.append(args[2]) or counting(*args))
+    pairs = parse_pairs((ROOT / "configs" / "spectral.cfg").read_text(encoding="utf-8"))
+    pairs["output_dir"] = str(tmp_path)
+    run_scenario(build_config(pairs))
+    assert len(shifts) <= 450
 
 
 def test_negative_count_free_laplacian_zero():
@@ -260,7 +295,7 @@ def test_bisection_stops_at_float_resolution():
         "print(lowest_eigs(assemble(g, 2.0, 1e-9, 'even'), 3)[0])\n"
         "coercivity_certificate(1e-9, g, 'odd')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
