@@ -6,17 +6,19 @@ with the exact antiderivative F(u) = integral_0^u f (never quadrature, so
 the energy and the virial right-hand side carry no quadrature-of-f error).
 Every polynomial model is one row: m and the coefficients P_k of
 f(u) = u^3 P(u^2); F(u) = u^4 Q(u^2) with Q_k = P_k / (2k + 4) follows.
+The time stepper needs only V'(u) = -(m*u + f(u)), the derivative of the
+field potential V(u) = -(m u^2/2 + F(u)), which each model writes in place
+(`Model.dV`); for a row it is u R(u^2) with R(s) = -(m + s P(s)).
 
-    name         m    row P        f(u)          F(u)
-    ----------   ---  -----------  ------------  --------------------
-    sine-gordon  -1   -            u - sin(u)    u^2/2 + cos(u) - 1
-    phi4         +1   (-1,)        -u^3          -u^4/4
-    phi6         -1   (4, -3)      4u^3 - 3u^5   u^4 - u^6/2
-    cubic-nlkg   -1   (1,)         u^3           u^4/4
-    linear-kg    -1   (0,)         0             0
+    name         m    row P      f(u)          F(u)                 V'(u)
+    ----------   ---  ---------  ------------  -------------------  ---------------
+    sine-gordon  -1   -          u - sin(u)    u^2/2 + cos(u) - 1   sin(u)
+    phi4         +1   (-1,)      -u^3          -u^4/4               u^3 - u
+    phi6         -1   (4, -3)    4u^3 - 3u^5   u^4 - u^6/2          u - 4u^3 + 3u^5
+    cubic-nlkg   -1   (1,)       u^3           u^4/4                u - u^3
+    linear-kg    -1   (0,)       0             0                    u
     custom-poly  user odd polynomial from poly_coeffs
 
-For sine-gordon, m*u + f(u) = -sin(u); for phi4, m*u + f(u) = u - u^3.
 Note that phi4 has m = +1: the zero state sits on the local maximum of
 the field potential, so it is linearly unstable and small data does not
 stay small (long decay experiments are meaningful only for the m = -1
@@ -49,13 +51,19 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable model definition: equation coefficients plus closed forms."""
+    """Immutable model definition: equation coefficients plus closed forms.
+
+    `dV(u, out, scratch)` writes V'(u) = -(m*u + f(u)) into `out` and
+    returns it, allocating nothing; `scratch` is a buffer shaped like `u`
+    that it may overwrite.  `u` stays unchanged.
+    """
 
     name: str
     m: float
     p: float
     f: Callable = field(repr=False)
     F: Callable = field(repr=False)
+    dV: Callable = field(repr=False)
 
 
 def _horner(coeffs: tuple, s):
@@ -69,9 +77,10 @@ def _horner(coeffs: tuple, s):
 def _polynomial(name: str, m: float, coeffs: tuple, p: float = 3.0) -> Model:
     """f(u) = u^3 P(u^2) and F(u) = u^4 Q(u^2) from the nonempty row P = coeffs."""
     Fcoeffs = tuple(c / (2 * k + 4) for k, c in enumerate(coeffs))
+    Rcoeffs = (-m, *(-c for c in coeffs))
 
     # powers are spelled with multiplications: np.power is an order of
-    # magnitude slower and f sits in the integrator's inner loop
+    # magnitude slower, and f runs on the whole grid at every record
     def f(u):
         s = u * u
         return (u * s) * _horner(coeffs, s)
@@ -80,7 +89,18 @@ def _polynomial(name: str, m: float, coeffs: tuple, p: float = 3.0) -> Model:
         s = u * u
         return (s * s) * _horner(Fcoeffs, s)
 
-    return Model(name, m=m, p=p, f=f, F=F)
+    def dV(u, out, scratch):
+        # u R(s) with s = u^2: Horner's rule in place, one pass per operation
+        s = np.multiply(u, u, out=scratch)
+        np.multiply(s, Rcoeffs[-1], out=out)
+        for c in Rcoeffs[-2:0:-1]:
+            out += c
+            out *= s
+        out += Rcoeffs[0]
+        out *= u
+        return out
+
+    return Model(name, m=m, p=p, f=f, F=F, dV=dV)
 
 
 def make_model(name: str, params: Mapping | None = None) -> Model:
@@ -98,6 +118,7 @@ def make_model(name: str, params: Mapping | None = None) -> Model:
             name, m=-1.0, p=3.0,
             f=lambda u: u - np.sin(u),
             F=lambda u: 0.5 * u * u + np.cos(u) - 1.0,
+            dV=lambda u, out, scratch: np.sin(u, out=out),
         )
     if name in _POLYNOMIALS:
         return _polynomial(name, *_POLYNOMIALS[name])

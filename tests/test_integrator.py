@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from oddkg.exact import linear_standing_wave
 from oddkg.grid import Field, State, make_grid, zero_state
 from oddkg.integrator import (
-    BlowupError, RunSettings, StopRun, cfl_dt, leapfrog_step, run,
+    BlowupError, RunSettings, StopRun, _acceleration, _kick_drift_kick, cfl_dt,
+    leapfrog_step, run,
 )
-from oddkg.models import make_model
+from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.virial import VirialConfig
 
 LK = make_model("linear-kg")
@@ -280,3 +282,24 @@ def test_dH_bound_constant_stable_under_refinement():
     c2 = max_ratio(7999, 0.002)
     assert math.isfinite(c1) and c1 > 0
     assert abs(c2 - c1) <= 0.05 * c1
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if n != "custom-poly"])
+def test_step_allocates_nothing(name):
+    # with its buffers preallocated, the step body allocates no N-sized array
+    model = make_model(name)
+    g = make_grid(80.0, 7999)
+    u1 = 0.05 * g.x * np.exp(-g.x ** 2 / 4.0)
+    u2 = np.zeros(g.N)
+    a, tmp, scratch = (np.empty_like(u1) for _ in range(3))
+    inv_dx2 = 1.0 / g.dx ** 2
+    dt = cfl_dt(g, model, 0.4)
+    _acceleration(u1, model, inv_dx2, a, tmp, scratch)
+    tracemalloc.start()
+    try:
+        for _ in range(200):
+            _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u1.nbytes

@@ -7,10 +7,12 @@ lets `lowest_eigs` skip counts that earlier ones decide, and that skipping
 changes no bit of its result.  On assembled sectors, the free-Laplacian
 bounds enclose every eigenvalue and the counts they skip change no bit
 either.  Grid: the "even" origin estimate is exact for even quadratics.
-Integrator: on random half-line grids and catalog models with small odd
-data, `run` lands bit for bit on the state that repeated `leapfrog_step`
-calls reach, and stepping back with -dt undoes n steps to roundoff, as
-amplified by the linear instability of the zero state when m > 0 (phi4).
+Models: each model's in-place V'(u) is -(m u + f(u)) to roundoff, odd bit
+for bit, and leaves its argument alone.  Integrator: on random half-line
+grids and catalog models with small odd data, `run` lands bit for bit on
+the state that repeated `leapfrog_step` calls reach, and stepping back
+with -dt undoes n steps to roundoff, as amplified by the linear
+instability of the zero state when m > 0 (phi4).
 """
 
 import math
@@ -153,6 +155,39 @@ def test_free_laplacian_bounds_change_no_bit(sector, k_frac):
     d = sector[0]
     k = 1 + int(k_frac * (min(d.size, 40) - 1))
     assert lowest_eigs(d, k).tolist() == _lowest_eigs_counting_afresh(d.diag, d.offdiag, k)
+
+
+@st.composite
+def custom_polys(draw):
+    """A custom-poly model of odd degree 3 to 9 with a drawn m and row."""
+    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+    coeffs = [0.0, 0.0]
+    for c in draw(st.lists(coeff, min_size=1, max_size=4)):
+        coeffs += [0.0, c]
+    return make_model("custom-poly", {"m": draw(coeff.map(lambda c: 0.4 * c)), "coeffs": coeffs})
+
+
+# |u| >= 1e-20 and |coefficients| >= 1e-3 keep every term of V' normal
+SAMPLES = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-20, 4.0), st.floats(-4.0, -1e-20)),
+    min_size=1, max_size=64,
+).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.one_of(st.sampled_from(MODELS), custom_polys()), u=SAMPLES)
+def test_dV_is_minus_m_u_minus_f_and_odd(model, u):
+    eps = np.finfo(float).eps
+    before = u.copy()
+    out, scratch = np.empty_like(u), np.empty_like(u)
+    dv = model.dV(u, out, scratch)
+    assert dv is out
+    assert np.array_equal(u.view(np.int64), before.view(np.int64))
+    mu, f = model.m * u, model.f(u)
+    assert np.all(np.abs(dv + (mu + f)) <= 4.0 * eps * (np.abs(mu) + np.abs(f)))
+    # the half-line's odd extension needs V'(-u) = -V'(u) exactly
+    assert np.array_equal(model.dV(-u, np.empty_like(u), scratch).view(np.int64),
+                          (-dv).view(np.int64))
 
 
 def _odd_state(N, L, seed, amplitude):
