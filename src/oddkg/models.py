@@ -66,12 +66,20 @@ class Model:
     dV: Callable = field(repr=False)
 
 
-def _horner(coeffs: tuple, s):
-    """coeffs[0] + coeffs[1]*s + coeffs[2]*s^2 + ..., by Horner's rule."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * s + c
-    return acc
+def _horner(coeffs: tuple, s, out):
+    """coeffs[0] + coeffs[1]*s + coeffs[2]*s^2 + ..., by Horner's rule in place.
+
+    Writes into `out`, one pass per operation, and returns it.
+    """
+    if len(coeffs) == 1:
+        out[...] = coeffs[0]
+        return out
+    np.multiply(s, coeffs[-1], out=out)
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= s
+    out += coeffs[0]
+    return out
 
 
 def _polynomial(name: str, m: float, coeffs: tuple, p: float = 3.0) -> Model:
@@ -83,20 +91,15 @@ def _polynomial(name: str, m: float, coeffs: tuple, p: float = 3.0) -> Model:
     # magnitude slower, and f runs on the whole grid at every record
     def f(u):
         s = u * u
-        return (u * s) * _horner(coeffs, s)
+        return (u * s) * _horner(coeffs, s, np.empty(np.shape(s)))
 
     def F(u):
         s = u * u
-        return (s * s) * _horner(Fcoeffs, s)
+        return (s * s) * _horner(Fcoeffs, s, np.empty(np.shape(s)))
 
     def dV(u, out, scratch):
-        # u R(s) with s = u^2: Horner's rule in place, one pass per operation
-        s = np.multiply(u, u, out=scratch)
-        np.multiply(s, Rcoeffs[-1], out=out)
-        for c in Rcoeffs[-2:0:-1]:
-            out += c
-            out *= s
-        out += Rcoeffs[0]
+        # u R(s) with s = u^2
+        _horner(Rcoeffs, np.multiply(u, u, out=scratch), out)
         out *= u
         return out
 
