@@ -66,15 +66,15 @@ class Model:
     dV: Callable = field(repr=False)
 
 
-def _horner(coeffs: tuple, s, out):
-    """coeffs[0] + coeffs[1]*s + coeffs[2]*s^2 + ..., by Horner's rule in place.
+def _horner(coeffs: tuple, s, out=None):
+    """coeffs[0] + coeffs[1]*s + coeffs[2]*s^2 + ..., by Horner's rule.
 
-    Writes into `out`, one pass per operation, and returns it.
+    Evaluated in place in `out` (a new array if None), one pass per
+    operation; a single coefficient is returned as the constant itself.
     """
     if len(coeffs) == 1:
-        out[...] = coeffs[0]
-        return out
-    np.multiply(s, coeffs[-1], out=out)
+        return coeffs[0]
+    out = np.multiply(s, coeffs[-1], out=out)
     for c in coeffs[-2:0:-1]:
         out += c
         out *= s
@@ -91,14 +91,15 @@ def _polynomial(name: str, m: float, coeffs: tuple, p: float = 3.0) -> Model:
     # magnitude slower, and f runs on the whole grid at every record
     def f(u):
         s = u * u
-        return (u * s) * _horner(coeffs, s, np.empty(np.shape(s)))
+        return (u * s) * _horner(coeffs, s)
 
     def F(u):
         s = u * u
-        return (s * s) * _horner(Fcoeffs, s, np.empty(np.shape(s)))
+        return (s * s) * _horner(Fcoeffs, s)
 
     def dV(u, out, scratch):
-        # u R(s) with s = u^2
+        # u R(s) with s = u^2; R has at least two coefficients, so it is
+        # evaluated into out
         _horner(Rcoeffs, np.multiply(u, u, out=scratch), out)
         out *= u
         return out
