@@ -17,14 +17,14 @@ from .grid import (
     Field, Grid, State, derivative, integrate_fullline, make_fullline_grid, make_grid,
 )
 from .integrator import BlowupError, RunSettings, cfl_dt, leapfrog_step, run
-from .models import Model, ModelError, energy, make_model
+from .models import Model, ModelError, make_model
 from .spectral import (
     SpectralReport, assemble, coercivity_certificate, index_check, lowest_eigs,
     negative_count, pt_index,
 )
 from .virial import (
     DiagnosticsRecord, VirialConfig, H_loc, bilinear_B, bsharp, cross_term,
-    dH_analytic, sf_ratio, to_w, virial_I, virial_rhs, weighted_norms,
+    dH_analytic, energy, sf_ratio, to_w, virial_I, virial_rhs, weighted_norms,
 )
 
 __all__ = [

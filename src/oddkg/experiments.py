@@ -40,14 +40,13 @@ import numpy as np
 
 from .exact import BreatherParams, breather_exact, breather_state
 from .grid import (
-    Field, Grid, State, derivative, h1_l2_norm_sq, integrate_fullline,
-    make_fullline_grid, make_grid,
+    Field, Grid, State, derivative, integrate_fullline, make_fullline_grid, make_grid,
 )
 from .integrator import BlowupError, RunSettings, StopRun, cfl_dt, run
 from .models import CATALOG_NAMES, Model, ModelError, make_model
 from .virial import (
-    H_loc, VirialConfig, _weights, bilinear_B, bsharp, csv_header, to_w, virial_I,
-    weighted_norms,
+    H_loc, VirialConfig, _weights, bilinear_B, bsharp, csv_header, energy_norm_sq, to_w,
+    virial_I, weighted_norms,
 )
 
 SCENARIOS = ("decay", "breather", "convergence", "spectral", "virial-check")
@@ -250,15 +249,14 @@ def make_initial_data(cfg: ExperimentConfig, grid: Grid) -> State:
     """
     with np.errstate(over="ignore"):  # x^2/sigma^2 overflows for a tiny sigma: Z = 0 below
         profile = grid.x * np.exp(-(grid.x ** 2) / cfg.sigma ** 2)
-    zero = np.zeros(grid.N)
+    shape, zero = Field(grid, profile), Field(grid, np.zeros(grid.N))
     displaced = cfg.data_family == "gauss-odd-displacement"
-    Z = math.sqrt(h1_l2_norm_sq(Field(grid, profile), Field(grid, zero)) if displaced
-                  else integrate_fullline(profile * profile, grid))
+    Z = math.sqrt(energy_norm_sq(State(shape, zero) if displaced else State(zero, shape)))
     if not 0.0 < Z < math.inf:
         raise ConfigError(f"the profile of sigma={cfg.sigma:g} has norm {Z:g} on this grid; "
                           f"it must be positive and finite")
     u = Field(grid, cfg.epsilon * profile / Z)
-    return State(u, Field(grid, zero)) if displaced else State(Field(grid, zero), u)
+    return State(u, zero) if displaced else State(zero, u)
 
 
 # ----------------------------------------------------------------------

@@ -184,14 +184,3 @@ def gradient_sq_integral(f: Field, out: np.ndarray | None = None) -> float:
     s = dx * float(np.dot(d, d))
     return s if f.grid.fullline else 2.0 * s
 
-
-def h1_l2_norm_sq(u1: Field, u2: Field) -> float:
-    """Full-line H1 x L2 norm squared of a state.
-
-    The gradient term uses the staggered form (see gradient_sq_integral),
-    making this the norm whose quadratic part the integrator conserves.
-    """
-    a = gradient_sq_integral(u1)
-    b = integrate_fullline(u1.values * u1.values, u1.grid)
-    c = integrate_fullline(u2.values * u2.values, u2.grid)
-    return a + b + c

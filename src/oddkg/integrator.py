@@ -133,7 +133,6 @@ def run(
     u1 = initial.u1.values.copy()
     u2 = initial.u2.values.copy()
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))  # step buffers
-    workspace: dict = {}  # record buffers, reused by every make_record below
 
     records: list[DiagnosticsRecord] = []
 
@@ -147,7 +146,7 @@ def run(
     def emit(step: int) -> None:
         snap = State(Field(grid, u1.copy()), Field(grid, u2.copy()), step * dt)
         with np.errstate(all="ignore"):
-            rec = make_record(snap, model, diagnostics, workspace)
+            rec = make_record(snap, model, diagnostics)
         records.append(rec)
         if on_record is not None:
             on_record(snap, rec)

@@ -29,7 +29,7 @@ All weights (psi, psi', psi''', zeta, V, sech, sech') are evaluated from
 closed forms only; nothing here differentiates psi numerically.
 
 Each quantity is written once, in `_Kernel`, as np.dot(weight row,
-product) terms; make_record and the standalone functionals are views of it.
+product) terms; make_record and every standalone functional are views of it.
 """
 
 from __future__ import annotations
@@ -60,39 +60,52 @@ class VirialConfig:
             raise ValueError(f"virial scale must be positive, got lam={self.lam}")
 
 
-class Weights:
-    """Closed-form weights on one grid, each times the quadrature row `even`.
+class UnitWeights:
+    """The rows on one grid that no virial scale lam enters.
 
     np.dot(even, g) is integrate_fullline(g, origin="even"): the row is
     dx*(2, ..., 2) + dx*(4/3, -1/3, 0, ..., 0) on the half-line and
-    dx*(1, ..., 1) on the full line.  The weight rows are `even` times
+    dx*(1, ..., 1) on the full line.  The localization rows are `even` times
 
-        psi    = lam tanh(x/lam)
-        psip   = sech^2(x/lam)                                  (psi')
-        psippp = (2/lam^2) sech^2(x/lam) (3 tanh^2(x/lam) - 1)  (psi''')
-        V      = sech^2(x/lam) / (2 lam^2)
         sech   = sech(x)          (unit-scale localization weight)
         dsech  = -sech(x) tanh(x)
-
-    and zeta = sech(x/lam), not a row, is the factor of w = zeta * u1.
     """
 
-    def __init__(self, grid: Grid, lam: float):
+    def __init__(self, grid: Grid):
         x, dx = grid.x, grid.dx
         self.even = even = np.full(grid.N, dx if grid.fullline else 2.0 * dx)
         if not grid.fullline:
             even[0] += 4.0 * dx / 3.0
             even[1] -= dx / 3.0
-        s = 1.0 / np.cosh(x / lam)
-        th = np.tanh(x / lam)
         sech1 = 1.0 / np.cosh(x)
+        self.sech = even * sech1
+        self.dsech = even * (-sech1 * np.tanh(x))
+
+
+class Weights:
+    """Closed-form weights of scale lam on one grid: `even` (see UnitWeights) times
+
+        psi    = lam tanh(x/lam)
+        psip   = sech^2(x/lam)                                  (psi')
+        psippp = (2/lam^2) sech^2(x/lam) (3 tanh^2(x/lam) - 1)  (psi''')
+        V      = sech^2(x/lam) / (2 lam^2)
+
+    and zeta = sech(x/lam), not a row, is the factor of w = zeta * u1.
+    """
+
+    def __init__(self, grid: Grid, lam: float):
+        even = _unit_weights(grid).even
+        s = 1.0 / np.cosh(grid.x / lam)
+        th = np.tanh(grid.x / lam)
         self.psi = even * (lam * th)
         self.psip = even * (s * s)
         self.psippp = even * ((2.0 / lam ** 2) * s * s * (3.0 * th * th - 1.0))
         self.V = even * (0.5 / lam ** 2 * s * s)
         self.zeta = s
-        self.sech = even * sech1
-        self.dsech = even * (-sech1 * np.tanh(x))
+
+
+def _unit_weights(grid: Grid) -> UnitWeights:
+    return grid.table(("unit_weights",), lambda: UnitWeights(grid))
 
 
 def _weights(grid: Grid, lam: float) -> Weights:
@@ -120,21 +133,24 @@ class _Once:
 class _Kernel:
     """Every diagnostic quantity of one state, each evaluated on first read.
 
-    Arrays go into `workspace`, a dict of buffers by name.  `run` passes one
-    dict to all its records, so they allocate nothing N-sized here but what
-    model.f and model.F return; a standalone functional gets fresh buffers.
-    The arithmetic is the same either way, so records and standalone
-    functionals agree bit for bit.
+    `lam` is the scale of the rows W; a kernel that reads only the lam-free
+    rows U (H, its rate, the weighted norms, the energy) takes None.
+    Arrays go into the grid's one workspace table, a dict of buffers by
+    name, so records and standalone functionals alike allocate nothing
+    N-sized here but what model.f and model.F return, and agree bit for
+    bit.  Sharing the buffers is safe because only floats leave a kernel
+    and no two kernels on one grid are ever evaluated interleaved: a
+    kernel's products are read only while it is the last one evaluated.
     """
 
-    def __init__(self, u1: Field, u2: Field | None = None, model: Model | None = None,
-                 lam: float = 1.0, q: float = 2.0, workspace: dict | None = None):
+    def __init__(self, u1: Field, lam: float | None, u2: Field | None = None,
+                 model: Model | None = None, q: float = 2.0):
         self.grid = u1.grid
-        self.W = _weights(u1.grid, lam)
+        self.lam = lam
         self.field1, self.u1 = u1, u1.values
         self.u2 = None if u2 is None else u2.values
         self.model, self.q = model, q
-        self.ws = {} if workspace is None else workspace
+        self.ws = u1.grid.table(("workspace",), dict)
 
     def buf(self, name: str, size: int | None = None) -> np.ndarray:
         out = self.ws.get(name)
@@ -142,6 +158,9 @@ class _Kernel:
             out = self.ws[name] = np.empty(self.grid.N if size is None else size)
         return out
 
+    # weight rows: U has no lam; W, of scale lam, is built only when read
+    U = _Once(lambda k: _unit_weights(k.grid))
+    W = _Once(lambda k: _weights(k.grid, k.lam))
     # pointwise products, each written into its own workspace buffer
     du1 = _Once(lambda k: derivative(k.field1, out=k.buf("du1")).values)
     u1_sq = _Once(lambda k: np.multiply(k.u1, k.u1, out=k.buf("u1_sq")))
@@ -162,7 +181,7 @@ class _Kernel:
     dw_sq = _Once(lambda k: np.square(k.dw, out=k.buf("dw_sq")))
     h1_sum = _Once(lambda k: np.add(k.du1_sq, k.u1_sq, out=k.buf("h1_sum")))
     h_sum = _Once(lambda k: np.add(k.h1_sum, k.u2_sq, out=k.buf("h_sum")))
-    # scalars (E and energy_norm_sq: the staggered gradient of models.energy)
+    # scalars (E and energy_norm_sq: the staggered gradient, see `energy`)
     grad_sq = _Once(lambda k: gradient_sq_integral(k.field1, out=k.buf("grad", k.grid.N + 1)))
     u1_l2 = _Once(lambda k: integrate_fullline(k.u1_sq, k.grid))
     u2_l2 = _Once(lambda k: integrate_fullline(k.u2_sq, k.grid))
@@ -173,30 +192,30 @@ class _Kernel:
     B = _Once(lambda k: _dot(k.W.psip, k.du1_sq) - 0.25 * _dot(k.W.psippp, k.u1_sq))
     nonlinear = _Once(lambda k: _dot(k.W.psip, k.F) - 0.5 * _dot(k.W.psip, k.u1f))
     rhs = _Once(lambda k: k.B + k.nonlinear)
-    h1w = _Once(lambda k: _dot(k.W.sech, k.h1_sum))
-    l2w = _Once(lambda k: _dot(k.W.sech, k.u2_sq))
+    h1w = _Once(lambda k: _dot(k.U.sech, k.h1_sum))
+    l2w = _Once(lambda k: _dot(k.U.sech, k.u2_sq))
     # H is its own quadrature of the summed integrand, not h1w + l2w
-    H = _Once(lambda k: _dot(k.W.sech, k.h_sum))
-    cross = _Once(lambda k: _dot(k.W.sech, k.u1u2))
-    dH = _Once(lambda k: 2.0 * (1.0 + k.model.m) * k.cross + 2.0 * _dot(k.W.sech, k.fu2)
-               - 2.0 * _dot(k.W.dsech, k.du1u2))
+    H = _Once(lambda k: _dot(k.U.sech, k.h_sum))
+    cross = _Once(lambda k: _dot(k.U.sech, k.u1u2))
+    dH = _Once(lambda k: 2.0 * (1.0 + k.model.m) * k.cross + 2.0 * _dot(k.U.sech, k.fu2)
+               - 2.0 * _dot(k.U.dsech, k.du1u2))
     sup = _Once(lambda k: float(np.max(np.abs(k.u1, out=k.buf("abs_u1")))))
-    dw_norm_sq = _Once(lambda k: _dot(k.W.even, k.dw_sq))
+    dw_norm_sq = _Once(lambda k: _dot(k.U.even, k.dw_sq))
     # numpy pow overflows to inf rather than raising, as near-blow-up states need
     sf_denom = _Once(lambda k: float(np.float64(k.sup) ** k.q) * k.dw_norm_sq)
     sf = _Once(lambda k: _dot(k.W.psip, k.abs_pow) / k.sf_denom if k.sf_denom != 0.0 else 0.0)
     # on the kernel of w itself: a route to B independent of the one via du1/dx
-    bsharp = _Once(lambda k: _dot(k.W.even, k.du1_sq) - _dot(k.W.V, k.u1_sq))
+    bsharp = _Once(lambda k: _dot(k.U.even, k.du1_sq) - _dot(k.W.V, k.u1_sq))
 
 
 def virial_I(state: State, cfg: VirialConfig) -> float:
     """I = integral (psi u1x + psi'/2 u1) u2; even integrand for odd data."""
-    return _Kernel(state.u1, state.u2, lam=cfg.lam).I
+    return _Kernel(state.u1, cfg.lam, state.u2).I
 
 
 def bilinear_B(u1: Field, cfg: VirialConfig) -> float:
     """B = integral psi' u1x^2 - 1/4 integral psi''' u1^2."""
-    return _Kernel(u1, lam=cfg.lam).B
+    return _Kernel(u1, cfg.lam).B
 
 
 def to_w(u1: Field, cfg: VirialConfig) -> Field:
@@ -206,12 +225,12 @@ def to_w(u1: Field, cfg: VirialConfig) -> Field:
 
 def bsharp(w: Field, cfg: VirialConfig) -> float:
     """Bsharp = integral (dw/dx)^2 - V w^2 with V = sech^2(x/lam)/(2 lam^2)."""
-    return _Kernel(w, lam=cfg.lam).bsharp
+    return _Kernel(w, cfg.lam).bsharp
 
 
 def virial_rhs(state: State, model: Model, cfg: VirialConfig) -> float:
     """-dI/dt as predicted by the virial identity: B(u1) + nonlinear term."""
-    return _Kernel(state.u1, model=model, lam=cfg.lam).rhs
+    return _Kernel(state.u1, cfg.lam, model=model).rhs
 
 
 def weighted_norms(state: State) -> tuple[float, float]:
@@ -219,23 +238,39 @@ def weighted_norms(state: State) -> tuple[float, float]:
 
     The weight has unit scale, independent of the virial lam.
     """
-    k = _Kernel(state.u1, state.u2)
+    k = _Kernel(state.u1, None, state.u2)
     return k.h1w, k.l2w
 
 
 def H_loc(state: State) -> float:
     """H = integral sech(x) [u1x^2 + u1^2 + u2^2]."""
-    return _Kernel(state.u1, state.u2).H
+    return _Kernel(state.u1, None, state.u2).H
 
 
 def dH_analytic(state: State, model: Model) -> float:
     """Exact dH/dt: 2 int sech [(1+m)u1 + f(u1)] u2 - 2 int sech' u2 u1x."""
-    return _Kernel(state.u1, state.u2, model).dH
+    return _Kernel(state.u1, None, state.u2, model).dH
 
 
 def cross_term(state: State) -> float:
     """integral sech(x) u1 u2."""
-    return _Kernel(state.u1, state.u2).cross
+    return _Kernel(state.u1, None, state.u2).cross
+
+
+def energy(state: State, model: Model, grid: Grid) -> float:
+    """Conserved energy: full-line integral of u2^2/2 + u1x^2/2 - m*u1^2/2 - F(u1).
+
+    Its gradient term is gradient_sq_integral, the exact stiffness of the
+    semidiscrete Hamiltonian, so along a symplectic trajectory it wobbles at O(dt^2).
+    """
+    if state.grid is not grid:
+        raise ValueError("state does not live on the supplied grid")
+    return _Kernel(state.u1, None, state.u2, model).E
+
+
+def energy_norm_sq(state: State) -> float:
+    """Full-line H1 x L2 norm squared, with the staggered gradient of `energy`."""
+    return _Kernel(state.u1, None, state.u2).energy_norm_sq
 
 
 def sf_ratio(u1: Field, cfg: VirialConfig, q: float) -> float:
@@ -248,7 +283,7 @@ def sf_ratio(u1: Field, cfg: VirialConfig, q: float) -> float:
     """
     if not q > 0:
         raise ValueError(f"exponent q must be positive, got {q}")
-    return _Kernel(u1, lam=cfg.lam, q=q).sf
+    return _Kernel(u1, cfg.lam, q=q).sf
 
 
 @dataclass
@@ -293,11 +328,9 @@ def record_from_csv_row(row: str) -> DiagnosticsRecord:
     return DiagnosticsRecord(**vals)
 
 
-def make_record(state: State, model: Model, cfg: VirialConfig,
-                workspace: dict | None = None) -> DiagnosticsRecord:
-    """Every diagnostic functional of one state, bit-identical to the standalone
-    ones; `run` passes one `workspace` (see `_Kernel`) to all its records."""
-    k = _Kernel(state.u1, state.u2, model, cfg.lam, model.p - 1.0, workspace)
+def make_record(state: State, model: Model, cfg: VirialConfig) -> DiagnosticsRecord:
+    """Every diagnostic functional of one state, bit-identical to the standalone ones."""
+    k = _Kernel(state.u1, cfg.lam, state.u2, model, model.p - 1.0)
     return DiagnosticsRecord(
         t=state.t, E=k.E, I=k.I, dI_dt_numeric=math.nan, dI_dt_rhs=-k.rhs, B_val=k.B,
         H=k.H, H1w_sq=k.h1w, L2w_sq=k.l2w, cross=k.cross, dH_dt_analytic=k.dH,

@@ -80,7 +80,7 @@ def _virial_residual_ratio(model_name, epsilon, N, dt, T):
 def _energy_scale(state, model):
     """Size of the energy's terms: integral of u2^2/2 + u1x^2/2 + |m|u1^2/2 + |F|.
 
-    Same staggered gradient and full-line quadrature as models.energy.  For
+    Same staggered gradient and full-line quadrature as virial.energy.  For
     m <= 0 and F <= 0 (linear-kg, say) this is the energy itself; for m = +1
     the energy is a difference of terms of this size and can sit near zero.
     """

@@ -8,7 +8,8 @@ from oddkg.exact import (
     linear_standing_wave, standing_wave_energy,
 )
 from oddkg.grid import make_fullline_grid, make_grid
-from oddkg.models import energy, make_model
+from oddkg.models import make_model
+from oddkg.virial import energy
 
 
 def test_breather_params_validation():

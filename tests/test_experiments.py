@@ -13,10 +13,12 @@ from oddkg.experiments import (
     ConfigError, ExperimentConfig, Lcg, config_model, describe, make_initial_data,
     parse_config, random_odd_field, run_scenario, write_summary, write_timeseries,
 )
-from oddkg.grid import h1_l2_norm_sq, integrate_fullline, make_fullline_grid, make_grid
+from oddkg.grid import (
+    Field, gradient_sq_integral, integrate_fullline, make_fullline_grid, make_grid,
+)
 from oddkg.integrator import cfl_dt, leapfrog_step
-from oddkg.models import energy, make_model
-from oddkg.virial import CSV_COLUMNS, csv_header, record_from_csv_row
+from oddkg.models import make_model
+from oddkg.virial import CSV_COLUMNS, csv_header, energy, energy_norm_sq, record_from_csv_row
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,7 +83,7 @@ def test_initial_data_norm_is_epsilon():
     cfg = parse_config(QUICK_DECAY)
     g = make_grid(cfg.L, cfg.N)
     st = make_initial_data(cfg, g)
-    norm = math.sqrt(h1_l2_norm_sq(st.u1, st.u2))
+    norm = math.sqrt(energy_norm_sq(st))
     assert norm == pytest.approx(cfg.epsilon, rel=1e-10)
     assert np.all(st.u2.values == 0.0)
 
@@ -93,6 +95,26 @@ def test_initial_data_velocity_family():
     assert np.all(st.u1.values == 0.0)
     l2 = math.sqrt(integrate_fullline(st.u2.values ** 2, g))
     assert l2 == pytest.approx(cfg.epsilon, rel=1e-10)
+
+
+@pytest.mark.parametrize("sigma", [0.7, 2.0])
+@pytest.mark.parametrize("family", ["gauss-odd-displacement", "gauss-odd-velocity"])
+def test_initial_data_bits_match_the_explicit_norms(family, sigma):
+    # the H1 x L2 norm of the displaced profile and the L2 norm of the
+    # velocity profile, each written out as its own sum of quadratures
+    cfg = parse_config(QUICK_DECAY + f"data_family={family}\nsigma={sigma}\n")
+    g = make_grid(cfg.L, cfg.N)
+    profile = g.x * np.exp(-(g.x ** 2) / cfg.sigma ** 2)
+    zero = np.zeros(g.N)
+    if family == "gauss-odd-displacement":
+        Z = math.sqrt(gradient_sq_integral(Field(g, profile))
+                      + integrate_fullline(profile * profile, g) + integrate_fullline(zero * zero, g))
+    else:
+        Z = math.sqrt(integrate_fullline(profile * profile, g))
+    st = make_initial_data(cfg, g)
+    moved, still = (st.u1, st.u2) if family == "gauss-odd-displacement" else (st.u2, st.u1)
+    assert moved.values.tobytes() == (cfg.epsilon * profile / Z).tobytes()
+    assert still.values.tobytes() == zero.tobytes()
 
 
 def test_initial_data_energy_order_eps_squared():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oddkg.grid import (
-    Field, State, derivative, gradient_sq_integral, h1_l2_norm_sq,
-    integrate_fullline, make_fullline_grid, make_grid,
+    Field, State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid,
+    make_grid,
 )
+from oddkg.virial import energy_norm_sq
 
 
 def test_make_grid_spacing():
@@ -146,5 +147,5 @@ def test_h1_l2_norm_positive_definite():
     g = make_grid(20.0, 999)
     u1 = Field(g, g.x * np.exp(-g.x ** 2))
     u2 = Field(g, np.zeros(g.N))
-    assert h1_l2_norm_sq(u1, u2) > 0
-    assert h1_l2_norm_sq(u2, u2) == 0.0
+    assert energy_norm_sq(State(u1, u2)) > 0
+    assert energy_norm_sq(State(u2, u2)) == 0.0

@@ -12,7 +12,9 @@ from oddkg.integrator import (
     leapfrog_step, run,
 )
 from oddkg.models import CATALOG_NAMES, make_model
-from oddkg.virial import VirialConfig
+from oddkg.virial import (
+    H_loc, VirialConfig, bilinear_B, cross_term, energy_norm_sq, virial_I, weighted_norms,
+)
 
 LK = make_model("linear-kg")
 SG = make_model("sine-gordon")
@@ -299,6 +301,26 @@ def test_step_allocates_nothing(name):
     try:
         for _ in range(200):
             _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u1.nbytes
+
+
+@pytest.mark.parametrize("functional", [
+    H_loc, weighted_norms, cross_term, energy_norm_sq,
+    lambda state: virial_I(state, VC), lambda state: bilinear_B(state.u1, VC),
+], ids=["H_loc", "weighted_norms", "cross_term", "energy_norm_sq", "virial_I", "bilinear_B"])
+def test_standalone_functional_allocates_nothing(functional):
+    # after a warm-up call has made the grid's buffers and weight rows, a
+    # standalone functional allocates no N-sized array, as a record does not
+    g = make_grid(80.0, 7999)
+    u1 = 0.05 * g.x * np.exp(-g.x ** 2 / 4.0)
+    state = State(Field(g, u1), Field(g, 0.5 * u1))
+    functional(state)
+    tracemalloc.start()
+    try:
+        functional(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

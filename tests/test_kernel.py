@@ -1,7 +1,8 @@
-"""The diagnostics kernel's contract: one record from reused buffers equals a
-fresh record and every standalone functional bit for bit, on random odd
-fields (half-line) and even fields (full line), for every catalog model.
-A buffer that kept a previous state's values shows up as a mismatch."""
+"""The diagnostics kernel's contract: a record equals every standalone
+functional bit for bit, on random odd fields (half-line) and even fields
+(full line), for every catalog model.  All of them write into the grid's one
+set of buffers, and each is evaluated after another state's record: a buffer
+that kept a previous state's values shows up as a mismatch."""
 
 import gc
 import math
@@ -14,16 +15,15 @@ from hypothesis import strategies as st
 from oddkg import virial
 from oddkg.experiments import Lcg, random_odd_field
 from oddkg.grid import (
-    Field, State, derivative, h1_l2_norm_sq, integrate_fullline, make_fullline_grid, make_grid,
+    Field, State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid,
+    make_grid,
 )
-from oddkg.models import CATALOG_NAMES, energy, make_model
+from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.spectral import coercivity_certificate, index_check
 from oddkg.virial import (
-    CSV_COLUMNS, VirialConfig, H_loc, bilinear_B, bsharp, cross_term, dH_analytic,
-    make_record, sf_ratio, to_w, virial_I, virial_rhs, weighted_norms,
+    VirialConfig, H_loc, bilinear_B, bsharp, cross_term, dH_analytic, energy,
+    energy_norm_sq, make_record, sf_ratio, to_w, virial_I, virial_rhs, weighted_norms,
 )
-
-EXTRA_FIELDS = ("energy_norm_sq", "sf_denom")
 
 
 @st.composite
@@ -43,10 +43,6 @@ def _field_values(grid, seed, amplitude):
     return 0.5 * (v + v[::-1]) if grid.fullline else v  # even on the full line
 
 
-def _same(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     fullline=st.booleans(),
@@ -58,35 +54,41 @@ def _same(a: float, b: float) -> bool:
     amplitude=st.floats(1e-3, 1.5),
     t=st.floats(0.0, 100.0),
 )
-def test_record_from_reused_workspace_matches_fresh_and_standalone(
+def test_record_after_another_state_matches_standalone(
         fullline, N, L, lam, model, seeds, amplitude, t):
     grid = (make_fullline_grid if fullline else make_grid)(L, N)
     cfg = VirialConfig(lam)
     u1, u2, v1, v2 = (Field(grid, _field_values(grid, s, amplitude)) for s in seeds)
-    state = State(u1, u2, t)
+    state, other = State(u1, u2, t), State(v1, v2)
 
-    workspace = {}
-    make_record(State(v1, v2), model, cfg, workspace)  # leave another state's products behind
-    rec = make_record(state, model, cfg, workspace)
-    fresh = make_record(state, model, cfg)
-    for name in CSV_COLUMNS + EXTRA_FIELDS:
-        assert _same(getattr(rec, name), getattr(fresh, name)), name
+    def after_other(functional, *args, **kwargs):
+        make_record(other, model, cfg)  # leave another state's products in the buffers
+        return functional(*args, **kwargs)
 
+    rec = after_other(make_record, state, model, cfg)
     q = model.p - 1.0
     assert rec.t == t
-    assert rec.I == virial_I(state, cfg)
-    assert rec.B_val == bilinear_B(u1, cfg)
-    assert rec.dI_dt_rhs == -virial_rhs(state, model, cfg)
-    assert rec.H == H_loc(state)
-    assert (rec.H1w_sq, rec.L2w_sq) == weighted_norms(state)
-    assert rec.cross == cross_term(state)
-    assert rec.dH_dt_analytic == dH_analytic(state, model)
-    assert rec.sf_ratio == sf_ratio(u1, cfg, q=q)
-    assert rec.energy_norm_sq == h1_l2_norm_sq(u1, u2)
+    assert rec.E == after_other(energy, state, model, grid)
+    assert rec.I == after_other(virial_I, state, cfg)
+    assert rec.B_val == after_other(bilinear_B, u1, cfg)
+    assert rec.dI_dt_rhs == -after_other(virial_rhs, state, model, cfg)
+    assert rec.H == after_other(H_loc, state)
+    assert (rec.H1w_sq, rec.L2w_sq) == after_other(weighted_norms, state)
+    assert rec.cross == after_other(cross_term, state)
+    assert rec.dH_dt_analytic == after_other(dH_analytic, state, model)
+    assert rec.sf_ratio == after_other(sf_ratio, u1, cfg, q=q)
+    assert rec.energy_norm_sq == after_other(energy_norm_sq, state)
     assert math.isnan(rec.dI_dt_numeric)
 
+    # the staggered norm sum, written out: the same operations in the same order
+    u1_sq, u2_sq = u1.values * u1.values, u2.values * u2.values
+    norm_sq = (gradient_sq_integral(u1) + integrate_fullline(u1_sq, grid)
+               + integrate_fullline(u2_sq, grid))
+    assert rec.energy_norm_sq == norm_sq
+
     # the remaining values against independent quadratures, to roundoff
-    E = energy(state, model, grid)
+    E = 0.5 * gradient_sq_integral(u1) + integrate_fullline(
+        0.5 * u2_sq - 0.5 * model.m * u1_sq - model.F(u1.values), grid)
     scale = rec.energy_norm_sq + integrate_fullline(np.abs(model.F(u1.values)), grid)
     assert abs(rec.E - E) <= 1e-12 * scale
     dw = derivative(to_w(u1, cfg)).values
@@ -102,6 +104,10 @@ def _weigh(grid):
     assert virial._weights(grid, 2.0) is virial._weights(grid, 2.0)  # kept while the grid lives
 
 
+def _localize(grid):
+    H_loc(State(Field(grid, grid.x * np.exp(-grid.x ** 2)), Field(grid, np.zeros(grid.N))))
+
+
 def _draw_odd_field(grid):
     random_odd_field(grid, Lcg(1))
 
@@ -112,10 +118,11 @@ def _certify(grid):
 
 
 def test_weight_tables_live_as_long_as_their_grid():
-    # weights, odd-mode rows and Sturm counts; a table that referred back to
-    # its grid would make a cycle that only the cycle collector frees
-    for derive, kind in ((_weigh, "weights"), (_draw_odd_field, "odd_modes"),
-                         (_certify, "sturm_counts")):
+    # weights, kernel buffers, odd-mode rows and Sturm counts; a table that
+    # referred back to its grid would make a cycle that only the cycle
+    # collector frees
+    for derive, kind in ((_weigh, "weights"), (_localize, "workspace"),
+                         (_draw_odd_field, "odd_modes"), (_certify, "sturm_counts")):
         grid = make_grid(40.0, 399)
         derive(grid)
         assert kind in {key[0] for key in grid.tables}
@@ -128,3 +135,12 @@ def test_weight_tables_live_as_long_as_their_grid():
         finally:
             if enabled:
                 gc.enable()
+
+
+def test_unit_scale_functionals_build_no_lam_table():
+    # H and the weighted norms use only the lam-free rows
+    grid = make_grid(40.0, 399)
+    state = State(Field(grid, grid.x * np.exp(-grid.x ** 2)), Field(grid, np.cos(grid.x)))
+    H_loc(state)
+    weighted_norms(state)
+    assert not [key for key in grid.tables if key[0] == "weights"]

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from oddkg.grid import Field, State, make_fullline_grid, make_grid
-from oddkg.models import ModelError, energy, make_model
+from oddkg.models import ModelError, make_model
+from oddkg.virial import energy
 from oddkg.exact import BreatherParams, breather_state
 
 CATALOG = ("sine-gordon", "phi4", "phi6", "cubic-nlkg", "linear-kg")
