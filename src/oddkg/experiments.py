@@ -39,14 +39,12 @@ from pathlib import Path
 import numpy as np
 
 from .exact import BreatherParams, breather_exact, breather_state
-from .grid import (
-    Field, Grid, State, derivative, integrate_fullline, make_fullline_grid, make_grid,
-)
+from .grid import Field, Grid, State, integrate_fullline, make_fullline_grid, make_grid
 from .integrator import BlowupError, RunSettings, StopRun, cfl_dt, run
 from .models import CATALOG_NAMES, Model, ModelError, make_model
 from .virial import (
-    H_loc, VirialConfig, _weights, bilinear_B, bsharp, csv_header, energy_norm_sq, to_w,
-    virial_I, weighted_norms,
+    H_loc, VirialConfig, bilinear_B, bsharp, csv_header, energy_norm_sq, to_w, virial_I,
+    virial_I_abs, weighted_norms,
 )
 
 SCENARIOS = ("decay", "breather", "convergence", "spectral", "virial-check")
@@ -566,7 +564,8 @@ def _refinement_metrics(sim: _Simulation, resolution: str) -> tuple[dict, dict]:
         return _NAN_METRICS, {**abort, "abort_resolution": resolution}
 
     E = np.array([r.E for r in records])
-    scale = abs(E[0]) if E[0] != 0.0 else 1.0
+    # against the run's largest energy scale S >= |E|, not E(0), a cancellation for phi4
+    scale = max(r.energy_scale for r in records) or 1.0
     drift = float(np.max(np.abs(E - E[0])) / scale)
     resid = np.array([abs(r.dI_dt_numeric - r.dI_dt_rhs) for r in records])
     rhs_scale = float(np.max(np.abs([r.dI_dt_rhs for r in records])))
@@ -637,7 +636,6 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
 def _run_virial_check(cfg: ExperimentConfig) -> ScenarioResult:
     grid = _grid(cfg, cfg.N)
     vcfg = cfg.virial
-    W = _weights(grid, cfg.lam)
     lcg = Lcg(cfg.seed)
 
     max_b = 0.0
@@ -650,11 +648,9 @@ def _run_virial_check(cfg: ExperimentConfig) -> ScenarioResult:
         max_b = max(max_b, abs(B - Bs) / max(abs(B), 1e-12))
 
         state = State(u1, u1.copy())
-        # I(u1, u1) against the integral of its integrand's magnitude (psi >= 0)
-        scale = float(np.dot(W.psi, np.abs(derivative(u1).values * u1.values))
-                      + 0.5 * np.dot(W.psip, u1.values ** 2))
+        # I(u1, u1) against the integral of its integrand's magnitude
         ipair = virial_I(state, vcfg)
-        max_ipair = max(max_ipair, abs(ipair) / max(scale, 1e-12))
+        max_ipair = max(max_ipair, abs(ipair) / max(virial_I_abs(state, vcfg), 1e-12))
 
         h1w, l2w = weighted_norms(state)
         H = H_loc(state)

@@ -188,7 +188,13 @@ class _Kernel:
     E = _Once(lambda k: 0.5 * k.grad_sq + 0.5 * k.u2_l2 - 0.5 * k.model.m * k.u1_l2
               - integrate_fullline(k.F, k.grid))
     energy_norm_sq = _Once(lambda k: k.grad_sq + k.u1_l2 + k.u2_l2)
+    # S >= |E|, the size of E's terms, which the O(dt^2) energy drift scales with
+    energy_scale = _Once(lambda k: 0.5 * k.grad_sq + 0.5 * k.u2_l2
+                         + 0.5 * abs(k.model.m) * k.u1_l2
+                         + integrate_fullline(np.abs(k.F, out=k.buf("abs_F")), k.grid))
     I = _Once(lambda k: _dot(k.W.psi, k.du1u2) + 0.5 * _dot(k.W.psip, k.u1u2))
+    I_abs = _Once(lambda k: _dot(k.W.psi, np.abs(k.du1u2, out=k.buf("abs_du1u2")))
+                  + 0.5 * _dot(k.W.psip, np.abs(k.u1u2, out=k.buf("abs_u1u2"))))
     B = _Once(lambda k: _dot(k.W.psip, k.du1_sq) - 0.25 * _dot(k.W.psippp, k.u1_sq))
     nonlinear = _Once(lambda k: _dot(k.W.psip, k.F) - 0.5 * _dot(k.W.psip, k.u1f))
     rhs = _Once(lambda k: k.B + k.nonlinear)
@@ -211,6 +217,11 @@ class _Kernel:
 def virial_I(state: State, cfg: VirialConfig) -> float:
     """I = integral (psi u1x + psi'/2 u1) u2; even integrand for odd data."""
     return _Kernel(state.u1, cfg.lam, state.u2).I
+
+
+def virial_I_abs(state: State, cfg: VirialConfig) -> float:
+    """Scale of I: integral psi |u1x u2| + psi'/2 |u1 u2| (psi >= 0 on the half-line)."""
+    return _Kernel(state.u1, cfg.lam, state.u2).I_abs
 
 
 def bilinear_B(u1: Field, cfg: VirialConfig) -> float:
@@ -292,9 +303,10 @@ class DiagnosticsRecord:
 
     dI_dt_numeric is filled in a post-pass over a record sequence
     (centered differences over neighbouring records); it is NaN for a
-    standalone record.  The last two fields are not CSV columns (NaN when
+    standalone record.  The last three fields are not CSV columns (NaN when
     read back from a CSV row): the staggered H1 x L2 norm squared and the
-    denominator of sf_ratio, ||u1||_inf^q ||dw/dx||^2, for the decay probe.
+    denominator of sf_ratio, ||u1||_inf^q ||dw/dx||^2, for the decay probe,
+    and the energy scale S, against which the convergence study measures drift.
     """
 
     t: float
@@ -311,6 +323,7 @@ class DiagnosticsRecord:
     sf_ratio: float
     energy_norm_sq: float = field(default=math.nan, compare=False)
     sf_denom: float = field(default=math.nan, compare=False)
+    energy_scale: float = field(default=math.nan, compare=False)
 
     def csv_row(self) -> str:
         return ",".join(f"{getattr(self, c):.16e}" for c in CSV_COLUMNS)
@@ -335,6 +348,7 @@ def make_record(state: State, model: Model, cfg: VirialConfig) -> DiagnosticsRec
         t=state.t, E=k.E, I=k.I, dI_dt_numeric=math.nan, dI_dt_rhs=-k.rhs, B_val=k.B,
         H=k.H, H1w_sq=k.h1w, L2w_sq=k.l2w, cross=k.cross, dH_dt_analytic=k.dH,
         sf_ratio=k.sf, energy_norm_sq=k.energy_norm_sq, sf_denom=k.sf_denom,
+        energy_scale=k.energy_scale,
     )
 
 

@@ -23,9 +23,7 @@ from oddkg.exact import BreatherParams, breather_exact, breather_state
 from oddkg.experiments import (
     ExperimentConfig, Lcg, parse_config, random_odd_field, run_scenario,
 )
-from oddkg.grid import (
-    gradient_sq_integral, integrate_fullline, make_fullline_grid, make_grid,
-)
+from oddkg.grid import make_fullline_grid, make_grid
 from oddkg.integrator import RunSettings, run
 from oddkg.models import make_model
 from oddkg.spectral import (
@@ -77,21 +75,14 @@ def _virial_residual_ratio(model_name, epsilon, N, dt, T):
     return resid / scale
 
 
-def _energy_scale(state, model):
-    """Size of the energy's terms: integral of u2^2/2 + u1x^2/2 + |m|u1^2/2 + |F|.
+def _drift_pair(model_name, dts, T=100.0, N=7999):
+    """Per step size: (max|E - E(0)| / S, E(0), S), S the run's largest energy scale.
 
-    Same staggered gradient and full-line quadrature as virial.energy.  For
-    m <= 0 and F <= 0 (linear-kg, say) this is the energy itself; for m = +1
+    S is the record's `energy_scale`, the integral of u2^2/2 + u1x^2/2 +
+    |m|u1^2/2 + |F|, which the convergence scenario reads as well.  For
+    m <= 0 and F <= 0 (linear-kg, say) it is the energy itself; for m = +1
     the energy is a difference of terms of this size and can sit near zero.
     """
-    u1 = state.u1.values
-    u2 = state.u2.values
-    terms = 0.5 * u2 * u2 + 0.5 * abs(model.m) * u1 * u1 + np.abs(model.F(u1))
-    return 0.5 * gradient_sq_integral(state.u1) + integrate_fullline(terms, state.grid)
-
-
-def _drift_pair(model_name, dts, T=100.0, N=7999):
-    """Per step size: (max|E - E(0)| / S, E(0), S), S the run's largest energy scale."""
     g = make_grid(80.0, N)
     model = make_model(model_name)
     cfg = _decay_cfg(model_name, 0.05, T, N=N)
@@ -99,11 +90,9 @@ def _drift_pair(model_name, dts, T=100.0, N=7999):
     init = make_initial_data(cfg, g)
     out = []
     for dt in dts:
-        scales = []
-        recs = run(init, model, RunSettings(dt=dt, T=T, record_every=25), VC10,
-                   on_record=lambda state, rec: scales.append(_energy_scale(state, model)))
+        recs = run(init, model, RunSettings(dt=dt, T=T, record_every=25), VC10)
         E = np.array([r.E for r in recs])
-        S = max(scales)
+        S = max(r.energy_scale for r in recs)
         out.append((float(np.max(np.abs(E - E[0])) / S), float(E[0]), S))
     return out
 

@@ -13,12 +13,17 @@ from oddkg.experiments import (
     ConfigError, ExperimentConfig, Lcg, config_model, describe, make_initial_data,
     parse_config, random_odd_field, run_scenario, write_summary, write_timeseries,
 )
+from oddkg import virial
 from oddkg.grid import (
-    Field, gradient_sq_integral, integrate_fullline, make_fullline_grid, make_grid,
+    Field, State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid,
+    make_grid,
 )
 from oddkg.integrator import cfl_dt, leapfrog_step
 from oddkg.models import make_model
-from oddkg.virial import CSV_COLUMNS, csv_header, energy, energy_norm_sq, record_from_csv_row
+from oddkg.virial import (
+    CSV_COLUMNS, VirialConfig, csv_header, energy, energy_norm_sq, record_from_csv_row,
+    virial_I_abs,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -144,6 +149,14 @@ def test_random_odd_fields_decay_and_differ():
     f2 = random_odd_field(g, lcg)
     assert not np.array_equal(f1.values, f2.values)
     assert abs(f1.values[-1]) < 1e-30  # envelope kills the far field
+    # the kernel's scale of I on the self-pair (f, f) is the integral of the
+    # integrand's magnitude, as the virial-check once wrote it out
+    vcfg = VirialConfig(10.0)
+    W = virial._weights(g, vcfg.lam)
+    for f in (f1, f2):
+        inline = float(np.dot(W.psi, np.abs(derivative(f).values * f.values))
+                       + 0.5 * np.dot(W.psip, f.values ** 2))
+        assert virial_I_abs(State(f, f.copy()), vcfg) == inline
 
 
 def test_write_timeseries_empty_is_header_only(tmp_path):
@@ -235,6 +248,19 @@ def test_convergence_scenario_quick(tmp_path):
     assert s["dx_fine"] == pytest.approx(0.5 * s["dx_coarse"], rel=1e-12)
     assert 1.5 <= s["order_virial_residual"] <= 2.6
     assert s["order_energy_drift"] > 1.5
+
+
+def test_convergence_scenario_phi4_drift_against_energy_scale(tmp_path):
+    # phi4's E(0) is a near-zero cancellation; measured against the size S of
+    # the energy's terms, the drift is small and second order in dt
+    cfg = parse_config(
+        f"scenario=convergence\nmodel=phi4\nepsilon=0.05\nL=20\nN=999\n"
+        f"T=4\nrecord_every=10\noutput_dir={tmp_path}\n"
+    )
+    s = run_scenario(cfg).summary
+    assert s["status"] == "ok"
+    assert s["drift_coarse"] < 1e-4
+    assert 1.9 <= s["order_energy_drift"] <= 2.1
 
 
 def test_convergence_scenario_breather_mode(tmp_path):

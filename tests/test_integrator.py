@@ -13,7 +13,8 @@ from oddkg.integrator import (
 )
 from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.virial import (
-    H_loc, VirialConfig, bilinear_B, cross_term, energy_norm_sq, virial_I, weighted_norms,
+    H_loc, VirialConfig, bilinear_B, cross_term, energy_norm_sq, virial_I, virial_I_abs,
+    weighted_norms,
 )
 
 LK = make_model("linear-kg")
@@ -309,8 +310,10 @@ def test_step_allocates_nothing(name):
 
 @pytest.mark.parametrize("functional", [
     H_loc, weighted_norms, cross_term, energy_norm_sq,
-    lambda state: virial_I(state, VC), lambda state: bilinear_B(state.u1, VC),
-], ids=["H_loc", "weighted_norms", "cross_term", "energy_norm_sq", "virial_I", "bilinear_B"])
+    lambda state: virial_I(state, VC), lambda state: virial_I_abs(state, VC),
+    lambda state: bilinear_B(state.u1, VC),
+], ids=["H_loc", "weighted_norms", "cross_term", "energy_norm_sq", "virial_I", "virial_I_abs",
+        "bilinear_B"])
 def test_standalone_functional_allocates_nothing(functional):
     # after a warm-up call has made the grid's buffers and weight rows, a
     # standalone functional allocates no N-sized array, as a record does not

@@ -86,11 +86,17 @@ def test_record_after_another_state_matches_standalone(
                + integrate_fullline(u2_sq, grid))
     assert rec.energy_norm_sq == norm_sq
 
-    # the remaining values against independent quadratures, to roundoff
+    # the remaining values against independent quadratures, to roundoff; S, the
+    # size of the energy's terms, bounds |E| and is E itself for linear-kg
+    S = 0.5 * gradient_sq_integral(u1) + integrate_fullline(
+        0.5 * u2_sq + 0.5 * abs(model.m) * u1_sq + np.abs(model.F(u1.values)), grid)
+    assert abs(rec.energy_scale - S) <= 1e-14 * S
+    assert rec.energy_scale >= abs(rec.E) - 1e-14 * S
+    if model.name == "linear-kg":
+        assert rec.energy_scale == rec.E
     E = 0.5 * gradient_sq_integral(u1) + integrate_fullline(
         0.5 * u2_sq - 0.5 * model.m * u1_sq - model.F(u1.values), grid)
-    scale = rec.energy_norm_sq + integrate_fullline(np.abs(model.F(u1.values)), grid)
-    assert abs(rec.E - E) <= 1e-12 * scale
+    assert abs(rec.E - E) <= 1e-12 * S
     dw = derivative(to_w(u1, cfg)).values
     dw_sq = integrate_fullline(dw * dw, grid, origin="even")
     sf_denom = float(np.max(np.abs(u1.values))) ** q * dw_sq
