@@ -15,6 +15,15 @@ Text values (status, model, booleans) must match exactly.
 Regenerate, only when a change of the numbers is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+or, to rewrite only the entries whose numbers were meant to change, name
+them (any of the keys of RUNS):
+
+    PYTHONPATH=src python tests/test_golden.py convergence
+
+A rewritten entry also takes up any roundoff that earlier changes left
+within the tolerance; keep those lines as they were, so that the diff
+shows only the intended change.
 """
 
 import math
