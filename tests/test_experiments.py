@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oddkg import virial
 from oddkg.cli import main as cli_main
 from oddkg.experiments import (
     ConfigError, ExperimentConfig, Lcg, config_model, describe, make_initial_data,
     parse_config, random_odd_field, run_scenario, write_summary, write_timeseries,
 )
-from oddkg import virial
 from oddkg.grid import (
     Field, State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid,
     make_grid,
@@ -149,8 +149,8 @@ def test_random_odd_fields_decay_and_differ():
     f2 = random_odd_field(g, lcg)
     assert not np.array_equal(f1.values, f2.values)
     assert abs(f1.values[-1]) < 1e-30  # envelope kills the far field
-    # the kernel's scale of I on the self-pair (f, f) is the integral of the
-    # integrand's magnitude, as the virial-check once wrote it out
+    # the kernel's scale of I on the self-pair (f, f) is, bit for bit, the
+    # integral of the integrand's magnitude written out from the weight rows
     vcfg = VirialConfig(10.0)
     W = virial._weights(g, vcfg.lam)
     for f in (f1, f2):
