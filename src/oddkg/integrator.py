@@ -9,7 +9,8 @@ exactly (V' is odd), so oddness is preserved by representation.  The
 scheme is symplectic and exactly time reversible; energy error stays
 bounded and O(dt^2) instead of drifting, which long decay measurements
 rely on.  A step writes only into the acceleration and two buffers
-allocated once per run, so it allocates nothing.
+allocated once per run, so it allocates nothing.  V' is evaluated only on
+a window of nodes; outside it, V' is -m u1 to the last bit.
 """
 
 from __future__ import annotations
@@ -68,27 +69,56 @@ def cfl_dt(grid: Grid, model: Model, safety: float) -> float:
 
 
 def _acceleration(u1: np.ndarray, model: Model, inv_dx2: float, a: np.ndarray,
-                  tmp: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """a = D2 u1 - V'(u1), written in place; tmp and scratch are overwritten."""
+                  tmp: np.ndarray, scratch: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """a = D2 u1 - V'(u1), written in place; tmp and scratch are overwritten.
+    V' is `model.dV` on [lo, hi) and the bitwise equal u1 * (-m) outside, where
+    |u1| < model.linear_below (a - u is a - u*1.0, a + u is a - u*(-1.0))."""
     np.multiply(u1, -2.0, out=a)
     np.add(a[:-1], u1[1:], out=a[:-1])
     np.add(a[1:], u1[:-1], out=a[1:])
     a *= inv_dx2
-    a -= model.dV(u1, tmp, scratch)
+    a[lo:hi] -= model.dV(u1[lo:hi], tmp[lo:hi], scratch[lo:hi])
+    for tail in (slice(0, lo), slice(hi, u1.size)):
+        if tail.start == tail.stop:
+            continue
+        if model.m == -1.0:
+            a[tail] -= u1[tail]
+        elif model.m == 1.0:
+            a[tail] += u1[tail]
+        else:
+            a[tail] -= np.multiply(u1[tail], -model.m, out=tmp[tail])
     return a
 
 
+def _half_kick(u1: np.ndarray, model: Model, inv_dx2: float, dt: float, a: np.ndarray,
+               tmp: np.ndarray, scratch: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """a = (dt/2) (D2 u1 - V'(u1)) in place; returns the window [lo, hi) used:
+    the given one (0, 0 at the start) while both tails hold |u1| < t =
+    model.linear_below (a nan fails both tests, so it lands inside), else a
+    rescan padded by 64 nodes, so that a spreading wave rescans only now and then."""
+    t, n, top, bottom = model.linear_below, u1.size, np.maximum.reduce, np.minimum.reduce
+    if not ((lo == 0 or (top(u1[:lo]) < t and bottom(u1[:lo]) > -t))
+            and (hi == n or (top(u1[hi:]) < t and bottom(u1[hi:]) > -t))):
+        lo = int(np.less(np.abs(u1, out=tmp), t, out=scratch).argmin())  # 1.0: linear
+        j = int(np.less(tmp[::-1], t, out=scratch).argmin())
+        lo, hi = (0, 0) if scratch[j] else (max(lo - 64, 0), min(n - j + 64, n))
+    _acceleration(u1, model, inv_dx2, a, tmp, scratch, lo, hi)
+    a *= 0.5 * dt
+    return lo, hi
+
+
 def _kick_drift_kick(u1: np.ndarray, u2: np.ndarray, a: np.ndarray, model: Model,
-                     inv_dx2: float, dt: float, tmp: np.ndarray, scratch: np.ndarray) -> None:
-    """One step in place.  `a` holds the acceleration at u1 on entry and,
-    because u1 does not move between the trailing half-kick of one step and
-    the leading half-kick of the next, again on exit.  tmp and scratch are
-    work buffers shaped like u1."""
-    half_dt = 0.5 * dt
-    u2 += np.multiply(a, half_dt, out=tmp)
+                     inv_dx2: float, dt: float, tmp: np.ndarray, scratch: np.ndarray,
+                     lo: int, hi: int) -> tuple[int, int]:
+    """One step in place from the window [lo, hi) at u1; returns the new one.
+    `a` holds the half-kick at u1 on entry and, because u1 does not move
+    between the trailing half-kick of one step and the leading one of the
+    next, again on exit.  tmp and scratch are work buffers shaped like u1."""
+    u2 += a
     u1 += np.multiply(u2, dt, out=tmp)
-    _acceleration(u1, model, inv_dx2, a, tmp, scratch)
-    u2 += np.multiply(a, half_dt, out=tmp)
+    lo, hi = _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, lo, hi)
+    u2 += a
+    return lo, hi
 
 
 def leapfrog_step(state: State, model: Model, dt: float) -> State:
@@ -98,8 +128,8 @@ def leapfrog_step(state: State, model: Model, dt: float) -> State:
     u1 = state.u1.values.copy()
     u2 = state.u2.values.copy()
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))
-    _acceleration(u1, model, inv_dx2, a, tmp, scratch)
-    _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp, scratch)
+    window = _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
+    _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp, scratch, *window)
     return State(Field(grid, u1), Field(grid, u2), state.t + dt)
 
 
@@ -160,10 +190,11 @@ def run(
             stop = min(k - k % every + every, n_steps)  # the next record step
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    if k == 0:  # step 1's leading acceleration; later steps reuse
-                        _acceleration(u1, model, inv_dx2, a, tmp, scratch)
+                    if k == 0:  # step 1's leading half-kick; later steps carry it
+                        window = _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
                     while k < stop:
-                        _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp, scratch)
+                        window = _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp,
+                                                  scratch, *window)
                         k += 1
             except FloatingPointError:
                 raise blowup(k + 1) from None

@@ -27,6 +27,7 @@ entries; see README).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -53,12 +54,14 @@ class Model:
 
     `dV(u, out, scratch)` writes V'(u) = -(m*u + f(u)) into `out` and
     returns it, allocating nothing; `scratch` is a buffer shaped like `u`
-    that it may overwrite.  `u` stays unchanged.
+    that it may overwrite.  `u` stays unchanged.  Where |u| < `linear_below`
+    (at most 1), dV(u) equals u * (-m) bit for bit.
     """
 
     name: str
     m: float
     p: float
+    linear_below: float
     f: Callable = field(repr=False)
     F: Callable = field(repr=False)
     dV: Callable = field(repr=False)
@@ -102,7 +105,12 @@ def _polynomial(name: str, m: float, coeffs: tuple, p: float = 3.0) -> Model:
         out *= u
         return out
 
-    return Model(name, m=m, p=p, f=f, F=F, dV=dV)
+    # |u| < t gives s < 1 and |s P(s)| < 2^-56 |m| (|P(s)| <= sum|P_k|), below half an
+    # ulp of m even after rounding, so R(s) rounds to -m and dV(u) is u * (-m).  t = 0
+    # if m = 0; the cap keeps every |u| >= 1, where u*u may overflow, in the window.
+    total = sum(abs(c) for c in coeffs)
+    t = 0.0 if m == 0.0 else min(1.0, math.sqrt(2.0 ** -56 * abs(m) / total) if total else 1.0)
+    return Model(name, m=m, p=p, linear_below=t, f=f, F=F, dV=dV)
 
 
 def make_model(name: str, params: Mapping | None = None) -> Model:
@@ -116,8 +124,10 @@ def make_model(name: str, params: Mapping | None = None) -> Model:
     p is the lowest degree with a nonzero coefficient, or 3 if f is zero.
     """
     if name == "sine-gordon":
+        # |sin(u) - u| <= |u|^3/6 is below half an ulp of u for |u| < 2^-26, so sin
+        # rounds to u there; t = 2^-27 leaves a factor 2 (tests check numpy's sin)
         return Model(
-            name, m=-1.0, p=3.0,
+            name, m=-1.0, p=3.0, linear_below=2.0 ** -27,
             f=lambda u: u - np.sin(u),
             F=lambda u: 0.5 * u * u + np.cos(u) - 1.0,
             dV=lambda u, out, scratch: np.sin(u, out=out),

@@ -170,18 +170,13 @@ def test_nan_abort_carries_records():
     assert exc.value.records[0].t == 0.0
 
 
-def test_blowup_is_reported_at_the_first_non_finite_step():
-    # f = +u^3 with large data overflows within a few dozen steps, long before
-    # the only record step after t=0; the run stops at the very step whose
-    # arithmetic overflows, as a BlowupError and without a RuntimeWarning
-    g = make_grid(40.0, 999)
-    nl = make_model("cubic-nlkg")
-    dt = cfl_dt(g, nl, 0.4)
-    st = State(Field(g, 5.0 * g.x * np.exp(-g.x ** 2 / 4.0)), Field(g, np.zeros(g.N)))
+def _first_non_finite_step_is_reported(model, st, dt):
+    """Walk leapfrog_step to the first non-finite state, check that `run`
+    raises there without a RuntimeWarning, and return that step and state."""
     walk, first = st, None
     with np.errstate(all="ignore"):
         for step in range(1, 1001):
-            walk = leapfrog_step(walk, nl, dt)
+            walk = leapfrog_step(walk, model, dt)
             if not (np.isfinite(walk.u1.values).all() and np.isfinite(walk.u2.values).all()):
                 first = step
                 break
@@ -189,10 +184,31 @@ def test_blowup_is_reported_at_the_first_non_finite_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowupError) as exc:
-            run(st, nl, RunSettings(dt=dt, T=1000 * dt, record_every=100000), VC)
+            run(st, model, RunSettings(dt=dt, T=1000 * dt, record_every=100000), VC)
     assert exc.value.step == first
     assert exc.value.t == first * dt
     assert [r.t for r in exc.value.records] == [0.0]
+    return first, walk
+
+
+def test_blowup_is_reported_at_the_first_non_finite_step():
+    # f = +u^3 with large data overflows within a few dozen steps, long before
+    # the only record step after t=0; the run stops at the very step whose
+    # arithmetic overflows, as a BlowupError and without a RuntimeWarning
+    g = make_grid(40.0, 999)
+    nl = make_model("cubic-nlkg")
+    st = State(Field(g, 5.0 * g.x * np.exp(-g.x ** 2 / 4.0)), Field(g, np.zeros(g.N)))
+    _first_non_finite_step_is_reported(nl, st, cfl_dt(g, nl, 0.4))
+    # sine-Gordon at dt = 0.1, beyond the stability bound: a grid-scale ripple
+    # of 1e-10 in the far field grows ~25x per step and overflows there first,
+    # at step 232; below linear_below, the far field starts outside the window
+    # of nonlinear nodes and joins it only by rescans
+    ripple = np.where(g.x > 30.0, 1e-10 * (-1.0) ** np.arange(g.N), 0.0)
+    st = State(Field(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0) + ripple), Field(g, np.zeros(g.N)))
+    first, walk = _first_non_finite_step_is_reported(SG, st, 0.1)
+    assert first == 232
+    far = ~(np.isfinite(walk.u1.values) & np.isfinite(walk.u2.values))
+    assert far.any() and np.all(np.abs(st.u1.values[far]) < SG.linear_below)
 
 
 def test_a_record_that_overflows_is_a_blowup_at_its_step():
@@ -297,11 +313,12 @@ def test_step_allocates_nothing(name):
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))
     inv_dx2 = 1.0 / g.dx ** 2
     dt = cfl_dt(g, model, 0.4)
-    _acceleration(u1, model, inv_dx2, a, tmp, scratch)
+    _acceleration(u1, model, inv_dx2, a, tmp, scratch, 0, g.N)
+    lo = hi = 0  # an empty window: the first traced step rescans
     tracemalloc.start()
     try:
         for _ in range(200):
-            _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp, scratch)
+            lo, hi = _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp, scratch, lo, hi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -67,6 +67,39 @@ def test_small_amplitude_bound(name):
     assert np.all(np.abs(fprime) <= bound)
 
 
+# custom-poly rows with a large row sum, a small m, and degree 9
+LINEAR_BELOW_CUSTOM = [
+    {"m": -1.0, "coeffs": (0.0, 0.0, 0.0, 1e6, 0.0, -1e6)},
+    {"m": 1e-3, "coeffs": (0.0, 0.0, 0.0, 0.5)},
+    {"m": -2.5, "coeffs": (0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, -3.0)},
+]
+
+
+@pytest.mark.parametrize("name, params", [(n, None) for n in CATALOG]
+                         + [("custom-poly", p) for p in LINEAR_BELOW_CUSTOM])
+def test_dV_is_linear_below_linear_below_bit_for_bit(name, params):
+    # the step's linear far field rests on this (for sine-Gordon: np.sin(u) == u
+    # on this numpy and libm): random mantissas in every binade below t, down
+    # to the subnormals, the largest double below t, and +-0
+    model = make_model(name, params)
+    t = model.linear_below
+    assert 0.0 < t <= 1.0
+    exponents = np.arange(-1074, math.frexp(t)[1])
+    rng = np.random.default_rng(7)
+    u = np.ldexp(rng.uniform(1.0, 2.0, (exponents.size, 256)), exponents[:, None]).ravel()
+    u = np.concatenate([u[u < t], [np.nextafter(t, 0.0), 0.0]])
+    u = np.concatenate([u, -u])
+    dv = model.dV(u, np.empty_like(u), np.empty_like(u))
+    assert np.array_equal(dv.view(np.int64), (u * -model.m).view(np.int64))
+
+
+def test_linear_below_thresholds():
+    assert make_model("sine-gordon").linear_below == 2.0 ** -27
+    assert make_model("phi4").linear_below == 2.0 ** -28
+    assert make_model("linear-kg").linear_below == 1.0  # the cap: a zero row
+    assert make_model("custom-poly", {"m": 0.0, "coeffs": (0.0, 0.0, 0.0, 1.0)}).linear_below == 0.0
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_F_is_antiderivative_of_f(name):
     model = make_model(name)

@@ -13,18 +13,23 @@ grids and catalog models with small odd data, `run` lands bit for bit on
 the state that repeated `leapfrog_step` calls reach, and stepping back
 with -dt undoes n steps to roundoff, as amplified by the linear
 instability of the zero state when m > 0 (phi4); a phi4 run ends while
-that growth keeps its data small.
+that growth keeps its data small.  The force on a window of nodes, with
+the linear force outside it, is the whole-array force bit for bit, and
+the half-kick keeps or rescans any given window so that this holds.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from oddkg.grid import Field, State, integrate_fullline, make_grid
-from oddkg.integrator import RunSettings, cfl_dt, leapfrog_step, run
+from oddkg.integrator import (
+    RunSettings, _acceleration, _half_kick, cfl_dt, leapfrog_step, run,
+)
 from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.spectral import (
     EIG_ATOL, SchrodingerDiscretization, _as_lists, _bisect, _sturm_count, assemble,
@@ -189,6 +194,76 @@ def test_dV_is_minus_m_u_minus_f_and_odd(model, u):
     # the half-line's odd extension needs V'(-u) = -V'(u) exactly
     assert np.array_equal(model.dV(-u, np.empty_like(u), scratch).view(np.int64),
                           (-dv).view(np.int64))
+
+
+def _full_acceleration(u, model, inv_dx2):
+    """The stencil minus model.dV over the whole array: the windowed oracle."""
+    a = np.multiply(u, -2.0)
+    np.add(a[:-1], u[1:], out=a[:-1])
+    np.add(a[1:], u[:-1], out=a[1:])
+    a *= inv_dx2
+    a -= model.dV(u, np.empty_like(u), np.empty_like(u))
+    return a
+
+
+def _bits(x):
+    return x.view(np.int64)
+
+
+@st.composite
+def windowed_fields(draw, model):
+    """A field and a window [lo, hi) outside which |u| < model.linear_below."""
+    t = model.linear_below
+    n = draw(st.integers(1, 60))
+    lo, hi = draw(st.one_of(st.just((0, 0)), st.just((0, n)),
+                            st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)))
+    below = st.nothing()
+    if t == 0.0:
+        lo, hi = 0, n  # no linear tail
+    else:
+        small = [0.0, 5e-324, 2.0 ** -1022, 0.5 * t, 0.9 * t, float(np.nextafter(t, 0.0))]
+        below = st.one_of(st.sampled_from(small + [-v for v in small]),
+                          st.floats(-t, t, exclude_min=True, exclude_max=True))
+    anything = st.one_of(below, st.sampled_from([t, -t, float(np.nextafter(t, 2.0))]),
+                         st.floats(-4.0, 4.0))
+    return np.array([draw(anything if lo <= i < hi else below) for i in range(n)]), lo, hi
+
+
+# each catalog model, then custom-poly rows drawn by custom_polys
+@pytest.mark.parametrize("model", [*MODELS[:-1], None], ids=[*CATALOG_NAMES[:-1], "custom-poly"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), inv_dx2=st.floats(0.01, 1e4))
+def test_windowed_acceleration_is_the_full_one_bit_for_bit(model, data, inv_dx2):
+    model = model or data.draw(custom_polys())
+    u, lo, hi = data.draw(windowed_fields(model))
+    a, tmp, scratch = (np.empty_like(u) for _ in range(3))
+    _acceleration(u, model, inv_dx2, a, tmp, scratch, lo, hi)
+    assert np.array_equal(_bits(a), _bits(_full_acceleration(u, model, inv_dx2)))
+
+
+@pytest.mark.parametrize("model", [*MODELS[:-1], None], ids=[*CATALOG_NAMES[:-1], "custom-poly"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dt=st.floats(-0.5, 0.5))
+def test_half_kick_window_holds_and_changes_no_bit(model, data, dt):
+    # from any window, valid or stale, the half-kick keeps or rescans it so
+    # that every node outside holds |u| < linear_below; a nan or inf lands
+    # inside; the half-kick is the full one bit for bit
+    model = model or data.draw(custom_polys())
+    t = model.linear_below
+    edge = [0.0, t, -t, float(np.nextafter(t, 0.0)), 1e-300, math.nan, math.inf]
+    values = st.one_of(st.sampled_from(edge), st.floats(-2.0 * t, 2.0 * t),
+                       st.floats(-4.0, 4.0))
+    u = np.array(data.draw(st.lists(values, min_size=1, max_size=300)))
+    n = u.size
+    lo, hi = sorted(data.draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+    a, tmp, scratch = (np.empty_like(u) for _ in range(3))
+    with np.errstate(all="ignore"):
+        lo, hi = _half_kick(u, model, 4.0, dt, a, tmp, scratch, lo, hi)
+        full = _full_acceleration(u, model, 4.0)
+        full *= 0.5 * dt
+    assert 0 <= lo <= hi <= n
+    assert np.all(np.abs(np.concatenate([u[:lo], u[hi:]])) < t)
+    assert np.array_equal(_bits(a), _bits(full))
 
 
 def _odd_state(N, L, seed, amplitude):
