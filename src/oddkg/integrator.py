@@ -72,19 +72,20 @@ def _acceleration(u1: np.ndarray, model: Model, inv_dx2: float, a: np.ndarray,
                   tmp: np.ndarray, scratch: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """a = D2 u1 - V'(u1), written in place; tmp and scratch are overwritten.
     V' is `model.dV` on [lo, hi) and the bitwise equal u1 * (-m) outside, where
-    |u1| < model.linear_below (a - u is a - u*1.0, a + u is a - u*(-1.0))."""
+    |u1| < model.linear_below (for m = -1, a - u is a - u*1.0)."""
     np.multiply(u1, -2.0, out=a)
     np.add(a[:-1], u1[1:], out=a[:-1])
     np.add(a[1:], u1[:-1], out=a[1:])
     a *= inv_dx2
+    if hi - lo == u1.size:  # the whole grid, without the cost of slicing it
+        a -= model.dV(u1, tmp, scratch)
+        return a
     a[lo:hi] -= model.dV(u1[lo:hi], tmp[lo:hi], scratch[lo:hi])
     for tail in (slice(0, lo), slice(hi, u1.size)):
         if tail.start == tail.stop:
             continue
         if model.m == -1.0:
             a[tail] -= u1[tail]
-        elif model.m == 1.0:
-            a[tail] += u1[tail]
         else:
             a[tail] -= np.multiply(u1[tail], -model.m, out=tmp[tail])
     return a
@@ -95,13 +96,17 @@ def _half_kick(u1: np.ndarray, model: Model, inv_dx2: float, dt: float, a: np.nd
     """a = (dt/2) (D2 u1 - V'(u1)) in place; returns the window [lo, hi) used:
     the given one (0, 0 at the start) while both tails hold |u1| < t =
     model.linear_below (a nan fails both tests, so it lands inside), else a
-    rescan padded by 64 nodes, so that a spreading wave rescans only now and then."""
+    rescan padded by 64 nodes, so that a spreading wave rescans only now and then.
+    Tails of fewer than 1024 nodes in all cost more to check than np.sin saves
+    on them, so such a rescan takes the whole grid, which is never checked again."""
     t, n, top, bottom = model.linear_below, u1.size, np.maximum.reduce, np.minimum.reduce
     if not ((lo == 0 or (top(u1[:lo]) < t and bottom(u1[:lo]) > -t))
             and (hi == n or (top(u1[hi:]) < t and bottom(u1[hi:]) > -t))):
         lo = int(np.less(np.abs(u1, out=tmp), t, out=scratch).argmin())  # 1.0: linear
         j = int(np.less(tmp[::-1], t, out=scratch).argmin())
         lo, hi = (0, 0) if scratch[j] else (max(lo - 64, 0), min(n - j + 64, n))
+        if hi - lo > n - 1024:
+            lo, hi = 0, n
     _acceleration(u1, model, inv_dx2, a, tmp, scratch, lo, hi)
     a *= 0.5 * dt
     return lo, hi

@@ -8,7 +8,7 @@ import pytest
 from oddkg.exact import linear_standing_wave
 from oddkg.grid import Field, State, make_grid, zero_state
 from oddkg.integrator import (
-    BlowupError, RunSettings, StopRun, _acceleration, _kick_drift_kick, cfl_dt,
+    BlowupError, RunSettings, StopRun, _half_kick, _kick_drift_kick, cfl_dt,
     leapfrog_step, run,
 )
 from oddkg.models import CATALOG_NAMES, make_model
@@ -202,7 +202,9 @@ def test_blowup_is_reported_at_the_first_non_finite_step():
     # sine-Gordon at dt = 0.1, beyond the stability bound: a grid-scale ripple
     # of 1e-10 in the far field grows ~25x per step and overflows there first,
     # at step 232; below linear_below, the far field starts outside the window
-    # of nonlinear nodes and joins it only by rescans
+    # of nonlinear nodes and joins it only by rescans (the grid is long enough
+    # for its tails to be worth a window; dx stays 0.04)
+    g = make_grid(80.0, 1999)
     ripple = np.where(g.x > 30.0, 1e-10 * (-1.0) ** np.arange(g.N), 0.0)
     st = State(Field(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0) + ripple), Field(g, np.zeros(g.N)))
     first, walk = _first_non_finite_step_is_reported(SG, st, 0.1)
@@ -313,7 +315,7 @@ def test_step_allocates_nothing(name):
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))
     inv_dx2 = 1.0 / g.dx ** 2
     dt = cfl_dt(g, model, 0.4)
-    _acceleration(u1, model, inv_dx2, a, tmp, scratch, 0, g.N)
+    _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
     lo = hi = 0  # an empty window: the first traced step rescans
     tracemalloc.start()
     try:

@@ -253,7 +253,10 @@ def test_half_kick_window_holds_and_changes_no_bit(model, data, dt):
     edge = [0.0, t, -t, float(np.nextafter(t, 0.0)), 1e-300, math.nan, math.inf]
     values = st.one_of(st.sampled_from(edge), st.floats(-2.0 * t, 2.0 * t),
                        st.floats(-4.0, 4.0))
-    u = np.array(data.draw(st.lists(values, min_size=1, max_size=300)))
+    # constant margins below t, long enough that a rescan keeps a window
+    below = st.sampled_from([0.0, -0.0, 5e-324, edge[3], -edge[3]])
+    left, right = (np.full(data.draw(st.integers(0, 1500)), data.draw(below)) for _ in "lr")
+    u = np.concatenate([left, data.draw(st.lists(values, min_size=1, max_size=300)), right])
     n = u.size
     lo, hi = sorted(data.draw(st.tuples(st.integers(0, n), st.integers(0, n))))
     a, tmp, scratch = (np.empty_like(u) for _ in range(3))
