@@ -21,9 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from .experiments import (
-    SCENARIOS, ConfigError, build_config, describe, parse_pairs, run_scenario,
+    SCENARIOS, ConfigError, build_config, describe, format_summary, parse_pairs, run_scenario,
 )
-from .experiments import _format_value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,8 +75,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for key, value in result.summary.items():
-        print(f"{key}: {_format_value(value)}")
+    print(format_summary(result.summary), end="")
     print(f"wrote {result.csv_path}")
     print(f"wrote {result.summary_path}")
     return 0 if result.ok else 1

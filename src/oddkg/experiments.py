@@ -39,7 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from .exact import BreatherParams, breather_exact, breather_state
-from .grid import Field, Grid, State, integrate_fullline, make_fullline_grid, make_grid
+from .grid import (
+    MIN_INTERIOR_POINTS, Field, Grid, State, integrate_fullline, make_fullline_grid, make_grid,
+    spacing,
+)
 from .integrator import BlowupError, RunSettings, StopRun, cfl_dt, run
 from .models import CATALOG_NAMES, Model, ModelError, make_model
 from .virial import (
@@ -172,15 +175,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"got {cfg.sigma}")
     if not cfg.L > 0:
         raise ConfigError(f"L must be positive, got {cfg.L}")
-    if cfg.N < 16:
-        raise ConfigError(f"N must be at least 16, got {cfg.N}")
+    if cfg.N < MIN_INTERIOR_POINTS:
+        raise ConfigError(f"N must be at least {MIN_INTERIOR_POINTS}, got {cfg.N}")
     if not 0.0 < cfg.dt_safety < 1.0:
         raise ConfigError(f"dt_safety must lie in (0, 1), got {cfg.dt_safety}")
     if cfg.T < 0:
         raise ConfigError(f"T must be nonnegative, got {cfg.T}")
     if not (cfg.lam > 0 and cfg.lam * cfg.lam < math.inf):  # the weights divide by lambda^2
         raise ConfigError(f"lambda must be positive, with a finite square, got {cfg.lam}")
-    dx = (2.0 if _fullline(cfg) else 1.0) * cfg.L / (cfg.N + 1)
+    dx = spacing(cfg.L, cfg.N, _fullline(cfg))
     if not (dx > 0.0 and math.isfinite(4.0 / dx / dx)):  # the time step needs 4/dx^2
         raise ConfigError(f"dx = {dx:g} is too small: L={cfg.L:g} over N+1={cfg.N + 1}")
     if cfg.lam < MIN_LAMBDA_OVER_DX * dx:
@@ -355,11 +358,14 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def write_summary(summary: dict, path) -> None:
+def format_summary(summary: dict) -> str:
     """Flat key: value lines, insertion order preserved."""
-    path = Path(path)
-    lines = [f"{k}: {_format_value(v)}" for k, v in summary.items()]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(f"{k}: {_format_value(v)}" for k, v in summary.items()) + "\n"
+
+
+def write_summary(summary: dict, path) -> None:
+    """The summary's format_summary text, written atomically to `path`."""
+    _atomic_write(Path(path), format_summary(summary))
 
 
 # ----------------------------------------------------------------------

@@ -48,26 +48,31 @@ class Grid:
         return self.tables[key]
 
 
-def make_grid(L: float, N: int) -> Grid:
-    """Half-line grid on (0, L) with N interior nodes, dx = L/(N+1)."""
+def spacing(L: float, N: int, fullline: bool) -> float:
+    """dx of N interior nodes: L/(N+1) on the half-line, 2L/(N+1) on the full line."""
+    return (2.0 if fullline else 1.0) * L / (N + 1)
+
+
+def _make(L: float, N: int, fullline: bool) -> Grid:
     if not L > 0:
         raise ValueError(f"domain half-width must be positive, got L={L}")
     if N < MIN_INTERIOR_POINTS:
         raise ValueError(f"need at least {MIN_INTERIOR_POINTS} interior points, got N={N}")
-    dx = L / (N + 1)
+    dx = spacing(L, N, fullline)
     x = dx * np.arange(1, N + 1, dtype=float)
-    return Grid(L=float(L), N=int(N), dx=dx, x=x, fullline=False)
+    if fullline:
+        x = -L + x
+    return Grid(L=float(L), N=int(N), dx=dx, x=x, fullline=fullline)
+
+
+def make_grid(L: float, N: int) -> Grid:
+    """Half-line grid on (0, L) with N interior nodes, dx = L/(N+1)."""
+    return _make(L, N, False)
 
 
 def make_fullline_grid(L: float, N: int) -> Grid:
     """Full-line grid on (-L, L) with N interior nodes, dx = 2L/(N+1)."""
-    if not L > 0:
-        raise ValueError(f"domain half-width must be positive, got L={L}")
-    if N < MIN_INTERIOR_POINTS:
-        raise ValueError(f"need at least {MIN_INTERIOR_POINTS} interior points, got N={N}")
-    dx = 2.0 * L / (N + 1)
-    x = -L + dx * np.arange(1, N + 1, dtype=float)
-    return Grid(L=float(L), N=int(N), dx=dx, x=x, fullline=True)
+    return _make(L, N, True)
 
 
 @dataclass(eq=False)

@@ -367,8 +367,11 @@ def test_cli_runs_scenario_and_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "status: ok" in out
-    assert (tmp_path / "summary.txt").exists()
     assert (tmp_path / "timeseries.csv").exists()
+    # stdout is the text of summary.txt, then the two paths written
+    summary = (tmp_path / "summary.txt").read_text(encoding="utf-8")
+    assert out == (summary + f"wrote {tmp_path / 'timeseries.csv'}\n"
+                   f"wrote {tmp_path / 'summary.txt'}\n")
 
 
 def test_cli_failure_exit_code_1(tmp_path):
