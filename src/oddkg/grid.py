@@ -60,9 +60,7 @@ def _make(L: float, N: int, fullline: bool) -> Grid:
         raise ValueError(f"need at least {MIN_INTERIOR_POINTS} interior points, got N={N}")
     dx = spacing(L, N, fullline)
     x = dx * np.arange(1, N + 1, dtype=float)
-    if fullline:
-        x = -L + x
-    return Grid(L=float(L), N=int(N), dx=dx, x=x, fullline=fullline)
+    return Grid(L=float(L), N=int(N), dx=dx, x=-L + x if fullline else x, fullline=fullline)
 
 
 def make_grid(L: float, N: int) -> Grid:

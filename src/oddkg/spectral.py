@@ -222,8 +222,7 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     backward error of a computed count, which is the exact count of a
     matrix within a few eps ||A|| of A (Kahan 1966), so a decided midpoint
     gets the answer its count would give and the bisection again visits the
-    same midpoints.  The shipped spectral run takes 443 counts, 657
-    without the bounds and 930 without either skip.
+    same midpoints.  The shipped spectral run takes 443 counts.
     """
     n = d.size
     if not 1 <= k <= n:

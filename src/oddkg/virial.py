@@ -302,11 +302,12 @@ class DiagnosticsRecord:
     """One time slice of every scalar functional; see CSV_COLUMNS for order.
 
     dI_dt_numeric is filled in a post-pass over a record sequence
-    (centered differences over neighbouring records); it is NaN for a
-    standalone record.  The last three fields are not CSV columns (NaN when
-    read back from a CSV row): the staggered H1 x L2 norm squared and the
-    denominator of sf_ratio, ||u1||_inf^q ||dw/dx||^2, for the decay probe,
-    and the energy scale S, against which the convergence study measures drift.
+    (fill_dI_dt_numeric); it is NaN for a standalone record.  The last four
+    fields are not CSV columns (NaN when read back from a CSV row): the
+    staggered H1 x L2 norm squared, the nonlinear term
+    integral psi' [F(u1) - u1 f(u1)/2] of -dI/dt and the denominator of
+    sf_ratio, ||u1||_inf^q ||dw/dx||^2, for the decay summary, and the energy
+    scale S, against which the convergence study measures drift.
     """
 
     t: float
@@ -322,6 +323,7 @@ class DiagnosticsRecord:
     dH_dt_analytic: float
     sf_ratio: float
     energy_norm_sq: float = field(default=math.nan, compare=False)
+    nonlinear: float = field(default=math.nan, compare=False)
     sf_denom: float = field(default=math.nan, compare=False)
     energy_scale: float = field(default=math.nan, compare=False)
 
@@ -347,45 +349,26 @@ def make_record(state: State, model: Model, cfg: VirialConfig) -> DiagnosticsRec
     return DiagnosticsRecord(
         t=state.t, E=k.E, I=k.I, dI_dt_numeric=math.nan, dI_dt_rhs=-k.rhs, B_val=k.B,
         H=k.H, H1w_sq=k.h1w, L2w_sq=k.l2w, cross=k.cross, dH_dt_analytic=k.dH,
-        sf_ratio=k.sf, energy_norm_sq=k.energy_norm_sq, sf_denom=k.sf_denom,
-        energy_scale=k.energy_scale,
-    )
-
-
-def _quadratic_slope(t1, t2, t3, f1, f2, f3, at) -> float:
-    """Derivative at `at` of the parabola through (t1,f1), (t2,f2), (t3,f3)."""
-    return float(
-        f1 * (2.0 * at - t2 - t3) / ((t1 - t2) * (t1 - t3))
-        + f2 * (2.0 * at - t1 - t3) / ((t2 - t1) * (t2 - t3))
-        + f3 * (2.0 * at - t1 - t2) / ((t3 - t1) * (t3 - t2))
+        sf_ratio=k.sf, energy_norm_sq=k.energy_norm_sq, nonlinear=k.nonlinear,
+        sf_denom=k.sf_denom, energy_scale=k.energy_scale,
     )
 
 
 def fill_dI_dt_numeric(records: list[DiagnosticsRecord]) -> None:
-    """Fill dI_dt_numeric by differencing I over the record sequence.
+    """Fill dI_dt_numeric with numpy's second-order gradient of I over the record times.
 
-    Each record takes the derivative of the local 3-point quadratic
-    interpolant, which is the centered difference on equispaced interior
-    records and stays second order at the ends and across the shorter
-    final interval (the last record need not land on the regular record
-    cadence).  With fewer than three records only a first-order slope is
-    available.
+    np.gradient(I, t, edge_order=2) is the slope of the 3-point quadratic
+    interpolant: centered on interior records, one-sided at the ends and
+    across the shorter final interval (the last record need not land on
+    the regular record cadence).  Two records take their secant, one NaN.
     """
-    n = len(records)
-    if n == 0:
-        return
-    if n == 1:
+    if len(records) == 1:
         records[0].dI_dt_numeric = math.nan
+    if len(records) < 2:
         return
-    t = [r.t for r in records]
-    I = [r.I for r in records]
-    if n == 2:
-        slope = (I[1] - I[0]) / (t[1] - t[0])
-        records[0].dI_dt_numeric = slope
-        records[1].dI_dt_numeric = slope
-        return
-    for k in range(n):
-        j = min(max(k - 1, 0), n - 3)  # leftmost index of the 3-point stencil
-        records[k].dI_dt_numeric = _quadratic_slope(
-            t[j], t[j + 1], t[j + 2], I[j], I[j + 1], I[j + 2], t[k]
-        )
+    t = np.array([r.t for r in records])
+    I = np.array([r.I for r in records])
+    with np.errstate(all="ignore"):  # the last record of a blow-up may hold inf or nan
+        slopes = np.gradient(I, t, edge_order=min(len(records) - 1, 2))
+    for r, slope in zip(records, slopes.tolist()):
+        r.dI_dt_numeric = slope

@@ -11,8 +11,9 @@ import pytest
 from oddkg import virial
 from oddkg.cli import main as cli_main
 from oddkg.experiments import (
-    ConfigError, ExperimentConfig, Lcg, config_model, describe, make_initial_data,
-    parse_config, random_odd_field, run_scenario, write_summary, write_timeseries,
+    ConfigError, ExperimentConfig, Lcg, _Simulation, config_model, describe,
+    make_initial_data, parse_config, random_odd_field, run_scenario, write_summary,
+    write_timeseries,
 )
 from oddkg.grid import (
     Field, State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid,
@@ -212,6 +213,30 @@ def test_decay_scenario_phi4_aborts_on_smallness(tmp_path):
     assert result.summary["smallness_ok"] is False
     assert result.records[-1].t < 10.0
     assert result.summary["sup_energy_norm"] > 3 * cfg.epsilon
+
+
+@pytest.mark.parametrize("model, status", [("sine-gordon", "ok"), ("phi4", "aborted_smallness")])
+def test_decay_summary_maxima_are_taken_over_the_records(model, status):
+    # the maxima cover every record the run returns, the one that tripped
+    # the smallness guard included; each record's nonlinear term is the
+    # kernel's own, not a difference of two larger values
+    cfg = parse_config(QUICK_DECAY.replace("T=4", "T=12") + f"model={model}\n")
+    result = run_scenario(cfg, write_files=False)
+    assert result.status == status
+    recs, s = result.records, result.summary
+    assert s["sup_energy_norm"] == max(math.sqrt(r.energy_norm_sq) for r in recs)
+    assert s["max_sfsix_const"] == max(abs(r.nonlinear) / r.sf_denom for r in recs
+                                       if r.sf_denom > 0.0)
+    assert (s["sup_energy_norm"] > s["smallness_bound"]) == (status != "ok")
+
+    sim = _Simulation(cfg, cfg.N)
+    same = []
+
+    def fresh_kernel(state, rec):
+        same.append(rec.nonlinear == virial._Kernel(state.u1, cfg.lam, model=sim.model).nonlinear)
+
+    records, _ = sim.simulate(on_record=fresh_kernel)
+    assert len(same) == len(records) and all(same)
 
 
 def test_breather_scenario_quick(tmp_path):

@@ -72,6 +72,7 @@ def test_record_after_another_state_matches_standalone(
     assert rec.I == after_other(virial_I, state, cfg)
     assert rec.B_val == after_other(bilinear_B, u1, cfg)
     assert rec.dI_dt_rhs == -after_other(virial_rhs, state, model, cfg)
+    assert rec.dI_dt_rhs == -(rec.B_val + rec.nonlinear)
     assert rec.H == after_other(H_loc, state)
     assert (rec.H1w_sq, rec.L2w_sq) == after_other(weighted_norms, state)
     assert rec.cross == after_other(cross_term, state)

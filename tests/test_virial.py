@@ -3,6 +3,8 @@ identity checks between the independent B / Bsharp routes, and the record
 machinery."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,18 +267,65 @@ def test_csv_header_matches_columns():
     assert csv_header().split(",") == list(CSV_COLUMNS)
 
 
+def _records(times, I):
+    return [DiagnosticsRecord(t=t, E=0, I=i, dI_dt_numeric=math.nan, dI_dt_rhs=0, B_val=0,
+                              H=0, H1w_sq=0, L2w_sq=0, cross=0, dH_dt_analytic=0, sf_ratio=0)
+            for t, i in zip(times, I)]
+
+
 def test_fill_dI_dt_numeric_quadratic_exact():
     # derivative of the record interpolant is exact on quadratics, including
     # a shorter final interval and the end records
     times = [0.0, 0.1, 0.2, 0.3, 0.34]
-
-    def mkrec(t):
-        return DiagnosticsRecord(t=t, E=0, I=3.0 * t * t - 2.0 * t + 1.0,
-                                 dI_dt_numeric=math.nan, dI_dt_rhs=0, B_val=0,
-                                 H=0, H1w_sq=0, L2w_sq=0, cross=0,
-                                 dH_dt_analytic=0, sf_ratio=0)
-
-    recs = [mkrec(t) for t in times]
+    recs = _records(times, [3.0 * t * t - 2.0 * t + 1.0 for t in times])
     fill_dI_dt_numeric(recs)
     for r in recs:
         assert r.dI_dt_numeric == pytest.approx(6.0 * r.t - 2.0, abs=1e-10)
+
+
+def test_fill_dI_dt_numeric_is_the_exact_three_point_slope():
+    # record times on a dt cadence with a short final interval; each slope
+    # against the derivative, at its record, of the parabola through the
+    # record's 3-point stencil, evaluated in exact rationals on the same floats
+    times = [k * 25 * 0.0016 for k in range(9)] + [8.3 * 25 * 0.0016]
+    I = [7e-3 + 1e-3 * math.sin(3.0 * t) for t in times]
+    recs = _records(times, I)
+    fill_dI_dt_numeric(recs)
+    n = len(recs)
+    for k, r in enumerate(recs):
+        j = min(max(k - 1, 0), n - 3)
+        ts, fs, at = [Fraction(v) for v in times[j:j + 3]], I[j:j + 3], Fraction(times[k])
+        coefs = [(2 * at - sum(ts) + ti) / math.prod(ti - tm for tm in ts if tm != ti)
+                 for ti in ts]
+        exact = sum(c * Fraction(f) for c, f in zip(coefs, fs))
+        # the rounding of a 3-term sum whose coefficients are rounded too
+        bound = 8 * Fraction(np.finfo(float).eps) * sum(abs(c * Fraction(f))
+                                                        for c, f in zip(coefs, fs))
+        assert abs(Fraction(r.dI_dt_numeric) - exact) <= bound, k
+
+
+def test_fill_dI_dt_numeric_short_sequences():
+    fill_dI_dt_numeric([])
+    one = _records([0.0], [2.0])
+    one[0].dI_dt_numeric = 1.0
+    fill_dI_dt_numeric(one)
+    assert math.isnan(one[0].dI_dt_numeric)
+    two = _records([0.1, 0.25], [2.0, 3.5])
+    fill_dI_dt_numeric(two)
+    assert [r.dI_dt_numeric for r in two] == [(3.5 - 2.0) / (0.25 - 0.1)] * 2
+
+
+@pytest.mark.parametrize("last_two", [(1.0, math.inf), (1.0, math.nan),
+                                      (1e308, math.inf), (math.inf, math.inf)])
+def test_fill_dI_dt_numeric_after_a_blow_up_warns_nothing(last_two):
+    # the last records of a blow-up may hold a huge or non-finite I: no numpy
+    # warning escapes, and the slopes whose stencils avoid them are kept
+    times = [0.0, 0.1, 0.2, 0.3, 0.4, 0.45]
+    finite = _records(times, [1.0, 2.0, 4.0, 3.0, 5.0, 6.0])
+    blown = _records(times, [1.0, 2.0, 4.0, 3.0, *last_two])
+    fill_dI_dt_numeric(finite)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fill_dI_dt_numeric(blown)
+    assert [r.dI_dt_numeric for r in blown[:3]] == [r.dI_dt_numeric for r in finite[:3]]
+    assert not math.isfinite(blown[-1].dI_dt_numeric)
