@@ -362,13 +362,13 @@ def fill_dI_dt_numeric(records: list[DiagnosticsRecord]) -> None:
     across the shorter final interval (the last record need not land on
     the regular record cadence).  Two records take their secant, one NaN.
     """
-    if len(records) == 1:
-        records[0].dI_dt_numeric = math.nan
     if len(records) < 2:
+        for r in records:
+            r.dI_dt_numeric = math.nan
         return
     t = np.array([r.t for r in records])
     I = np.array([r.I for r in records])
-    with np.errstate(all="ignore"):  # the last record of a blow-up may hold inf or nan
+    with np.errstate(all="ignore"):  # the last records of a blow-up may be huge, inf or nan
         slopes = np.gradient(I, t, edge_order=min(len(records) - 1, 2))
     for r, slope in zip(records, slopes.tolist()):
         r.dI_dt_numeric = slope
