@@ -10,8 +10,8 @@ its own `src`.  Both sides read the same config files.  Every
 per file says whether it is identical.  Exits 1 on any difference.
 
 The list is the golden runs (`test_golden.RUNS`, run by `test_golden._run`)
-plus the shipped decay at T = 200 and the T = 20 decay with each
-polynomial catalog model.  Both sides run on one host, so the bits of
+plus the shipped decay at T = 200 and the T = 20 decay with phi4, phi6,
+cubic-nlkg and linear-kg.  Both sides run on one host, so the bits of
 libm cancel; the golden test cannot show byte identity, as it allows
 1e-9 relative.
 
@@ -65,7 +65,7 @@ def _differing_lines(a: Path, b: Path) -> str:
 
 def main(argv: list) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("usage: python tests/byte_identity.py <rev>", file=sys.stderr)
         return 2
     rev = argv[0]
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
