@@ -440,7 +440,7 @@ def _base_summary(cfg: ExperimentConfig, sim: _Simulation, abort: dict) -> dict:
 # ----------------------------------------------------------------------
 
 class _DecayProbe:
-    """The smallness guard: ends the run at the first record of norm above 3 epsilon."""
+    """The smallness guard: ends the run at the first record whose norm exceeds the limit."""
 
     def __init__(self, epsilon: float):
         self.limit = SMALLNESS_FACTOR * epsilon
