@@ -22,8 +22,10 @@ The time-stepping scenarios share one pipeline: `_fullline` picks the grid
 kind, `_Simulation` builds a run at one resolution, and its `simulate` turns
 a NaN/Inf blow-up into `status: aborted_nan` with `abort_step`/`abort_t`.
 
-Outputs: ``timeseries.csv`` (fixed column order, 17 significant digits)
-and ``summary.txt`` (flat ``key: value`` lines), written atomically into
+Outputs: ``timeseries.csv`` (`write_timeseries`) and ``summary.txt`` (flat
+``key: value`` lines, `format_summary`).  This module writes every byte of
+both; the modules it calls return numbers.  Every float keeps 17 significant
+digits, which ``float()`` reads back bit for bit.  Both go atomically into
 ``output_dir``, created first; failing to create or write it is a ConfigError.
 Identical configs produce byte-identical outputs.
 """
@@ -46,7 +48,7 @@ from .grid import (
 from .integrator import BlowupError, RunSettings, StopRun, cfl_dt, run
 from .models import CATALOG_NAMES, Model, ModelError, make_model
 from .virial import (
-    H_loc, VirialConfig, bilinear_B, bsharp, csv_header, energy_norm_sq, to_w, virial_I,
+    CSV_COLUMNS, H_loc, VirialConfig, bilinear_B, bsharp, energy_norm_sq, to_w, virial_I,
     virial_I_abs, weighted_norms,
 )
 
@@ -335,19 +337,14 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_timeseries(records, path, extra_columns: dict | None = None) -> None:
-    """CSV with the fixed diagnostic columns plus optional extra columns."""
-    path = Path(path)
+    """CSV of each record's CSV_COLUMNS, then the extra columns (name -> one
+    value per record), in one float format, written atomically to `path`."""
     extra = extra_columns or {}
-    header = csv_header()
-    if extra:
-        header = header + "," + ",".join(extra.keys())
-    lines = [header]
+    lines = [",".join((*CSV_COLUMNS, *extra))]
     for i, rec in enumerate(records):
-        row = rec.csv_row()
-        if extra:
-            row = row + "," + ",".join(f"{col[i]:.16e}" for col in extra.values())
-        lines.append(row)
-    _atomic_write(path, "\n".join(lines) + "\n")
+        row = [getattr(rec, c) for c in CSV_COLUMNS] + [col[i] for col in extra.values()]
+        lines.append(",".join(f"{v:.16e}" for v in row))
+    _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 def _format_value(v) -> str:
@@ -617,7 +614,11 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
         all_ok = all_ok and chk.counts_match and chk.marginals_near_zero
     for parity in ("odd", "even"):
         rep = coercivity_certificate(cfg.lam, grid, parity=parity)
-        summary.update(rep.as_summary(prefix=f"cert_{parity}_"))
+        tag = f"cert_{parity}"
+        summary[f"{tag}_negative_count"] = rep.negative_count
+        summary[f"{tag}_lowest_eigs"] = " ".join(map(_format_value, rep.lowest_eigs))
+        summary[f"{tag}_coercivity_min_ratio"] = rep.coercivity_min_ratio
+        summary[f"{tag}_residual_min_eig"] = rep.residual_min_eig
     if not all_ok:
         summary["status"] = "failed_checks"
     return ScenarioResult(summary)

@@ -118,7 +118,8 @@ def zero_state(grid: Grid, t: float = 0.0) -> State:
 def integrate_fullline(integrand, grid: Grid | None = None, origin: str = "zero") -> float:
     """Integral over the whole real line of an even integrand.
 
-    `integrand` is a Field, or an ndarray of samples paired with `grid`.
+    `integrand` is a Field (on `grid`, if that is given too), or an ndarray
+    of samples paired with `grid`.
     On a full-line grid this is the trapezoid rule with zero Dirichlet end
     values (x=0 is an ordinary interior node there).  On a half-line grid
     it is 2 x trapezoid on [0, L]; the value at the unstored x=0 node is
@@ -131,7 +132,11 @@ def integrate_fullline(integrand, grid: Grid | None = None, origin: str = "zero"
       built from x-derivatives of odd fields, e.g. (du1/dx)^2, whose
       origin value does not vanish; leaving it out costs an O(dx) error.
     """
+    if origin not in ("zero", "even"):
+        raise ValueError(f"unknown origin mode {origin!r}")
     if isinstance(integrand, Field):
+        if grid is not None and grid is not integrand.grid:
+            raise ValueError("integrand does not live on the supplied grid")
         grid = integrand.grid
         v = integrand.values
     else:
@@ -142,12 +147,7 @@ def integrate_fullline(integrand, grid: Grid | None = None, origin: str = "zero"
             raise ValueError(f"integrand has {v.shape} values for a grid with N={grid.N}")
     if grid.fullline:
         return float(grid.dx * v.sum())
-    if origin == "zero":
-        g0 = 0.0
-    elif origin == "even":
-        g0 = (4.0 * v[0] - v[1]) / 3.0
-    else:
-        raise ValueError(f"unknown origin mode {origin!r}")
+    g0 = 0.0 if origin == "zero" else (4.0 * v[0] - v[1]) / 3.0
     return float(grid.dx * (g0 + 2.0 * v.sum()))
 
 

@@ -273,15 +273,6 @@ class SpectralReport:
     coercivity_min_ratio: float
     residual_min_eig: float
 
-    def as_summary(self, prefix: str = "") -> dict:
-        """Flat key:value block for the experiment summary file."""
-        out = {}
-        out[f"{prefix}negative_count"] = self.negative_count
-        out[f"{prefix}lowest_eigs"] = " ".join(f"{e:.17g}" for e in self.lowest_eigs)
-        out[f"{prefix}coercivity_min_ratio"] = self.coercivity_min_ratio
-        out[f"{prefix}residual_min_eig"] = self.residual_min_eig
-        return out
-
 
 def coercivity_certificate(lam: float, grid: Grid, parity: str = "odd") -> SpectralReport:
     """Certify the coercivity of Bsharp on one parity sector.

@@ -303,11 +303,10 @@ class DiagnosticsRecord:
 
     dI_dt_numeric is filled in a post-pass over a record sequence
     (fill_dI_dt_numeric); it is NaN for a standalone record.  The last four
-    fields are not CSV columns (NaN when read back from a CSV row): the
-    staggered H1 x L2 norm squared, the nonlinear term
-    integral psi' [F(u1) - u1 f(u1)/2] of -dI/dt and the denominator of
-    sf_ratio, ||u1||_inf^q ||dw/dx||^2, for the decay summary, and the energy
-    scale S, against which the convergence study measures drift.
+    fields are not CSV columns: the staggered H1 x L2 norm squared, the
+    nonlinear term integral psi' [F(u1) - u1 f(u1)/2] of -dI/dt and the
+    denominator of sf_ratio, ||u1||_inf^q ||dw/dx||^2, for the decay summary,
+    and the energy scale S, against which the convergence study measures drift.
     """
 
     t: float
@@ -326,21 +325,6 @@ class DiagnosticsRecord:
     nonlinear: float = field(default=math.nan, compare=False)
     sf_denom: float = field(default=math.nan, compare=False)
     energy_scale: float = field(default=math.nan, compare=False)
-
-    def csv_row(self) -> str:
-        return ",".join(f"{getattr(self, c):.16e}" for c in CSV_COLUMNS)
-
-
-def csv_header() -> str:
-    return ",".join(CSV_COLUMNS)
-
-
-def record_from_csv_row(row: str) -> DiagnosticsRecord:
-    parts = row.strip().split(",")
-    if len(parts) < len(CSV_COLUMNS):
-        raise ValueError(f"CSV row has {len(parts)} fields, expected >= {len(CSV_COLUMNS)}")
-    vals = {c: float(parts[i]) for i, c in enumerate(CSV_COLUMNS)}
-    return DiagnosticsRecord(**vals)
 
 
 def make_record(state: State, model: Model, cfg: VirialConfig) -> DiagnosticsRecord:

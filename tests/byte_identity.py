@@ -7,7 +7,11 @@ then runs a fixed list of scenarios twice, once on that tree and once on
 this working tree, each in a fresh interpreter that imports `oddkg` from
 its own `src`.  Both sides read the same config files.  Every
 `summary.txt` and `timeseries.csv` is compared byte for byte; one line
-per file says whether it is identical.  Exits 1 on any difference.
+per file says whether it is identical.  Under a file that differs, one
+line per CSV column gives its largest deviation as a fraction of the
+column's max |value| on <rev>, and one line per summary key gives its
+relative deviation, or names the key when its value is text.  Exits 1
+on any difference.
 
 The list is the golden runs (`test_golden.RUNS`, run by `test_golden._run`)
 plus the shipped decay at T = 200 and the T = 20 decay with phi4, phi6,
@@ -19,6 +23,7 @@ The file name keeps pytest from collecting it.
 """
 
 import io
+import math
 import subprocess
 import sys
 import tarfile
@@ -63,6 +68,80 @@ def _differing_lines(a: Path, b: Path) -> str:
     return f"{n} of {max(len(la), len(lb))} lines"
 
 
+def _deviation(a: float, b: float, scale: float) -> float:
+    """|a - b| / scale: 0 for equal values (nan with nan too), inf where only
+    one side is nan or the scale is 0."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    d = abs(a - b)
+    return d / scale if scale > 0 and not math.isnan(d) else math.inf
+
+
+def _csv_deviations(a: Path, b: Path) -> list:
+    (ha, *ra), (hb, *rb) = a.read_text().splitlines(), b.read_text().splitlines()
+    if ha != hb:
+        return [f"header {ha!r} vs {hb!r}"]
+    out = []
+    if len(ra) != len(rb):
+        out.append(f"{len(ra)} rows vs {len(rb)}; the first {min(len(ra), len(rb))} compared")
+    va = [[float(v) for v in row.split(",")] for row in ra]
+    vb = [[float(v) for v in row.split(",")] for row in rb]
+    for j, col in enumerate(ha.split(",")):
+        scale = max((abs(r[j]) for r in va if not math.isnan(r[j])), default=0.0)
+        dev = max((_deviation(x[j], y[j], scale) for x, y in zip(va, vb)), default=0.0)
+        if dev:
+            out.append(f"{col}: {dev:.2g} of column scale")
+    return out
+
+
+def _floats(value: str) -> list | None:
+    try:
+        return [float(tok) for tok in value.split()]
+    except ValueError:
+        return None
+
+
+def _read_summary(path: Path) -> dict:
+    # as in test_golden, whose import would import oddkg into this process,
+    # which runs neither tree's code
+    return dict(line.split(": ", 1) for line in path.read_text().splitlines())
+
+
+def _summary_deviations(a: Path, b: Path) -> list:
+    sa, sb = _read_summary(a), _read_summary(b)
+    out = []
+    for key in dict.fromkeys([*sa, *sb]):
+        if key not in sa or key not in sb:
+            out.append(f"{key}: only on {'<rev>' if key in sa else 'the tree'}")
+        elif sa[key] != sb[key]:
+            fa, fb = _floats(sa[key]), _floats(sb[key])
+            if fa is None or fb is None or len(fa) != len(fb):
+                out.append(f"{key}: text {sa[key]!r} vs {sb[key]!r}")
+            elif dev := max(_deviation(x, y, abs(x)) for x, y in zip(fa, fb)):
+                out.append(f"{key}: {dev:.2g} relative")
+    return out
+
+
+_DEVIATIONS = {"summary.txt": _summary_deviations, "timeseries.csv": _csv_deviations}
+
+
+def compare(out_rev: Path, out_tree: Path) -> tuple[list, int]:
+    """Report lines for each run directory under `out_rev` against its namesake
+    under `out_tree`, and the number of files that differ."""
+    lines, differ = [], 0
+    for name in sorted(p.name for p in out_rev.iterdir()):
+        for fname in FILES:
+            a, b = out_rev / name / fname, out_tree / name / fname
+            if a.read_bytes() == b.read_bytes():
+                lines.append(f"identical  {name}/{fname}")
+                continue
+            differ += 1
+            lines.append(f"DIFFERS    {name}/{fname}: {_differing_lines(a, b)}")
+            devs = _DEVIATIONS[fname](a, b) or ["every value equal; the text differs"]
+            lines += [f"           {d}" for d in devs]
+    return lines, differ
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print("usage: python tests/byte_identity.py <rev>", file=sys.stderr)
@@ -78,17 +157,10 @@ def main(argv: list) -> int:
         for side, src in sides.items():
             (tmp / f"out_{side}").mkdir()
             _run_tree(src, tmp / f"out_{side}")
-        names = sorted(p.name for p in (tmp / "out_rev").iterdir())
-        differ = 0
-        for name in names:
-            for fname in FILES:
-                a, b = tmp / "out_rev" / name / fname, tmp / "out_tree" / name / fname
-                if a.read_bytes() == b.read_bytes():
-                    print(f"identical  {name}/{fname}")
-                else:
-                    differ += 1
-                    print(f"DIFFERS    {name}/{fname}: {_differing_lines(a, b)}")
-    print(f"{differ} of {len(names) * len(FILES)} files differ from {rev}")
+        lines, differ = compare(tmp / "out_rev", tmp / "out_tree")
+        n_files = len(FILES) * sum(1 for _ in (tmp / "out_rev").iterdir())
+    print("\n".join(lines))
+    print(f"{differ} of {n_files} files differ from {rev}")
     return 1 if differ else 0
 
 

@@ -1,0 +1,58 @@
+"""The deviation report of `tests/byte_identity.py`, on two small synthetic
+output directories: one run whose files are identical, one whose CSV and
+summary differ by roundoff, by a text value and by a missing key."""
+
+from pathlib import Path
+
+import byte_identity
+
+HEADER = "t,E,exact_err_l2\n"
+
+
+def _write(root: Path, name: str, csv: str, summary: str) -> None:
+    (root / name).mkdir(parents=True)
+    (root / name / "timeseries.csv").write_text(HEADER + csv)
+    (root / name / "summary.txt").write_text(summary)
+
+
+def test_report_names_each_deviation(tmp_path):
+    rev, tree = tmp_path / "rev", tmp_path / "tree"
+    same_csv, same_summary = "0.0e+00,1.0e+00,nan\n", "status: ok\n"
+    for root in (rev, tree):
+        _write(root, "a_same", same_csv, same_summary)
+    _write(rev, "b_moved", "0.0e+00,2.0e+00,nan\n1.0e+00,-4.0e+00,1.0e-03\n",
+           "status: ok\nH: 2.0\neigs: 1.0 4.0\nn: 3\ngone: 1\n")
+    _write(tree, "b_moved", "0.0e+00,2.0e+00,nan\n1.0e+00,-4.000000000000004e+00,1.0e-03\n",
+           "status: aborted_nan\nH: 2.0000000000000004\neigs: 1.0 4.000000000000004\nn: 3\n")
+
+    lines, differ = byte_identity.compare(rev, tree)
+
+    assert differ == 2
+    assert lines == [
+        "identical  a_same/summary.txt",
+        "identical  a_same/timeseries.csv",
+        "DIFFERS    b_moved/summary.txt: 4 of 5 lines",
+        "           status: text 'ok' vs 'aborted_nan'",
+        "           H: 2.2e-16 relative",
+        "           eigs: 1.1e-15 relative",
+        "           gone: only on <rev>",
+        "DIFFERS    b_moved/timeseries.csv: 1 of 3 lines",
+        "           E: 1.1e-15 of column scale",
+    ]
+
+
+def test_report_on_equal_values_in_other_text(tmp_path):
+    # the same floats written differently, and a row the tree lacks
+    rev, tree = tmp_path / "rev", tmp_path / "tree"
+    _write(rev, "run", "1.0e+00,2.0e+00,3.0e+00\n4.0e+00,5.0e+00,6.0e+00\n", "H: 0.5\n")
+    _write(tree, "run", "1.0e+00,2.0e+00,3.0e+00\n", "H: 5e-1\n")
+
+    lines, differ = byte_identity.compare(rev, tree)
+
+    assert differ == 2
+    assert lines == [
+        "DIFFERS    run/summary.txt: 1 of 1 lines",
+        "           every value equal; the text differs",
+        "DIFFERS    run/timeseries.csv: 1 of 3 lines",
+        "           2 rows vs 1; the first 1 compared",
+    ]

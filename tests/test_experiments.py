@@ -22,8 +22,7 @@ from oddkg.grid import (
 from oddkg.integrator import cfl_dt, leapfrog_step
 from oddkg.models import make_model
 from oddkg.virial import (
-    CSV_COLUMNS, VirialConfig, csv_header, energy, energy_norm_sq, record_from_csv_row,
-    virial_I_abs,
+    CSV_COLUMNS, VirialConfig, energy, energy_norm_sq, virial_I_abs,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,7 +162,7 @@ def test_random_odd_fields_decay_and_differ():
 def test_write_timeseries_empty_is_header_only(tmp_path):
     path = tmp_path / "timeseries.csv"
     write_timeseries([], path)
-    assert path.read_text() == csv_header() + "\n"
+    assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_summary_format(tmp_path):
@@ -193,11 +192,10 @@ def test_decay_scenario_quick(tmp_path):
 
     # CSV round-trip: parse back bit-equal
     lines = Path(result.csv_path).read_text().splitlines()
-    assert lines[0] == csv_header()
+    assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(result.records)
-    back = record_from_csv_row(lines[3])
-    for col in CSV_COLUMNS:
-        assert getattr(back, col) == getattr(result.records[2], col)
+    back = [float(v) for v in lines[3].split(",")]
+    assert back == [getattr(result.records[2], col) for col in CSV_COLUMNS]
 
 
 def test_decay_scenario_phi4_aborts_on_smallness(tmp_path):
@@ -253,7 +251,7 @@ def test_breather_scenario_quick(tmp_path):
     assert abs(s["H_period_ratio_1"] - 1.0) < 0.01
     assert s["max_exact_err_l2"] < 1e-2
     header = Path(result.csv_path).read_text().splitlines()[0]
-    assert header == csv_header() + ",exact_err_l2"
+    assert header == ",".join(CSV_COLUMNS) + ",exact_err_l2"
 
 
 def test_breather_scenario_requires_sine_gordon():

@@ -62,6 +62,19 @@ def test_integrate_zero_field():
     assert integrate_fullline(Field(g, np.zeros(g.N))) == 0.0
 
 
+@pytest.mark.parametrize("make", (make_grid, make_fullline_grid))
+def test_integrate_rejects_unknown_origin_and_foreign_grid(make):
+    # both checks hold on either grid kind; a Field integrates on its own
+    # grid, so a second, different grid is an error rather than ignored
+    g, other = make(20.0, 99), make(40.0, 99)
+    f = Field(g, np.ones(g.N))
+    with pytest.raises(ValueError, match="unknown origin mode"):
+        integrate_fullline(f.values, g, origin="bogus")
+    with pytest.raises(ValueError, match="supplied grid"):
+        integrate_fullline(f, other)
+    assert integrate_fullline(f, g) == integrate_fullline(f) == integrate_fullline(f.values, g)
+
+
 def test_integrate_sech_against_pi():
     # int sech = pi; domain truncation is exponentially small at L = 40
     # (the 1e-9 floor is the O(dx^5) origin-extrapolation term, not truncation)

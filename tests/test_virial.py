@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oddkg.experiments import write_timeseries
 from oddkg.grid import Field, State, derivative, integrate_fullline, make_grid
 from oddkg.models import make_model
 from oddkg.virial import (
     CSV_COLUMNS, DiagnosticsRecord, VirialConfig, H_loc, bilinear_B, bsharp,
-    cross_term, csv_header, dH_analytic, fill_dI_dt_numeric, make_record,
-    record_from_csv_row, sf_ratio, to_w, virial_I, virial_rhs, weighted_norms,
+    cross_term, dH_analytic, fill_dI_dt_numeric, make_record, sf_ratio, to_w,
+    virial_I, virial_rhs, weighted_norms,
 )
 
 # dense grid so quadrature/stencil error sits below the 1e-6 oracle tolerance
@@ -251,20 +252,25 @@ def test_make_record_consistent_with_functionals():
     assert math.isnan(rec.dI_dt_numeric)
 
 
-def test_csv_roundtrip_bit_exact():
+def test_csv_roundtrip_bit_exact(tmp_path):
+    # every value the CSV writer formats, record and extra columns alike,
+    # reads back with float() bit for bit
     rec = DiagnosticsRecord(
         t=0.30000000000000004, E=-1.2345678912345678e-7, I=math.pi,
         dI_dt_numeric=-2.718281828459045e3, dI_dt_rhs=1e-300, B_val=0.1,
         H=7.0, H1w_sq=3.5, L2w_sq=3.5, cross=-0.25,
         dH_dt_analytic=1.7976931348623157e2, sf_ratio=0.0,
     )
-    back = record_from_csv_row(rec.csv_row())
-    for col in CSV_COLUMNS:
-        assert getattr(back, col) == getattr(rec, col)
+    extra = {"exact_err_l2": [5e-324]}
+    path = tmp_path / "timeseries.csv"
+    write_timeseries([rec], path, extra)
+    header, row = path.read_text().splitlines()
+    assert header == ",".join(CSV_COLUMNS) + ",exact_err_l2"
+    want = [getattr(rec, col) for col in CSV_COLUMNS] + extra["exact_err_l2"]
+    assert [float(v).hex() for v in row.split(",")] == [v.hex() for v in want]
 
-
-def test_csv_header_matches_columns():
-    assert csv_header().split(",") == list(CSV_COLUMNS)
+    write_timeseries([], path, {"exact_err_l2": []})
+    assert path.read_text() == header + "\n"
 
 
 def _records(times, I):
