@@ -11,10 +11,12 @@ Two grid flavors share one representation:
   Dirichlet at both ends.  Used only for even data (breather runs) that
   the odd half-line representation cannot hold.
 
-All line integrals of even integrands reduce to the half-line:
-2 * trapezoid on [0, L].  Derivatives are plain central differences with
-zero ghost values at the Dirichlet nodes; for odd fields the x=0 ghost is
-exact, so the stencil is second order up to the boundary.
+`Field` and `State` hold the samples of one field and of a state.  The
+calculus takes a bare sample array together with its grid, and returns an
+array or a float.  All line integrals of even integrands reduce to the
+half-line: 2 * trapezoid on [0, L].  Derivatives are plain central
+differences with zero ghost values at the Dirichlet nodes; for odd fields
+the x=0 ghost is exact, so the stencil is second order up to the boundary.
 """
 
 from __future__ import annotations
@@ -115,11 +117,9 @@ def zero_state(grid: Grid, t: float = 0.0) -> State:
     return State(Field(grid, np.zeros(grid.N)), Field(grid, np.zeros(grid.N)), t)
 
 
-def integrate_fullline(integrand, grid: Grid | None = None, origin: str = "zero") -> float:
-    """Integral over the whole real line of an even integrand.
+def integrate_fullline(v: np.ndarray, grid: Grid, origin: str = "zero") -> float:
+    """Integral over the whole real line of an even integrand sampled as `v` on `grid`.
 
-    `integrand` is a Field (on `grid`, if that is given too), or an ndarray
-    of samples paired with `grid`.
     On a full-line grid this is the trapezoid rule with zero Dirichlet end
     values (x=0 is an ordinary interior node there).  On a half-line grid
     it is 2 x trapezoid on [0, L]; the value at the unstored x=0 node is
@@ -134,56 +134,45 @@ def integrate_fullline(integrand, grid: Grid | None = None, origin: str = "zero"
     """
     if origin not in ("zero", "even"):
         raise ValueError(f"unknown origin mode {origin!r}")
-    if isinstance(integrand, Field):
-        if grid is not None and grid is not integrand.grid:
-            raise ValueError("integrand does not live on the supplied grid")
-        grid = integrand.grid
-        v = integrand.values
-    else:
-        if grid is None:
-            raise ValueError("grid is required when integrand is a bare array")
-        v = np.asarray(integrand, dtype=float)
-        if v.shape != (grid.N,):
-            raise ValueError(f"integrand has {v.shape} values for a grid with N={grid.N}")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (grid.N,):
+        raise ValueError(f"integrand has {v.shape} values for a grid with N={grid.N}")
     if grid.fullline:
         return float(grid.dx * v.sum())
     g0 = 0.0 if origin == "zero" else (4.0 * v[0] - v[1]) / 3.0
     return float(grid.dx * (g0 + 2.0 * v.sum()))
 
 
-def derivative(f: Field, out: np.ndarray | None = None) -> Field:
-    """Central-difference derivative with zero ghost values at both ends.
+def derivative(v: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Central-difference derivative of `v` on `grid`, zero ghost values at both ends.
 
     Writes into `out` (N values) when given, else into a fresh array.
     """
-    v = f.values
-    h = 2.0 * f.grid.dx
+    h = 2.0 * grid.dx
     if out is None:
         out = np.empty_like(v)
     np.subtract(v[2:], v[:-2], out=out[1:-1])
     out[1:-1] /= h
     out[0] = v[1] / h
     out[-1] = -v[-2] / h
-    return Field(f.grid, out)
+    return out
 
 
-def gradient_sq_integral(f: Field, out: np.ndarray | None = None) -> float:
-    """Full-line integral of (df/dx)^2 in the staggered (forward-difference) form.
+def gradient_sq_integral(v: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> float:
+    """Full-line integral of (dv/dx)^2 in the staggered (forward-difference) form.
 
     This is the stiffness term of the Hamiltonian that the semidiscrete
-    flow conserves exactly: sum over cell midpoints of ((f_{j+1}-f_j)/dx)^2
+    flow conserves exactly: sum over cell midpoints of ((v_{j+1}-v_j)/dx)^2
     with zero ghosts.  It is second order for the continuum value and, in
     particular, integrates the origin cell correctly for odd fields whose
     derivative does not vanish at x = 0.  The N+1 differences go into
     `out` when given, else into a fresh array.
     """
-    v = f.values
-    dx = f.grid.dx
+    dx = grid.dx
     d = np.empty(v.size + 1) if out is None else out
     d[0] = v[0]
     np.subtract(v[1:], v[:-1], out=d[1:-1])
     d[-1] = -v[-1]
     d /= dx
     s = dx * float(np.dot(d, d))
-    return s if f.grid.fullline else 2.0 * s
-
+    return s if grid.fullline else 2.0 * s

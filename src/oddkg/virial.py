@@ -63,7 +63,7 @@ class VirialConfig:
 class UnitWeights:
     """The rows on one grid that no virial scale lam enters.
 
-    np.dot(even, g) is integrate_fullline(g, origin="even"): the row is
+    np.dot(even, g) is integrate_fullline(g, grid, origin="even"): the row is
     dx*(2, ..., 2) + dx*(4/3, -1/3, 0, ..., 0) on the half-line and
     dx*(1, ..., 1) on the full line.  The localization rows are `even` times
 
@@ -147,7 +147,7 @@ class _Kernel:
                  model: Model | None = None, q: float = 2.0):
         self.grid = u1.grid
         self.lam = lam
-        self.field1, self.u1 = u1, u1.values
+        self.u1 = u1.values
         self.u2 = None if u2 is None else u2.values
         self.model, self.q = model, q
         self.ws = u1.grid.table(("workspace",), dict)
@@ -162,7 +162,7 @@ class _Kernel:
     U = _Once(lambda k: _unit_weights(k.grid))
     W = _Once(lambda k: _weights(k.grid, k.lam))
     # pointwise products, each written into its own workspace buffer
-    du1 = _Once(lambda k: derivative(k.field1, out=k.buf("du1")).values)
+    du1 = _Once(lambda k: derivative(k.u1, k.grid, out=k.buf("du1")))
     u1_sq = _Once(lambda k: np.multiply(k.u1, k.u1, out=k.buf("u1_sq")))
     du1_sq = _Once(lambda k: np.multiply(k.du1, k.du1, out=k.buf("du1_sq")))
     u2_sq = _Once(lambda k: np.multiply(k.u2, k.u2, out=k.buf("u2_sq")))
@@ -177,12 +177,12 @@ class _Kernel:
                     else np.power(np.abs(k.u1, out=k.buf("abs_pow")), 2.0 + k.q,
                                   out=k.buf("abs_pow")))
     w = _Once(lambda k: np.multiply(k.W.zeta, k.u1, out=k.buf("w")))
-    dw = _Once(lambda k: derivative(Field(k.grid, k.w), out=k.buf("dw")).values)
+    dw = _Once(lambda k: derivative(k.w, k.grid, out=k.buf("dw")))
     dw_sq = _Once(lambda k: np.square(k.dw, out=k.buf("dw_sq")))
     h1_sum = _Once(lambda k: np.add(k.du1_sq, k.u1_sq, out=k.buf("h1_sum")))
     h_sum = _Once(lambda k: np.add(k.h1_sum, k.u2_sq, out=k.buf("h_sum")))
     # scalars (E and energy_norm_sq: the staggered gradient, see `energy`)
-    grad_sq = _Once(lambda k: gradient_sq_integral(k.field1, out=k.buf("grad", k.grid.N + 1)))
+    grad_sq = _Once(lambda k: gradient_sq_integral(k.u1, k.grid, out=k.buf("grad", k.grid.N + 1)))
     u1_l2 = _Once(lambda k: integrate_fullline(k.u1_sq, k.grid))
     u2_l2 = _Once(lambda k: integrate_fullline(k.u2_sq, k.grid))
     E = _Once(lambda k: 0.5 * k.grad_sq + 0.5 * k.u2_l2 - 0.5 * k.model.m * k.u1_l2
@@ -268,14 +268,12 @@ def cross_term(state: State) -> float:
     return _Kernel(state.u1, None, state.u2).cross
 
 
-def energy(state: State, model: Model, grid: Grid) -> float:
+def energy(state: State, model: Model) -> float:
     """Conserved energy: full-line integral of u2^2/2 + u1x^2/2 - m*u1^2/2 - F(u1).
 
     Its gradient term is gradient_sq_integral, the exact stiffness of the
     semidiscrete Hamiltonian, so along a symplectic trajectory it wobbles at O(dt^2).
     """
-    if state.grid is not grid:
-        raise ValueError("state does not live on the supplied grid")
     return _Kernel(state.u1, None, state.u2, model).E
 
 

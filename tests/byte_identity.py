@@ -14,8 +14,9 @@ relative deviation, or names the key when its value is text.  Exits 1
 on any difference.
 
 The list is the golden runs (`test_golden.RUNS`, run by `test_golden._run`)
-plus the shipped decay at T = 200 and the T = 20 decay with phi4, phi6,
-cubic-nlkg and linear-kg.  Both sides run on one host, so the bits of
+plus the shipped decay at T = 200, the T = 20 decay with phi4, phi6,
+cubic-nlkg and linear-kg and with odd velocity data, and a breather-mode
+convergence study on the full line.  Both sides run on one host, so the bits of
 libm cancel; the golden test cannot show byte identity, as it allows
 1e-9 relative.
 
@@ -39,6 +40,10 @@ EXTRA_RUNS = {
     "decay_T200": ("decay_sine_gordon.cfg", {}),
     **{f"decay_{model}": ("decay_sine_gordon.cfg", {"T": "20", "model": model})
        for model in ("phi4", "phi6", "cubic-nlkg", "linear-kg")},
+    "decay_velocity": ("decay_sine_gordon.cfg",
+                       {"T": "20", "data_family": "gauss-odd-velocity"}),
+    "convergence_breather": ("breather.cfg", {"scenario": "convergence", "conv_mode": "breather",
+                                              "L": "40", "N": "1999", "T": "3"}),
 }
 
 

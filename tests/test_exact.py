@@ -127,7 +127,7 @@ def test_standing_wave_energy_closed_form():
     lk = make_model("linear-kg")
     for t in (0.0, 0.4):
         st = linear_standing_wave(5, g, t)
-        assert energy(st, lk, g) == pytest.approx(standing_wave_energy(5, g), rel=1e-4)
+        assert energy(st, lk) == pytest.approx(standing_wave_energy(5, g), rel=1e-4)
 
 
 def test_standing_wave_mode_validation():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oddkg import virial
+from oddkg import experiments, virial
 from oddkg.cli import main as cli_main
 from oddkg.experiments import (
     ConfigError, ExperimentConfig, Lcg, _Simulation, config_model, describe,
@@ -112,7 +112,7 @@ def test_initial_data_bits_match_the_explicit_norms(family, sigma):
     profile = g.x * np.exp(-(g.x ** 2) / cfg.sigma ** 2)
     zero = np.zeros(g.N)
     if family == "gauss-odd-displacement":
-        Z = math.sqrt(gradient_sq_integral(Field(g, profile))
+        Z = math.sqrt(gradient_sq_integral(profile, g)
                       + integrate_fullline(profile * profile, g) + integrate_fullline(zero * zero, g))
     else:
         Z = math.sqrt(integrate_fullline(profile * profile, g))
@@ -126,7 +126,7 @@ def test_initial_data_energy_order_eps_squared():
     cfg = parse_config(QUICK_DECAY)
     g = make_grid(cfg.L, cfg.N)
     st = make_initial_data(cfg, g)
-    E = energy(st, make_model(cfg.model), g)
+    E = energy(st, make_model(cfg.model))
     assert E > 0.0
     assert 0.01 * cfg.epsilon ** 2 < E < cfg.epsilon ** 2
 
@@ -154,7 +154,7 @@ def test_random_odd_fields_decay_and_differ():
     vcfg = VirialConfig(10.0)
     W = virial._weights(g, vcfg.lam)
     for f in (f1, f2):
-        inline = float(np.dot(W.psi, np.abs(derivative(f).values * f.values))
+        inline = float(np.dot(W.psi, np.abs(derivative(f.values, g) * f.values))
                        + 0.5 * np.dot(W.psip, f.values ** 2))
         assert virial_I_abs(State(f, f.copy()), vcfg) == inline
 
@@ -323,6 +323,23 @@ def test_virial_check_scenario(tmp_path):
     assert s["max_rel_B_vs_Bsharp"] < s["tol_B_vs_Bsharp"]
     assert s["max_rel_I_selfpair"] < s["tol_I_selfpair"]
     assert s["max_rel_H_decomp"] < s["tol_H_decomp"]
+
+
+@pytest.mark.parametrize("name", ["B_vs_Bsharp", "I_selfpair", "H_decomp"])
+def test_virial_check_fails_on_each_check_alone(name, tmp_path, monkeypatch):
+    # a zero tolerance fails one check: the run exits 1 and says so, with
+    # the summary keys of a passing run, in their order
+    monkeypatch.setitem(experiments.VIRIAL_CHECK_TOL, name, 0.0)
+    argv = ["virial-check", "--config", str(ROOT / "configs" / "virial_check.cfg"),
+            "--set", f"output_dir={tmp_path}"]
+    assert cli_main(argv) == 1
+    golden = ROOT / "tests" / "golden" / "virial_check" / "summary.txt"
+    keys = [line.split(": ", 1)[0] for line in golden.read_text().splitlines()]
+    summary = dict(line.split(": ", 1)
+                   for line in (tmp_path / "summary.txt").read_text().splitlines())
+    assert list(summary) == keys
+    assert summary["status"] == "failed_checks"
+    assert float(summary[f"tol_{name}"]) == 0.0
 
 
 def test_determinism_byte_identical_outputs(tmp_path):

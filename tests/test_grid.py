@@ -59,20 +59,19 @@ def test_integrate_gaussian_against_sqrt_pi():
 
 def test_integrate_zero_field():
     g = make_grid(40.0, 3999)
-    assert integrate_fullline(Field(g, np.zeros(g.N))) == 0.0
+    assert integrate_fullline(np.zeros(g.N), g) == 0.0
 
 
 @pytest.mark.parametrize("make", (make_grid, make_fullline_grid))
 def test_integrate_rejects_unknown_origin_and_foreign_grid(make):
-    # both checks hold on either grid kind; a Field integrates on its own
-    # grid, so a second, different grid is an error rather than ignored
-    g, other = make(20.0, 99), make(40.0, 99)
-    f = Field(g, np.ones(g.N))
+    # both checks hold on either grid kind; samples of another size than
+    # the grid's are an error rather than integrated with its dx
+    g, other = make(20.0, 99), make(40.0, 199)
+    v = np.ones(g.N)
     with pytest.raises(ValueError, match="unknown origin mode"):
-        integrate_fullline(f.values, g, origin="bogus")
-    with pytest.raises(ValueError, match="supplied grid"):
-        integrate_fullline(f, other)
-    assert integrate_fullline(f, g) == integrate_fullline(f) == integrate_fullline(f.values, g)
+        integrate_fullline(v, g, origin="bogus")
+    with pytest.raises(ValueError, match="N=199"):
+        integrate_fullline(v, other)
 
 
 def test_integrate_sech_against_pi():
@@ -98,20 +97,20 @@ def test_derivative_of_sine_second_order():
         g = make_grid(40.0, N)
         f = Field(g, np.sin(math.pi * g.x / g.L))
         exact = (math.pi / g.L) * np.cos(math.pi * g.x / g.L)
-        errs.append(np.max(np.abs(derivative(f).values - exact)))
+        errs.append(np.max(np.abs(derivative(f.values, g) - exact)))
     order = math.log2(errs[0] / errs[1])
     assert 1.9 <= order <= 2.1
 
 
 def test_derivative_zero_field():
     g = make_grid(10, 99)
-    assert np.all(derivative(Field(g, np.zeros(g.N))).values == 0.0)
+    assert np.all(derivative(np.zeros(g.N), g) == 0.0)
 
 
 def test_derivative_linear_field_exact_interior():
     # central differences are exact on x; only the x=L Dirichlet ghost clips
     g = make_grid(10, 99)
-    d = derivative(Field(g, g.x.copy())).values
+    d = derivative(g.x.copy(), g)
     assert np.allclose(d[:-1], 1.0, atol=1e-12)
     assert d[-1] != pytest.approx(1.0, abs=0.1)
 
@@ -137,7 +136,7 @@ def test_integration_by_parts_exact_for_odd_fields():
     f = Field(g, g.x * np.exp(-g.x ** 2))
     h = Field(g, g.x * np.exp(-g.x ** 2 / 2.0))
     resid = integrate_fullline(
-        derivative(f).values * h.values + f.values * derivative(h).values, g
+        derivative(f.values, g) * h.values + f.values * derivative(h.values, g), g
     )
     assert abs(resid) < 1e-6
     assert abs(resid) < 1e-12  # in fact it telescopes to round-off
@@ -151,7 +150,7 @@ def test_gradient_sq_integral_matches_analytic():
     for N in (7999, 15999):
         g = make_grid(40.0, N)
         f = Field(g, g.x * np.exp(-g.x ** 2))
-        errs.append(abs(gradient_sq_integral(f) - exact) / exact)
+        errs.append(abs(gradient_sq_integral(f.values, g) - exact) / exact)
     assert errs[0] < 1e-4
     assert 3.7 <= errs[0] / errs[1] <= 4.3
 

@@ -68,7 +68,7 @@ def test_record_after_another_state_matches_standalone(
     rec = after_other(make_record, state, model, cfg)
     q = model.p - 1.0
     assert rec.t == t
-    assert rec.E == after_other(energy, state, model, grid)
+    assert rec.E == after_other(energy, state, model)
     assert rec.I == after_other(virial_I, state, cfg)
     assert rec.B_val == after_other(bilinear_B, u1, cfg)
     assert rec.dI_dt_rhs == -after_other(virial_rhs, state, model, cfg)
@@ -83,22 +83,22 @@ def test_record_after_another_state_matches_standalone(
 
     # the staggered norm sum, written out: the same operations in the same order
     u1_sq, u2_sq = u1.values * u1.values, u2.values * u2.values
-    norm_sq = (gradient_sq_integral(u1) + integrate_fullline(u1_sq, grid)
+    norm_sq = (gradient_sq_integral(u1.values, grid) + integrate_fullline(u1_sq, grid)
                + integrate_fullline(u2_sq, grid))
     assert rec.energy_norm_sq == norm_sq
 
     # the remaining values against independent quadratures, to roundoff; S, the
     # size of the energy's terms, bounds |E| and is E itself for linear-kg
-    S = 0.5 * gradient_sq_integral(u1) + integrate_fullline(
+    S = 0.5 * gradient_sq_integral(u1.values, grid) + integrate_fullline(
         0.5 * u2_sq + 0.5 * abs(model.m) * u1_sq + np.abs(model.F(u1.values)), grid)
     assert abs(rec.energy_scale - S) <= 1e-14 * S
     assert rec.energy_scale >= abs(rec.E) - 1e-14 * S
     if model.name == "linear-kg":
         assert rec.energy_scale == rec.E
-    E = 0.5 * gradient_sq_integral(u1) + integrate_fullline(
+    E = 0.5 * gradient_sq_integral(u1.values, grid) + integrate_fullline(
         0.5 * u2_sq - 0.5 * model.m * u1_sq - model.F(u1.values), grid)
     assert abs(rec.E - E) <= 1e-12 * S
-    dw = derivative(to_w(u1, cfg)).values
+    dw = derivative(to_w(u1, cfg).values, grid)
     dw_sq = integrate_fullline(dw * dw, grid, origin="even")
     sf_denom = float(np.max(np.abs(u1.values))) ** q * dw_sq
     assert abs(rec.sf_denom - sf_denom) <= 1e-12 * sf_denom

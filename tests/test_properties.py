@@ -7,6 +7,8 @@ lets `lowest_eigs` skip counts that earlier ones decide, and that skipping
 changes no bit of its result.  On assembled sectors, the free-Laplacian
 bounds enclose every eigenvalue and the counts they skip change no bit
 either.  Grid: the "even" origin estimate is exact for even quadratics.
+Virial: on random odd fields, B(u1) and Bsharp(zeta u1) agree to second
+order in dx.
 Models: each model's in-place V'(u) is -(m u + f(u)) to roundoff, odd bit
 for bit, and leaves its argument alone.  Integrator: on random half-line
 grids and catalog models with small odd data, `run` lands bit for bit on
@@ -26,6 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
+from oddkg.experiments import Lcg, random_odd_field
 from oddkg.grid import Field, State, integrate_fullline, make_grid
 from oddkg.integrator import (
     RunSettings, _acceleration, _half_kick, cfl_dt, leapfrog_step, run,
@@ -35,7 +38,7 @@ from oddkg.spectral import (
     EIG_ATOL, SchrodingerDiscretization, _as_lists, _bisect, _sturm_count, assemble,
     count_below, lowest_eigs, negative_count,
 )
-from oddkg.virial import VirialConfig, make_record
+from oddkg.virial import VirialConfig, bilinear_B, bsharp, make_record, to_w
 
 ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -338,3 +341,17 @@ def test_even_origin_estimate_recovers_even_quadratics(a, b, L, N):
     eps = np.finfo(float).eps
     tol = 16.0 * eps * grid.dx * (abs(a) + 4.0 * abs(b) * grid.dx ** 2) + 4.0 * eps * abs(expected)
     assert abs(integrate_fullline(g, grid, origin="even") - expected) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(1.0, 10.0))
+def test_B_and_Bsharp_agree_to_second_order(seed, lam):
+    # the two routes to B differ by their O(dx^2) discretization errors, so
+    # halving dx (N = 999 -> 1999 on L = 80) divides the gap by about 4
+    cfg = VirialConfig(lam)
+    gaps = []
+    for N in (999, 1999):
+        u1 = random_odd_field(make_grid(80.0, N), Lcg(seed))
+        B = bilinear_B(u1, cfg)
+        gaps.append(abs(B - bsharp(to_w(u1, cfg), cfg)) / abs(B))
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.5

@@ -133,7 +133,7 @@ def test_bsharp_odd_coercivity_on_samples():
         w = _field(lambda x: np.exp(-x * x / 8.0)
                    * (c[0] * x + c[1] * np.sin(x) + c[2] * np.sin(2 * x) + c[3] * x ** 3
                       * np.exp(-x * x)))
-        dw = derivative(w).values
+        dw = derivative(w.values, FINE)
         stiff = integrate_fullline(dw * dw, FINE, origin="even")
         assert bsharp(w, cfg) >= 0.75 * stiff - 1e-9 * stiff
 
