@@ -13,9 +13,7 @@ from .experiments import (
     ConfigError, ExperimentConfig, make_initial_data, parse_config, run_scenario,
     write_summary, write_timeseries,
 )
-from .grid import (
-    Field, Grid, State, derivative, integrate_fullline, make_fullline_grid, make_grid,
-)
+from .grid import Grid, State, derivative, integrate_fullline, make_fullline_grid, make_grid
 from .integrator import BlowupError, RunSettings, cfl_dt, leapfrog_step, run
 from .models import Model, ModelError, make_model
 from .spectral import (
@@ -29,7 +27,7 @@ from .virial import (
 
 __all__ = [
     "BlowupError", "BreatherParams", "ConfigError", "DiagnosticsRecord",
-    "ExperimentConfig", "Field", "Grid", "H_loc", "Model", "ModelError",
+    "ExperimentConfig", "Grid", "H_loc", "Model", "ModelError",
     "RunSettings", "SpectralReport", "State", "VirialConfig", "assemble",
     "bilinear_B", "breather_exact", "breather_state", "bsharp", "cfl_dt",
     "coercivity_certificate", "cross_term", "dH_analytic", "derivative",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, State
+from .grid import Grid, State
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def breather_state(p: BreatherParams, t: float, grid: Grid) -> State:
         raise ValueError("breather data is even; it requires a full-line grid")
     u1 = breather_exact(p, t, grid.x)
     u2 = breather_dt_exact(p, t, grid.x)
-    return State(Field(grid, u1), Field(grid, u2), t)
+    return State(grid, u1, u2, t)
 
 
 def linear_standing_wave(n: int, grid: Grid, t: float) -> State:
@@ -85,7 +85,7 @@ def linear_standing_wave(n: int, grid: Grid, t: float) -> State:
     w = math.sqrt(k * k + 1.0)
     u1 = np.sin(k * grid.x) * math.cos(w * t)
     u2 = -w * np.sin(k * grid.x) * math.sin(w * t)
-    return State(Field(grid, u1), Field(grid, u2), t)
+    return State(grid, u1, u2, t)
 
 
 def standing_wave_energy(n: int, grid: Grid) -> float:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .exact import BreatherParams, breather_exact, breather_state
 from .grid import (
-    MIN_INTERIOR_POINTS, Field, Grid, State, integrate_fullline, make_fullline_grid, make_grid,
+    MIN_INTERIOR_POINTS, Grid, State, integrate_fullline, make_fullline_grid, make_grid,
     spacing,
 )
 from .integrator import BlowupError, RunSettings, StopRun, cfl_dt, run
@@ -214,7 +214,7 @@ def _grid(cfg: ExperimentConfig, N: int) -> Grid:
     make = make_fullline_grid if _fullline(cfg) else make_grid
     try:
         return make(cfg.L, N)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: a count numpy cannot index
         raise ConfigError(f"a grid of N={N} nodes does not fit in memory") from None
 
 
@@ -252,14 +252,15 @@ def make_initial_data(cfg: ExperimentConfig, grid: Grid) -> State:
     """
     with np.errstate(over="ignore"):  # x^2/sigma^2 overflows for a tiny sigma: Z = 0 below
         profile = grid.x * np.exp(-(grid.x ** 2) / cfg.sigma ** 2)
-    shape, zero = Field(grid, profile), Field(grid, np.zeros(grid.N))
+    zero = np.zeros(grid.N)
     displaced = cfg.data_family == "gauss-odd-displacement"
-    Z = math.sqrt(energy_norm_sq(State(shape, zero) if displaced else State(zero, shape)))
+    Z = math.sqrt(energy_norm_sq(State(grid, profile, zero) if displaced
+                                 else State(grid, zero, profile)))
     if not 0.0 < Z < math.inf:
         raise ConfigError(f"the profile of sigma={cfg.sigma:g} has norm {Z:g} on this grid; "
                           f"it must be positive and finite")
-    u = Field(grid, cfg.epsilon * profile / Z)
-    return State(u, zero) if displaced else State(zero, u)
+    u = cfg.epsilon * profile / Z
+    return State(grid, u, zero) if displaced else State(grid, zero, u)
 
 
 # ----------------------------------------------------------------------
@@ -295,13 +296,13 @@ def _odd_modes(grid: Grid) -> tuple:
         [np.sin(k * math.pi * grid.x / grid.L) for k in range(1, VIRIAL_CHECK_MODES + 1)]))
 
 
-def random_odd_field(grid: Grid, lcg: Lcg) -> Field:
+def random_odd_field(grid: Grid, lcg: Lcg) -> np.ndarray:
     """Sum of sine modes under a fixed Gaussian envelope exp(-x^2/25)."""
     envelope, rows = _odd_modes(grid)
     vals = np.zeros(grid.N)
     for row in rows:
         vals += lcg.uniform_pm1() * row
-    return Field(grid, vals * envelope)
+    return vals * envelope
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +414,7 @@ class _BreatherError:
         self.errors = []
 
     def __call__(self, state: State, rec) -> None:
-        diff = state.u1.values - breather_exact(self.breather, state.t, self.grid.x)
+        diff = state.u1 - breather_exact(self.breather, state.t, self.grid.x)
         self.errors.append(math.sqrt(integrate_fullline(diff * diff, self.grid)))
 
 
@@ -636,9 +637,9 @@ def _run_virial_check(cfg: ExperimentConfig) -> ScenarioResult:
     worst = dict.fromkeys(VIRIAL_CHECK_TOL, 0.0)
     for _ in range(VIRIAL_CHECK_FIELDS):
         u1 = random_odd_field(grid, lcg)
-        B = bilinear_B(u1, vcfg)
-        Bs = bsharp(to_w(u1, vcfg), vcfg)
-        state = State(u1, u1.copy())
+        B = bilinear_B(u1, grid, vcfg)
+        Bs = bsharp(to_w(u1, grid, vcfg), grid, vcfg)
+        state = State(grid, u1, u1.copy())
         # I(u1, u1) against the integral of its integrand's magnitude
         ipair = virial_I(state, vcfg)
         I_abs = virial_I_abs(state, vcfg)

@@ -11,12 +11,13 @@ Two grid flavors share one representation:
   Dirichlet at both ends.  Used only for even data (breather runs) that
   the odd half-line representation cannot hold.
 
-`Field` and `State` hold the samples of one field and of a state.  The
-calculus takes a bare sample array together with its grid, and returns an
-array or a float.  All line integrals of even integrands reduce to the
-half-line: 2 * trapezoid on [0, L].  Derivatives are plain central
-differences with zero ghost values at the Dirichlet nodes; for odd fields
-the x=0 ghost is exact, so the stencil is second order up to the boundary.
+`State` holds a state: its grid and the two sample arrays u1, u2.
+Everything else, the calculus included, takes a bare sample array together
+with its grid, and `check_samples` is the one check of its length.  All
+line integrals of even integrands reduce to the half-line: 2 * trapezoid
+on [0, L].  Derivatives are plain central differences with zero ghost
+values at the Dirichlet nodes; for odd fields the x=0 ghost is exact, so
+the stencil is second order up to the boundary.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ def _make(L: float, N: int, fullline: bool) -> Grid:
         raise ValueError(f"need at least {MIN_INTERIOR_POINTS} interior points, got N={N}")
     dx = spacing(L, N, fullline)
     x = dx * np.arange(1, N + 1, dtype=float)
+    if x.size != N:  # np.arange gives no nodes for a count past numpy's index range
+        raise ValueError(f"numpy cannot index a grid of N={N} nodes")
     return Grid(L=float(L), N=int(N), dx=dx, x=-L + x if fullline else x, fullline=fullline)
 
 
@@ -75,46 +78,33 @@ def make_fullline_grid(L: float, N: int) -> Grid:
     return _make(L, N, True)
 
 
-@dataclass(eq=False)
-class Field:
-    """Samples of a function at the interior nodes of a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.N,):
-            raise ValueError(
-                f"field has {self.values.shape} values for a grid with N={self.grid.N}"
-            )
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
+def check_samples(v, grid: Grid) -> np.ndarray:
+    """`v` as a float array, which must hold one value per interior node of `grid`."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (grid.N,):
+        raise ValueError(f"field has {v.shape} values for a grid with N={grid.N}")
+    return v
 
 
 @dataclass(eq=False)
 class State:
-    """(u1, u2) = (u, du/dt) at one instant; both fields share one grid."""
+    """(u1, u2) = (u, du/dt) at one instant, sampled on `grid`."""
 
-    u1: Field
-    u2: Field
+    grid: Grid
+    u1: np.ndarray
+    u2: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        if self.u1.grid is not self.u2.grid:
-            raise ValueError("u1 and u2 must live on the same grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u1.grid
+        self.u1 = check_samples(self.u1, self.grid)
+        self.u2 = check_samples(self.u2, self.grid)
 
     def copy(self) -> "State":
-        return State(self.u1.copy(), self.u2.copy(), self.t)
+        return State(self.grid, self.u1.copy(), self.u2.copy(), self.t)
 
 
 def zero_state(grid: Grid, t: float = 0.0) -> State:
-    return State(Field(grid, np.zeros(grid.N)), Field(grid, np.zeros(grid.N)), t)
+    return State(grid, np.zeros(grid.N), np.zeros(grid.N), t)
 
 
 def integrate_fullline(v: np.ndarray, grid: Grid, origin: str = "zero") -> float:
@@ -134,9 +124,7 @@ def integrate_fullline(v: np.ndarray, grid: Grid, origin: str = "zero") -> float
     """
     if origin not in ("zero", "even"):
         raise ValueError(f"unknown origin mode {origin!r}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.N,):
-        raise ValueError(f"integrand has {v.shape} values for a grid with N={grid.N}")
+    v = check_samples(v, grid)
     if grid.fullline:
         return float(grid.dx * v.sum())
     g0 = 0.0 if origin == "zero" else (4.0 * v[0] - v[1]) / 3.0

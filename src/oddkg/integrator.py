@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Grid, State
+from .grid import Grid, State
 from .models import Model
 from .virial import CSV_COLUMNS, DiagnosticsRecord, VirialConfig, fill_dI_dt_numeric, make_record
 
@@ -46,7 +46,7 @@ class RunSettings:
 
     dt: float
     T: float
-    record_every: int = 25
+    record_every: int
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -130,12 +130,12 @@ def leapfrog_step(state: State, model: Model, dt: float) -> State:
     """One kick-drift-kick step; dt may be negative (time reversal)."""
     grid = state.grid
     inv_dx2 = 1.0 / grid.dx ** 2
-    u1 = state.u1.values.copy()
-    u2 = state.u2.values.copy()
+    u1 = state.u1.copy()
+    u2 = state.u2.copy()
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))
     window = _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
     _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp, scratch, *window)
-    return State(Field(grid, u1), Field(grid, u2), state.t + dt)
+    return State(grid, u1, u2, state.t + dt)
 
 
 def run(
@@ -165,8 +165,8 @@ def run(
     every = settings.record_every
     n_steps = int(round(settings.T / dt)) if settings.T > 0 else 0
 
-    u1 = initial.u1.values.copy()
-    u2 = initial.u2.values.copy()
+    u1 = initial.u1.copy()
+    u2 = initial.u2.copy()
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))  # step buffers
 
     records: list[DiagnosticsRecord] = []
@@ -179,7 +179,7 @@ def run(
         raise blowup(0)
 
     def emit(step: int) -> None:
-        snap = State(Field(grid, u1.copy()), Field(grid, u2.copy()), step * dt)
+        snap = State(grid, u1.copy(), u2.copy(), step * dt)
         with np.errstate(all="ignore"):
             rec = make_record(snap, model, diagnostics)
         records.append(rec)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid, State, derivative, gradient_sq_integral, integrate_fullline
+from .grid import Grid, State, check_samples, derivative, gradient_sq_integral, integrate_fullline
 from .models import Model
 
 #: fixed CSV schema for one diagnostics record (dI_dt_rhs = -virial_rhs)
@@ -53,7 +53,7 @@ CSV_COLUMNS = (
 class VirialConfig:
     """Scale lam of the virial weight psi(x) = lam*tanh(x/lam)."""
 
-    lam: float = 10.0
+    lam: float
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -133,8 +133,9 @@ class _Once:
 class _Kernel:
     """Every diagnostic quantity of one state, each evaluated on first read.
 
-    `lam` is the scale of the rows W; a kernel that reads only the lam-free
-    rows U (H, its rate, the weighted norms, the energy) takes None.
+    `u1` and `u2` are sample arrays on `grid`; a kernel of one field takes
+    u2 = None.  `lam` is the scale of the rows W; a kernel that reads only
+    the lam-free rows U (H, its rate, the weighted norms, the energy) takes None.
     Arrays go into the grid's one workspace table, a dict of buffers by
     name, so records and standalone functionals alike allocate nothing
     N-sized here but what model.f and model.F return, and agree bit for
@@ -143,14 +144,11 @@ class _Kernel:
     kernel's products are read only while it is the last one evaluated.
     """
 
-    def __init__(self, u1: Field, lam: float | None, u2: Field | None = None,
-                 model: Model | None = None, q: float = 2.0):
-        self.grid = u1.grid
-        self.lam = lam
-        self.u1 = u1.values
-        self.u2 = None if u2 is None else u2.values
+    def __init__(self, grid: Grid, u1: np.ndarray, lam: float | None,
+                 u2: np.ndarray | None = None, model: Model | None = None, q: float = 2.0):
+        self.grid, self.u1, self.lam, self.u2 = grid, u1, lam, u2
         self.model, self.q = model, q
-        self.ws = u1.grid.table(("workspace",), dict)
+        self.ws = grid.table(("workspace",), dict)
 
     def buf(self, name: str, size: int | None = None) -> np.ndarray:
         out = self.ws.get(name)
@@ -216,32 +214,32 @@ class _Kernel:
 
 def virial_I(state: State, cfg: VirialConfig) -> float:
     """I = integral (psi u1x + psi'/2 u1) u2; even integrand for odd data."""
-    return _Kernel(state.u1, cfg.lam, state.u2).I
+    return _Kernel(state.grid, state.u1, cfg.lam, state.u2).I
 
 
 def virial_I_abs(state: State, cfg: VirialConfig) -> float:
     """Scale of I: integral psi |u1x u2| + psi'/2 |u1 u2| (psi >= 0 on the half-line)."""
-    return _Kernel(state.u1, cfg.lam, state.u2).I_abs
+    return _Kernel(state.grid, state.u1, cfg.lam, state.u2).I_abs
 
 
-def bilinear_B(u1: Field, cfg: VirialConfig) -> float:
+def bilinear_B(u1: np.ndarray, grid: Grid, cfg: VirialConfig) -> float:
     """B = integral psi' u1x^2 - 1/4 integral psi''' u1^2."""
-    return _Kernel(u1, cfg.lam).B
+    return _Kernel(grid, check_samples(u1, grid), cfg.lam).B
 
 
-def to_w(u1: Field, cfg: VirialConfig) -> Field:
+def to_w(u1: np.ndarray, grid: Grid, cfg: VirialConfig) -> np.ndarray:
     """Auxiliary function w = zeta * u1, zeta = sech(x/lam); odd when u1 is."""
-    return Field(u1.grid, _weights(u1.grid, cfg.lam).zeta * u1.values)
+    return _weights(grid, cfg.lam).zeta * check_samples(u1, grid)
 
 
-def bsharp(w: Field, cfg: VirialConfig) -> float:
+def bsharp(w: np.ndarray, grid: Grid, cfg: VirialConfig) -> float:
     """Bsharp = integral (dw/dx)^2 - V w^2 with V = sech^2(x/lam)/(2 lam^2)."""
-    return _Kernel(w, cfg.lam).bsharp
+    return _Kernel(grid, check_samples(w, grid), cfg.lam).bsharp
 
 
 def virial_rhs(state: State, model: Model, cfg: VirialConfig) -> float:
     """-dI/dt as predicted by the virial identity: B(u1) + nonlinear term."""
-    return _Kernel(state.u1, cfg.lam, model=model).rhs
+    return _Kernel(state.grid, state.u1, cfg.lam, model=model).rhs
 
 
 def weighted_norms(state: State) -> tuple[float, float]:
@@ -249,23 +247,23 @@ def weighted_norms(state: State) -> tuple[float, float]:
 
     The weight has unit scale, independent of the virial lam.
     """
-    k = _Kernel(state.u1, None, state.u2)
+    k = _Kernel(state.grid, state.u1, None, state.u2)
     return k.h1w, k.l2w
 
 
 def H_loc(state: State) -> float:
     """H = integral sech(x) [u1x^2 + u1^2 + u2^2]."""
-    return _Kernel(state.u1, None, state.u2).H
+    return _Kernel(state.grid, state.u1, None, state.u2).H
 
 
 def dH_analytic(state: State, model: Model) -> float:
     """Exact dH/dt: 2 int sech [(1+m)u1 + f(u1)] u2 - 2 int sech' u2 u1x."""
-    return _Kernel(state.u1, None, state.u2, model).dH
+    return _Kernel(state.grid, state.u1, None, state.u2, model).dH
 
 
 def cross_term(state: State) -> float:
     """integral sech(x) u1 u2."""
-    return _Kernel(state.u1, None, state.u2).cross
+    return _Kernel(state.grid, state.u1, None, state.u2).cross
 
 
 def energy(state: State, model: Model) -> float:
@@ -274,15 +272,15 @@ def energy(state: State, model: Model) -> float:
     Its gradient term is gradient_sq_integral, the exact stiffness of the
     semidiscrete Hamiltonian, so along a symplectic trajectory it wobbles at O(dt^2).
     """
-    return _Kernel(state.u1, None, state.u2, model).E
+    return _Kernel(state.grid, state.u1, None, state.u2, model).E
 
 
 def energy_norm_sq(state: State) -> float:
     """Full-line H1 x L2 norm squared, with the staggered gradient of `energy`."""
-    return _Kernel(state.u1, None, state.u2).energy_norm_sq
+    return _Kernel(state.grid, state.u1, None, state.u2).energy_norm_sq
 
 
-def sf_ratio(u1: Field, cfg: VirialConfig, q: float) -> float:
+def sf_ratio(u1: np.ndarray, grid: Grid, cfg: VirialConfig, q: float) -> float:
     """[int psi' |u1|^(2+q)] / [||u1||_inf^q * ||dw/dx||_L2^2], or 0 for u1 = 0.
 
     Scale invariant: both numerator and denominator are homogeneous of
@@ -292,7 +290,7 @@ def sf_ratio(u1: Field, cfg: VirialConfig, q: float) -> float:
     """
     if not q > 0:
         raise ValueError(f"exponent q must be positive, got {q}")
-    return _Kernel(u1, cfg.lam, q=q).sf
+    return _Kernel(grid, check_samples(u1, grid), cfg.lam, q=q).sf
 
 
 @dataclass
@@ -327,7 +325,7 @@ class DiagnosticsRecord:
 
 def make_record(state: State, model: Model, cfg: VirialConfig) -> DiagnosticsRecord:
     """Every diagnostic functional of one state, bit-identical to the standalone ones."""
-    k = _Kernel(state.u1, cfg.lam, state.u2, model, model.p - 1.0)
+    k = _Kernel(state.grid, state.u1, cfg.lam, state.u2, model, model.p - 1.0)
     return DiagnosticsRecord(
         t=state.t, E=k.E, I=k.I, dI_dt_numeric=math.nan, dI_dt_rhs=-k.rhs, B_val=k.B,
         H=k.H, H1w_sq=k.h1w, L2w_sq=k.l2w, cross=k.cross, dH_dt_analytic=k.dH,

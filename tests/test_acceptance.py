@@ -104,7 +104,7 @@ def _breather_final_error(N, dt, T=10.0):
     err = {}
 
     def probe(state, rec):
-        diff = state.u1.values - breather_exact(p, state.t, g.x)
+        diff = state.u1 - breather_exact(p, state.t, g.x)
         err["last"] = math.sqrt(g.dx * float(np.dot(diff, diff)))
 
     run(breather_state(p, 0.0, g), sg, RunSettings(dt=dt, T=T, record_every=25),
@@ -139,8 +139,8 @@ def test_criterion_02_transform_identity():
         worst = 0.0
         for _ in range(100):
             u1 = random_odd_field(g, lcg)
-            B = bilinear_B(u1, VC10)
-            Bs = bsharp(to_w(u1, VC10), VC10)
+            B = bilinear_B(u1, g, VC10)
+            Bs = bsharp(to_w(u1, g, VC10), g, VC10)
             worst = max(worst, abs(B - Bs) / max(abs(B), 1e-12))
         return worst
 

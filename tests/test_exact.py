@@ -70,8 +70,8 @@ def test_breather_state_quarter_period_displacement_vanishes():
     p = BreatherParams(0.5)
     g = make_fullline_grid(40.0, 3999)
     st = breather_state(p, math.pi / (2.0 * p.alpha), g)
-    assert np.max(np.abs(st.u1.values)) < 1e-12
-    assert np.max(np.abs(st.u2.values)) > 0.1
+    assert np.max(np.abs(st.u1)) < 1e-12
+    assert np.max(np.abs(st.u2)) > 0.1
 
 
 def test_breather_discrete_pde_residual_second_order():
@@ -99,7 +99,7 @@ def test_breather_l2_norm_vanishes_with_beta():
     norms = {}
     for beta in (0.4, 0.2, 0.1, 0.05):
         u1 = breather_state(BreatherParams(beta), 0.0, g).u1
-        norms[beta] = math.sqrt(g.dx * float(np.dot(u1.values, u1.values)))
+        norms[beta] = math.sqrt(g.dx * float(np.dot(u1, u1)))
     assert norms[0.05] < norms[0.1] < norms[0.2] < norms[0.4]
     assert norms[0.05] / norms[0.2] == pytest.approx(0.5, rel=0.1)
     assert norms[0.05] == pytest.approx(math.sqrt(32 * 0.05), rel=0.05)
@@ -108,8 +108,8 @@ def test_breather_l2_norm_vanishes_with_beta():
 def test_standing_wave_initial_velocity_zero():
     g = make_grid(40.0, 1999)
     st = linear_standing_wave(3, g, 0.0)
-    assert np.all(st.u2.values == 0.0)
-    assert np.max(np.abs(st.u1.values)) > 0.9
+    assert np.all(st.u2 == 0.0)
+    assert np.max(np.abs(st.u1)) > 0.9
 
 
 def test_standing_wave_periodicity_continuum():
@@ -118,8 +118,8 @@ def test_standing_wave_periodicity_continuum():
     w = math.sqrt(k * k + 1.0)
     a = linear_standing_wave(3, g, 0.0)
     b = linear_standing_wave(3, g, 2.0 * math.pi / w)
-    assert np.allclose(a.u1.values, b.u1.values, atol=1e-12)
-    assert np.allclose(a.u2.values, b.u2.values, atol=1e-12)
+    assert np.allclose(a.u1, b.u1, atol=1e-12)
+    assert np.allclose(a.u2, b.u2, atol=1e-12)
 
 
 def test_standing_wave_energy_closed_form():

@@ -16,8 +16,7 @@ from oddkg.experiments import (
     write_timeseries,
 )
 from oddkg.grid import (
-    Field, State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid,
-    make_grid,
+    State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid, make_grid,
 )
 from oddkg.integrator import cfl_dt, leapfrog_step
 from oddkg.models import make_model
@@ -90,15 +89,15 @@ def test_initial_data_norm_is_epsilon():
     st = make_initial_data(cfg, g)
     norm = math.sqrt(energy_norm_sq(st))
     assert norm == pytest.approx(cfg.epsilon, rel=1e-10)
-    assert np.all(st.u2.values == 0.0)
+    assert np.all(st.u2 == 0.0)
 
 
 def test_initial_data_velocity_family():
     cfg = parse_config(QUICK_DECAY + "data_family=gauss-odd-velocity\n")
     g = make_grid(cfg.L, cfg.N)
     st = make_initial_data(cfg, g)
-    assert np.all(st.u1.values == 0.0)
-    l2 = math.sqrt(integrate_fullline(st.u2.values ** 2, g))
+    assert np.all(st.u1 == 0.0)
+    l2 = math.sqrt(integrate_fullline(st.u2 ** 2, g))
     assert l2 == pytest.approx(cfg.epsilon, rel=1e-10)
 
 
@@ -118,8 +117,8 @@ def test_initial_data_bits_match_the_explicit_norms(family, sigma):
         Z = math.sqrt(integrate_fullline(profile * profile, g))
     st = make_initial_data(cfg, g)
     moved, still = (st.u1, st.u2) if family == "gauss-odd-displacement" else (st.u2, st.u1)
-    assert moved.values.tobytes() == (cfg.epsilon * profile / Z).tobytes()
-    assert still.values.tobytes() == zero.tobytes()
+    assert moved.tobytes() == (cfg.epsilon * profile / Z).tobytes()
+    assert still.tobytes() == zero.tobytes()
 
 
 def test_initial_data_energy_order_eps_squared():
@@ -147,16 +146,16 @@ def test_random_odd_fields_decay_and_differ():
     lcg = Lcg(1)
     f1 = random_odd_field(g, lcg)
     f2 = random_odd_field(g, lcg)
-    assert not np.array_equal(f1.values, f2.values)
-    assert abs(f1.values[-1]) < 1e-30  # envelope kills the far field
+    assert not np.array_equal(f1, f2)
+    assert abs(f1[-1]) < 1e-30  # envelope kills the far field
     # the kernel's scale of I on the self-pair (f, f) is, bit for bit, the
     # integral of the integrand's magnitude written out from the weight rows
     vcfg = VirialConfig(10.0)
     W = virial._weights(g, vcfg.lam)
     for f in (f1, f2):
-        inline = float(np.dot(W.psi, np.abs(derivative(f.values, g) * f.values))
-                       + 0.5 * np.dot(W.psip, f.values ** 2))
-        assert virial_I_abs(State(f, f.copy()), vcfg) == inline
+        inline = float(np.dot(W.psi, np.abs(derivative(f, g) * f))
+                       + 0.5 * np.dot(W.psip, f ** 2))
+        assert virial_I_abs(State(g, f, f.copy()), vcfg) == inline
 
 
 def test_write_timeseries_empty_is_header_only(tmp_path):
@@ -231,7 +230,8 @@ def test_decay_summary_maxima_are_taken_over_the_records(model, status):
     same = []
 
     def fresh_kernel(state, rec):
-        same.append(rec.nonlinear == virial._Kernel(state.u1, cfg.lam, model=sim.model).nonlinear)
+        k = virial._Kernel(state.grid, state.u1, cfg.lam, model=sim.model)
+        same.append(rec.nonlinear == k.nonlinear)
 
     records, _ = sim.simulate(on_record=fresh_kernel)
     assert len(same) == len(records) and all(same)
@@ -477,8 +477,8 @@ def _first_nonfinite_step(cfg: ExperimentConfig) -> int:
     with np.errstate(all="ignore"):
         for step in range(1, round(cfg.T / dt) + 1):
             state = leapfrog_step(state, model, dt)
-            if not (np.isfinite(state.u1.values).all()
-                    and np.isfinite(state.u2.values).all()):
+            if not (np.isfinite(state.u1).all()
+                    and np.isfinite(state.u2).all()):
                 return step
     raise AssertionError("the state stayed finite up to T")
 
@@ -580,6 +580,7 @@ def test_cli_unresolved_lambda_exits_2_without_traceback(tmp_path):
     "sigma=1e-300",  # zero profile norm: was a NaN state, then an IndexError
     "epsilon=1e308",  # was an OverflowError at epsilon**2
     "N=1000000000000000",  # 8 PB, beyond the address space: was an _ArrayMemoryError
+    "N=100000000000000000000",  # past numpy's index range: was a ValueError from np.arange
     "L=1e-150",  # dx = 1e-152 asks for ~1e152 steps: ran without end
     "sigma=1e-153",  # x^2/sigma^2 overflows: numpy warnings came before the error line
     "model=custom-poly",  # no poly_coeffs: was a ModelError traceback

@@ -30,7 +30,7 @@ SPAN_RATIOS = ("min_virial_ratio_after_t1", "J_plateau_increment_ratio", "min_pe
 #: a valid tiny run, which the drawn values then perturb
 TINY = {"L": ("20",), "N": ("16", "31", "99"), "T": ("0", "0.5", "1", "2")}
 EXTREME = {
-    "N": ("15", "0", "-5", "1e3", "nan"),
+    "N": ("15", "0", "-5", "1e3", "nan", "9223372036854775808", "100000000000000000000"),
     "T": ("1e-300", "-1", "inf", "nan", "1e300"),
     "L": ("4", "1e-300", "1e300", "-1", "inf"),
     "model": CATALOG_NAMES + ("bogus",),
@@ -81,6 +81,10 @@ def _check_ok_outputs(outdir: Path) -> None:
 @example(config=("decay", {"N": "99", "T": "1", "model": "linear-kg", "epsilon": "1e100"}))
 # lambda^2 overflowed in the virial weights: an OverflowError traceback
 @example(config=("decay", {"N": "16", "T": "0", "lambda": "1e200"}))
+# N past numpy's index range: np.arange gave an empty grid for 2^63 and
+# raised for 1e20, and both reached the user as tracebacks
+@example(config=("spectral", {"L": "20", "N": "9223372036854775808", "T": "0"}))
+@example(config=("virial-check", {"L": "20", "N": "100000000000000000000", "T": "0"}))
 def test_every_config_runs_or_fails_cleanly(config):
     scenario, pairs = config
     with tempfile.TemporaryDirectory() as tmp:

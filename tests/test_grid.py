@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from oddkg.grid import (
-    Field, State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid,
-    make_grid,
+    State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid, make_grid,
 )
 from oddkg.virial import energy_norm_sq
 
@@ -39,15 +38,13 @@ def test_fullline_grid_contains_origin_node():
 
 
 def test_field_shape_validation():
+    # N - 1 values in either field; the single-field entry points are
+    # checked in test_virial.test_single_field_entry_points_check_the_sample_count
     g = make_grid(10, 99)
-    with pytest.raises(ValueError):
-        Field(g, np.zeros(50))
-
-
-def test_state_requires_shared_grid():
-    g1, g2 = make_grid(10, 99), make_grid(10, 99)
-    with pytest.raises(ValueError):
-        State(Field(g1, np.zeros(99)), Field(g2, np.zeros(99)))
+    with pytest.raises(ValueError, match="N=99"):
+        State(g, np.zeros(98), np.zeros(99))
+    with pytest.raises(ValueError, match="N=99"):
+        State(g, np.zeros(99), np.zeros(98))
 
 
 def test_integrate_gaussian_against_sqrt_pi():
@@ -95,9 +92,9 @@ def test_derivative_of_sine_second_order():
     errs = []
     for N in (1999, 3999):
         g = make_grid(40.0, N)
-        f = Field(g, np.sin(math.pi * g.x / g.L))
+        f = np.sin(math.pi * g.x / g.L)
         exact = (math.pi / g.L) * np.cos(math.pi * g.x / g.L)
-        errs.append(np.max(np.abs(derivative(f.values, g) - exact)))
+        errs.append(np.max(np.abs(derivative(f, g) - exact)))
     order = math.log2(errs[0] / errs[1])
     assert 1.9 <= order <= 2.1
 
@@ -133,11 +130,9 @@ def test_quadrature_refinement_at_least_second_order():
 def test_integration_by_parts_exact_for_odd_fields():
     # central differences + zero ghosts telescope exactly: residual ~ round-off
     g = make_grid(40.0, 3999)
-    f = Field(g, g.x * np.exp(-g.x ** 2))
-    h = Field(g, g.x * np.exp(-g.x ** 2 / 2.0))
-    resid = integrate_fullline(
-        derivative(f.values, g) * h.values + f.values * derivative(h.values, g), g
-    )
+    f = g.x * np.exp(-g.x ** 2)
+    h = g.x * np.exp(-g.x ** 2 / 2.0)
+    resid = integrate_fullline(derivative(f, g) * h + f * derivative(h, g), g)
     assert abs(resid) < 1e-6
     assert abs(resid) < 1e-12  # in fact it telescopes to round-off
 
@@ -149,15 +144,15 @@ def test_gradient_sq_integral_matches_analytic():
     errs = []
     for N in (7999, 15999):
         g = make_grid(40.0, N)
-        f = Field(g, g.x * np.exp(-g.x ** 2))
-        errs.append(abs(gradient_sq_integral(f.values, g) - exact) / exact)
+        f = g.x * np.exp(-g.x ** 2)
+        errs.append(abs(gradient_sq_integral(f, g) - exact) / exact)
     assert errs[0] < 1e-4
     assert 3.7 <= errs[0] / errs[1] <= 4.3
 
 
 def test_h1_l2_norm_positive_definite():
     g = make_grid(20.0, 999)
-    u1 = Field(g, g.x * np.exp(-g.x ** 2))
-    u2 = Field(g, np.zeros(g.N))
-    assert energy_norm_sq(State(u1, u2)) > 0
-    assert energy_norm_sq(State(u2, u2)) == 0.0
+    u1 = g.x * np.exp(-g.x ** 2)
+    u2 = np.zeros(g.N)
+    assert energy_norm_sq(State(g, u1, u2)) > 0
+    assert energy_norm_sq(State(g, u2, u2)) == 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oddkg.exact import linear_standing_wave
-from oddkg.grid import Field, State, make_grid, zero_state
+from oddkg.grid import State, make_grid, zero_state
 from oddkg.integrator import (
     BlowupError, RunSettings, StopRun, _half_kick, _kick_drift_kick, cfl_dt,
     leapfrog_step, run,
@@ -44,9 +44,9 @@ def test_cfl_coarse_grid_limit():
 
 def test_run_settings_validation():
     with pytest.raises(ValueError):
-        RunSettings(dt=0.0, T=1.0)
+        RunSettings(dt=0.0, T=1.0, record_every=25)
     with pytest.raises(ValueError):
-        RunSettings(dt=0.1, T=-1.0)
+        RunSettings(dt=0.1, T=-1.0, record_every=25)
     with pytest.raises(ValueError):
         RunSettings(dt=0.1, T=1.0, record_every=0)
 
@@ -56,8 +56,8 @@ def test_zero_state_is_fixed_point():
     st = zero_state(g)
     for model in (LK, SG, make_model("phi4")):
         out = leapfrog_step(st, model, 0.05)
-        assert np.all(out.u1.values == 0.0)
-        assert np.all(out.u2.values == 0.0)
+        assert np.all(out.u1 == 0.0)
+        assert np.all(out.u2 == 0.0)
 
 
 def test_leapfrog_standing_wave_order():
@@ -79,8 +79,8 @@ def test_leapfrog_standing_wave_order():
             st = leapfrog_step(st, LK, dt)
         exact = linear_standing_wave(25, g, period)
         err = math.sqrt(g.dx * float(
-            np.sum((st.u1.values - exact.u1.values) ** 2)
-            + np.sum((st.u2.values - exact.u2.values) ** 2)
+            np.sum((st.u1 - exact.u1) ** 2)
+            + np.sum((st.u2 - exact.u2) ** 2)
         ))
         errs.append(err)
     assert 3.0 <= errs[0] / errs[1] <= 5.5
@@ -88,31 +88,30 @@ def test_leapfrog_standing_wave_order():
 
 def test_time_reversibility():
     g = make_grid(40.0, 1999)
-    st0 = State(Field(g, 0.1 * g.x * np.exp(-g.x ** 2 / 4.0)),
-                Field(g, 0.05 * g.x * np.exp(-g.x ** 2 / 6.0)))
+    st0 = State(g, 0.1 * g.x * np.exp(-g.x ** 2 / 4.0), 0.05 * g.x * np.exp(-g.x ** 2 / 6.0))
     st = st0.copy()
     n, dt = 500, 0.008
     for _ in range(n):
         st = leapfrog_step(st, SG, dt)
     for _ in range(n):
         st = leapfrog_step(st, SG, -dt)
-    scale = math.sqrt(float(np.sum(st0.u1.values ** 2) + np.sum(st0.u2.values ** 2)))
-    diff = math.sqrt(float(np.sum((st.u1.values - st0.u1.values) ** 2)
-                           + np.sum((st.u2.values - st0.u2.values) ** 2)))
+    scale = math.sqrt(float(np.sum(st0.u1 ** 2) + np.sum(st0.u2 ** 2)))
+    diff = math.sqrt(float(np.sum((st.u1 - st0.u1) ** 2)
+                           + np.sum((st.u2 - st0.u2) ** 2)))
     assert diff / scale < 1e-10
 
 
 def test_run_T_zero_single_record():
     g = make_grid(20.0, 199)
     st = zero_state(g)
-    recs = run(st, LK, RunSettings(dt=0.01, T=0.0), VC)
+    recs = run(st, LK, RunSettings(dt=0.01, T=0.0, record_every=25), VC)
     assert len(recs) == 1
     assert recs[0].t == 0.0
 
 
 def test_run_records_strictly_increasing_and_final_step():
     g = make_grid(20.0, 199)
-    st = State(Field(g, 0.01 * g.x * np.exp(-g.x ** 2)), Field(g, np.zeros(g.N)))
+    st = State(g, 0.01 * g.x * np.exp(-g.x ** 2), np.zeros(g.N))
     recs = run(st, LK, RunSettings(dt=0.01, T=1.03, record_every=10), VC)
     t = [r.t for r in recs]
     assert t[0] == 0.0
@@ -124,14 +123,14 @@ def test_run_records_strictly_increasing_and_final_step():
 
 def test_run_matches_repeated_leapfrog_steps():
     g = make_grid(20.0, 399)
-    st = State(Field(g, 0.05 * g.x * np.exp(-g.x ** 2)), Field(g, np.zeros(g.N)))
+    st = State(g, 0.05 * g.x * np.exp(-g.x ** 2), np.zeros(g.N))
     settings = RunSettings(dt=0.01, T=0.25, record_every=5)
     recs = run(st, SG, settings, VC)
     walk = st.copy()
     for _ in range(25):
         walk = leapfrog_step(walk, SG, 0.01)
     from oddkg.virial import make_record
-    final = make_record(State(walk.u1, walk.u2, 0.25), SG, VC)
+    final = make_record(State(g, walk.u1, walk.u2, 0.25), SG, VC)
     assert recs[-1].E == final.E
     assert recs[-1].I == final.I
     assert recs[-1].H == final.H
@@ -139,7 +138,7 @@ def test_run_matches_repeated_leapfrog_steps():
 
 def test_energy_conservation_linear_small_data():
     g = make_grid(40.0, 3999)
-    st = State(Field(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0)), Field(g, np.zeros(g.N)))
+    st = State(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
     recs = run(st, LK, RunSettings(dt=0.004, T=20.0, record_every=50), VC)
     E = np.array([r.E for r in recs])
     assert np.max(np.abs(E - E[0])) / abs(E[0]) < 1e-5
@@ -149,7 +148,7 @@ def test_long_linear_run_stays_bounded():
     # 1e5 steps at the CFL bound: no blow-up, bounded energy wobble
     g = make_grid(40.0, 3999)
     dt = cfl_dt(g, LK, 0.4)
-    st = State(Field(g, 0.1 * g.x * np.exp(-g.x ** 2 / 4.0)), Field(g, np.zeros(g.N)))
+    st = State(g, 0.1 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
     recs = run(st, LK, RunSettings(dt=dt, T=1e5 * dt, record_every=5000), VC)
     E = np.array([r.E for r in recs])
     assert np.all(np.isfinite(E))
@@ -162,7 +161,7 @@ def test_nan_abort_carries_records():
     # at ~400x per step and overflow well within 300 steps; the run must
     # abort with the step index, not return junk
     g = make_grid(20.0, 199)
-    st = State(Field(g, 0.1 * g.x * np.exp(-g.x ** 2)), Field(g, np.zeros(g.N)))
+    st = State(g, 0.1 * g.x * np.exp(-g.x ** 2), np.zeros(g.N))
     with pytest.raises(BlowupError) as exc:
         run(st, LK, RunSettings(dt=1.0, T=300.0, record_every=1), VC)
     assert exc.value.step > 0
@@ -177,7 +176,7 @@ def _first_non_finite_step_is_reported(model, st, dt):
     with np.errstate(all="ignore"):
         for step in range(1, 1001):
             walk = leapfrog_step(walk, model, dt)
-            if not (np.isfinite(walk.u1.values).all() and np.isfinite(walk.u2.values).all()):
+            if not (np.isfinite(walk.u1).all() and np.isfinite(walk.u2).all()):
                 first = step
                 break
     assert first is not None and first > 1
@@ -197,7 +196,7 @@ def test_blowup_is_reported_at_the_first_non_finite_step():
     # arithmetic overflows, as a BlowupError and without a RuntimeWarning
     g = make_grid(40.0, 999)
     nl = make_model("cubic-nlkg")
-    st = State(Field(g, 5.0 * g.x * np.exp(-g.x ** 2 / 4.0)), Field(g, np.zeros(g.N)))
+    st = State(g, 5.0 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
     _first_non_finite_step_is_reported(nl, st, cfl_dt(g, nl, 0.4))
     # sine-Gordon at dt = 0.1, beyond the stability bound: a grid-scale ripple
     # of 1e-10 in the far field grows ~25x per step and overflows there first,
@@ -206,11 +205,11 @@ def test_blowup_is_reported_at_the_first_non_finite_step():
     # for its tails to be worth a window; dx stays 0.04)
     g = make_grid(80.0, 1999)
     ripple = np.where(g.x > 30.0, 1e-10 * (-1.0) ** np.arange(g.N), 0.0)
-    st = State(Field(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0) + ripple), Field(g, np.zeros(g.N)))
+    st = State(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0) + ripple, np.zeros(g.N))
     first, walk = _first_non_finite_step_is_reported(SG, st, 0.1)
     assert first == 232
-    far = ~(np.isfinite(walk.u1.values) & np.isfinite(walk.u2.values))
-    assert far.any() and np.all(np.abs(st.u1.values[far]) < SG.linear_below)
+    far = ~(np.isfinite(walk.u1) & np.isfinite(walk.u2))
+    assert far.any() and np.all(np.abs(st.u1[far]) < SG.linear_below)
 
 
 def test_a_record_that_overflows_is_a_blowup_at_its_step():
@@ -218,7 +217,7 @@ def test_a_record_that_overflows_is_a_blowup_at_its_step():
     # nan at this amplitude: the run keeps that record, hands it to on_record
     # and stops at its step, without a RuntimeWarning
     g = make_grid(20.0, 199)
-    st = State(Field(g, 1e100 * g.x * np.exp(-g.x ** 2)), Field(g, np.zeros(g.N)))
+    st = State(g, 1e100 * g.x * np.exp(-g.x ** 2), np.zeros(g.N))
     seen = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -232,7 +231,7 @@ def test_a_record_that_overflows_is_a_blowup_at_its_step():
 
 def test_on_record_stop_run():
     g = make_grid(20.0, 199)
-    st = State(Field(g, 0.01 * g.x * np.exp(-g.x ** 2)), Field(g, np.zeros(g.N)))
+    st = State(g, 0.01 * g.x * np.exp(-g.x ** 2), np.zeros(g.N))
     seen = []
 
     def probe(state, rec):
@@ -251,7 +250,7 @@ def test_phi4_small_data_runs_without_nan_to_T200():
     g = make_grid(40.0, 1999)  # dx = 0.02 keeps this test quick
     p4 = make_model("phi4")
     dt = cfl_dt(g, p4, 0.4)
-    st = State(Field(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0)), Field(g, np.zeros(g.N)))
+    st = State(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
     recs = run(st, p4, RunSettings(dt=dt, T=200.0, record_every=500), VC)
     assert all(math.isfinite(r.E) and math.isfinite(r.H) for r in recs)
     assert recs[-1].t == pytest.approx(200.0, abs=2 * dt)
@@ -259,7 +258,7 @@ def test_phi4_small_data_runs_without_nan_to_T200():
 
 def test_energy_drift_halves_fourfold_with_dt():
     g = make_grid(40.0, 3999)
-    st = State(Field(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0)), Field(g, np.zeros(g.N)))
+    st = State(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
     drifts = []
     for dt in (0.004, 0.002):
         recs = run(st, SG, RunSettings(dt=dt, T=20.0, record_every=250), VC)
@@ -273,8 +272,7 @@ def test_dH_analytic_matches_H_differences():
     # residual is O(dt^2 + dx^2) relative to the dH scale and refines ~4x
     def resid(N, dt):
         g = make_grid(40.0, N)
-        st = State(Field(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0)),
-                   Field(g, np.zeros(g.N)))
+        st = State(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
         recs = run(st, SG, RunSettings(dt=dt, T=10.0, record_every=25), VC)
         t = np.array([r.t for r in recs])
         H = np.array([r.H for r in recs])
@@ -293,8 +291,7 @@ def test_dH_bound_constant_stable_under_refinement():
     # |dH/dt| <= C (H1w^2 + L2w^2) along trajectories, with C converged
     def max_ratio(N, dt):
         g = make_grid(40.0, N)
-        st = State(Field(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0)),
-                   Field(g, np.zeros(g.N)))
+        st = State(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
         recs = run(st, SG, RunSettings(dt=dt, T=20.0, record_every=25), VC)
         return max(abs(r.dH_dt_analytic) / (r.H1w_sq + r.L2w_sq)
                    for r in recs if r.H1w_sq + r.L2w_sq > 0)
@@ -330,7 +327,7 @@ def test_step_allocates_nothing(name):
 @pytest.mark.parametrize("functional", [
     H_loc, weighted_norms, cross_term, energy_norm_sq,
     lambda state: virial_I(state, VC), lambda state: virial_I_abs(state, VC),
-    lambda state: bilinear_B(state.u1, VC),
+    lambda state: bilinear_B(state.u1, state.grid, VC),
 ], ids=["H_loc", "weighted_norms", "cross_term", "energy_norm_sq", "virial_I", "virial_I_abs",
         "bilinear_B"])
 def test_standalone_functional_allocates_nothing(functional):
@@ -338,7 +335,7 @@ def test_standalone_functional_allocates_nothing(functional):
     # standalone functional allocates no N-sized array, as a record does not
     g = make_grid(80.0, 7999)
     u1 = 0.05 * g.x * np.exp(-g.x ** 2 / 4.0)
-    state = State(Field(g, u1), Field(g, 0.5 * u1))
+    state = State(g, u1, 0.5 * u1)
     functional(state)
     tracemalloc.start()
     try:

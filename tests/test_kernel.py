@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from oddkg import virial
 from oddkg.experiments import Lcg, random_odd_field
 from oddkg.grid import (
-    Field, State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid,
-    make_grid,
+    State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid, make_grid,
 )
 from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.spectral import coercivity_certificate, index_check
@@ -58,8 +57,8 @@ def test_record_after_another_state_matches_standalone(
         fullline, N, L, lam, model, seeds, amplitude, t):
     grid = (make_fullline_grid if fullline else make_grid)(L, N)
     cfg = VirialConfig(lam)
-    u1, u2, v1, v2 = (Field(grid, _field_values(grid, s, amplitude)) for s in seeds)
-    state, other = State(u1, u2, t), State(v1, v2)
+    u1, u2, v1, v2 = (_field_values(grid, s, amplitude) for s in seeds)
+    state, other = State(grid, u1, u2, t), State(grid, v1, v2)
 
     def after_other(functional, *args, **kwargs):
         make_record(other, model, cfg)  # leave another state's products in the buffers
@@ -70,49 +69,49 @@ def test_record_after_another_state_matches_standalone(
     assert rec.t == t
     assert rec.E == after_other(energy, state, model)
     assert rec.I == after_other(virial_I, state, cfg)
-    assert rec.B_val == after_other(bilinear_B, u1, cfg)
+    assert rec.B_val == after_other(bilinear_B, u1, grid, cfg)
     assert rec.dI_dt_rhs == -after_other(virial_rhs, state, model, cfg)
     assert rec.dI_dt_rhs == -(rec.B_val + rec.nonlinear)
     assert rec.H == after_other(H_loc, state)
     assert (rec.H1w_sq, rec.L2w_sq) == after_other(weighted_norms, state)
     assert rec.cross == after_other(cross_term, state)
     assert rec.dH_dt_analytic == after_other(dH_analytic, state, model)
-    assert rec.sf_ratio == after_other(sf_ratio, u1, cfg, q=q)
+    assert rec.sf_ratio == after_other(sf_ratio, u1, grid, cfg, q=q)
     assert rec.energy_norm_sq == after_other(energy_norm_sq, state)
     assert math.isnan(rec.dI_dt_numeric)
 
     # the staggered norm sum, written out: the same operations in the same order
-    u1_sq, u2_sq = u1.values * u1.values, u2.values * u2.values
-    norm_sq = (gradient_sq_integral(u1.values, grid) + integrate_fullline(u1_sq, grid)
+    u1_sq, u2_sq = u1 * u1, u2 * u2
+    norm_sq = (gradient_sq_integral(u1, grid) + integrate_fullline(u1_sq, grid)
                + integrate_fullline(u2_sq, grid))
     assert rec.energy_norm_sq == norm_sq
 
     # the remaining values against independent quadratures, to roundoff; S, the
     # size of the energy's terms, bounds |E| and is E itself for linear-kg
-    S = 0.5 * gradient_sq_integral(u1.values, grid) + integrate_fullline(
-        0.5 * u2_sq + 0.5 * abs(model.m) * u1_sq + np.abs(model.F(u1.values)), grid)
+    S = 0.5 * gradient_sq_integral(u1, grid) + integrate_fullline(
+        0.5 * u2_sq + 0.5 * abs(model.m) * u1_sq + np.abs(model.F(u1)), grid)
     assert abs(rec.energy_scale - S) <= 1e-14 * S
     assert rec.energy_scale >= abs(rec.E) - 1e-14 * S
     if model.name == "linear-kg":
         assert rec.energy_scale == rec.E
-    E = 0.5 * gradient_sq_integral(u1.values, grid) + integrate_fullline(
-        0.5 * u2_sq - 0.5 * model.m * u1_sq - model.F(u1.values), grid)
+    E = 0.5 * gradient_sq_integral(u1, grid) + integrate_fullline(
+        0.5 * u2_sq - 0.5 * model.m * u1_sq - model.F(u1), grid)
     assert abs(rec.E - E) <= 1e-12 * S
-    dw = derivative(to_w(u1, cfg).values, grid)
+    dw = derivative(to_w(u1, grid, cfg), grid)
     dw_sq = integrate_fullline(dw * dw, grid, origin="even")
-    sf_denom = float(np.max(np.abs(u1.values))) ** q * dw_sq
+    sf_denom = float(np.max(np.abs(u1))) ** q * dw_sq
     assert abs(rec.sf_denom - sf_denom) <= 1e-12 * sf_denom
-    V_w_sq = dw_sq - bsharp(to_w(u1, cfg), cfg)  # integral V w^2 >= 0
+    V_w_sq = dw_sq - bsharp(to_w(u1, grid, cfg), grid, cfg)  # integral V w^2 >= 0
     assert V_w_sq >= -1e-12 * dw_sq
 
 
 def _weigh(grid):
-    bilinear_B(Field(grid, grid.x * np.exp(-grid.x ** 2)), VirialConfig(2.0))
+    bilinear_B(grid.x * np.exp(-grid.x ** 2), grid, VirialConfig(2.0))
     assert virial._weights(grid, 2.0) is virial._weights(grid, 2.0)  # kept while the grid lives
 
 
 def _localize(grid):
-    H_loc(State(Field(grid, grid.x * np.exp(-grid.x ** 2)), Field(grid, np.zeros(grid.N))))
+    H_loc(State(grid, grid.x * np.exp(-grid.x ** 2), np.zeros(grid.N)))
 
 
 def _draw_odd_field(grid):
@@ -147,7 +146,7 @@ def test_weight_tables_live_as_long_as_their_grid():
 def test_unit_scale_functionals_build_no_lam_table():
     # H and the weighted norms use only the lam-free rows
     grid = make_grid(40.0, 399)
-    state = State(Field(grid, grid.x * np.exp(-grid.x ** 2)), Field(grid, np.cos(grid.x)))
+    state = State(grid, grid.x * np.exp(-grid.x ** 2), np.cos(grid.x))
     H_loc(state)
     weighted_norms(state)
     assert not [key for key in grid.tables if key[0] == "weights"]

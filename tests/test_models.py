@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oddkg.grid import Field, State, make_fullline_grid, make_grid
+from oddkg.grid import State, make_fullline_grid, make_grid
 from oddkg.models import ModelError, make_model
 from oddkg.virial import energy
 from oddkg.exact import BreatherParams, breather_state
@@ -175,14 +175,14 @@ def test_custom_poly_requires_params():
 
 def test_energy_zero_state():
     g = make_grid(40.0, 1999)
-    st = State(Field(g, np.zeros(g.N)), Field(g, np.zeros(g.N)))
+    st = State(g, np.zeros(g.N), np.zeros(g.N))
     assert energy(st, make_model("linear-kg")) == 0.0
 
 
 def test_energy_pure_velocity_gaussian():
     # u1 = 0, u2 = x exp(-x^2): E = 1/2 int u2^2 = sqrt(pi/2)/8
     g = make_grid(40.0, 3999)
-    st = State(Field(g, np.zeros(g.N)), Field(g, g.x * np.exp(-g.x ** 2)))
+    st = State(g, np.zeros(g.N), g.x * np.exp(-g.x ** 2))
     exact = math.sqrt(math.pi / 2.0) / 8.0
     assert energy(st, make_model("linear-kg")) == pytest.approx(exact, rel=1e-7)
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from oddkg.experiments import Lcg, random_odd_field
-from oddkg.grid import Field, State, integrate_fullline, make_grid
+from oddkg.grid import State, integrate_fullline, make_grid
 from oddkg.integrator import (
     RunSettings, _acceleration, _half_kick, cfl_dt, leapfrog_step, run,
 )
@@ -277,8 +277,8 @@ def _odd_state(N, L, seed, amplitude):
     rng = np.random.default_rng(seed)
     # half-line samples are odd data by representation
     bump = np.exp(-grid.x ** 2 / 8.0)
-    return State(Field(grid, amplitude * bump * rng.standard_normal(N)),
-                 Field(grid, amplitude * bump * rng.standard_normal(N)))
+    return State(grid, amplitude * bump * rng.standard_normal(N),
+                 amplitude * bump * rng.standard_normal(N))
 
 
 @settings(max_examples=30, deadline=None)
@@ -315,18 +315,18 @@ def test_run_is_repeated_leapfrog_and_reversible(N, L, model, seed, amplitude, s
         walk = leapfrog_step(walk, model, dt)
     last = seen[-1]
     assert last.t == n * dt == recs[-1].t
-    assert np.array_equal(last.u1.values, walk.u1.values)
-    assert np.array_equal(last.u2.values, walk.u2.values)
-    walked = make_record(State(walk.u1, walk.u2, n * dt), model, vcfg)
+    assert np.array_equal(last.u1, walk.u1)
+    assert np.array_equal(last.u2, walk.u2)
+    walked = make_record(State(walk.grid, walk.u1, walk.u2, n * dt), model, vcfg)
     assert (recs[-1].E, recs[-1].I, recs[-1].H) == (walked.E, walked.I, walked.H)
 
     for _ in range(n):
         walk = leapfrog_step(walk, model, -dt)
     # roundoff grows at most like the zero state's linear rate sqrt(m), m > 0
     growth = math.exp(math.sqrt(max(model.m, 0.0)) * n * dt)
-    scale = math.sqrt(float(np.sum(st0.u1.values ** 2) + np.sum(st0.u2.values ** 2)))
-    diff = math.sqrt(float(np.sum((walk.u1.values - st0.u1.values) ** 2)
-                           + np.sum((walk.u2.values - st0.u2.values) ** 2)))
+    scale = math.sqrt(float(np.sum(st0.u1 ** 2) + np.sum(st0.u2 ** 2)))
+    diff = math.sqrt(float(np.sum((walk.u1 - st0.u1) ** 2)
+                           + np.sum((walk.u2 - st0.u2) ** 2)))
     assert diff <= 1e-10 * growth * scale
 
 
@@ -351,7 +351,8 @@ def test_B_and_Bsharp_agree_to_second_order(seed, lam):
     cfg = VirialConfig(lam)
     gaps = []
     for N in (999, 1999):
-        u1 = random_odd_field(make_grid(80.0, N), Lcg(seed))
-        B = bilinear_B(u1, cfg)
-        gaps.append(abs(B - bsharp(to_w(u1, cfg), cfg)) / abs(B))
+        grid = make_grid(80.0, N)
+        u1 = random_odd_field(grid, Lcg(seed))
+        B = bilinear_B(u1, grid, cfg)
+        gaps.append(abs(B - bsharp(to_w(u1, grid, cfg), grid, cfg)) / abs(B))
     assert 3.5 <= gaps[0] / gaps[1] <= 4.5

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from oddkg.experiments import write_timeseries
-from oddkg.grid import Field, State, derivative, integrate_fullline, make_grid
+from oddkg.grid import State, derivative, integrate_fullline, make_grid
 from oddkg.models import make_model
 from oddkg.virial import (
     CSV_COLUMNS, DiagnosticsRecord, VirialConfig, H_loc, bilinear_B, bsharp,
@@ -24,11 +24,11 @@ FINE = make_grid(20.0, 79999)
 
 
 def _field(fn):
-    return Field(FINE, fn(FINE.x))
+    return fn(FINE.x)
 
 
 def _state(f1, f2):
-    return State(_field(f1), _field(f2))
+    return State(FINE, _field(f1), _field(f2))
 
 
 def test_virial_config_validation():
@@ -36,6 +36,21 @@ def test_virial_config_validation():
         VirialConfig(0.0)
     with pytest.raises(ValueError):
         VirialConfig(-1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v, g: bilinear_B(v, g, VirialConfig(10.0)),
+    lambda v, g: bsharp(v, g, VirialConfig(10.0)),
+    lambda v, g: to_w(v, g, VirialConfig(10.0)),
+    lambda v, g: sf_ratio(v, g, VirialConfig(10.0), 2.0),
+    integrate_fullline,
+], ids=["bilinear_B", "bsharp", "to_w", "sf_ratio", "integrate_fullline"])
+def test_single_field_entry_points_check_the_sample_count(call):
+    # one shape check, grid.check_samples, guards every entry point that takes
+    # a bare array; the State cases are in test_grid.test_field_shape_validation
+    g = make_grid(20.0, 99)
+    with pytest.raises(ValueError, match="N=99"):
+        call(np.ones(g.N - 1), g)
 
 
 def test_virial_I_zero_velocity():
@@ -47,7 +62,7 @@ def test_virial_I_selfpair_vanishes():
     # int (psi v_x + psi'/2 v) v = 0: discretely exact up to O(dx^2)
     st = _state(lambda x: x * np.exp(-x * x), lambda x: x * np.exp(-x * x))
     cfg = VirialConfig(10.0)
-    scale = integrate_fullline(np.abs(st.u1.values) ** 2, FINE)
+    scale = integrate_fullline(np.abs(st.u1) ** 2, FINE)
     assert abs(virial_I(st, cfg)) < 1e-6 * scale
 
 
@@ -68,8 +83,8 @@ def test_virial_I_against_quadrature_oracle():
 
 
 def test_bilinear_B_zero_field():
-    z = Field(FINE, np.zeros(FINE.N))
-    assert bilinear_B(z, VirialConfig(1.0)) == 0.0
+    z = np.zeros(FINE.N)
+    assert bilinear_B(z, FINE, VirialConfig(1.0)) == 0.0
 
 
 def test_bilinear_B_against_quadrature_oracle():
@@ -86,7 +101,7 @@ def test_bilinear_B_against_quadrature_oracle():
         return psip * u1x ** 2 - 0.25 * psippp * u * u
 
     oracle = 2.0 * quad(integrand, 0.0, 20.0, epsabs=1e-13, limit=200)[0]
-    assert bilinear_B(u1, VirialConfig(lam)) == pytest.approx(oracle, rel=1e-6)
+    assert bilinear_B(u1, FINE, VirialConfig(lam)) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_bsharp_against_quadrature_oracle():
@@ -100,27 +115,27 @@ def test_bsharp_against_quadrature_oracle():
         return wx * wx - V * wv * wv
 
     oracle = 2.0 * quad(integrand, 0.0, 20.0, epsabs=1e-13, limit=200)[0]
-    assert bsharp(w, VirialConfig(lam)) == pytest.approx(oracle, rel=1e-6)
+    assert bsharp(w, FINE, VirialConfig(lam)) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_to_w_inverts_cosh_factor():
     lam = 3.0
     g = lambda x: x * np.exp(-x * x)
     u1 = _field(lambda x: np.cosh(x / lam) * g(x))
-    w = to_w(u1, VirialConfig(lam))
-    assert np.allclose(w.values, g(FINE.x), rtol=1e-12, atol=1e-300)
+    w = to_w(u1, FINE, VirialConfig(lam))
+    assert np.allclose(w, g(FINE.x), rtol=1e-12, atol=1e-300)
 
 
 def test_to_w_zero_and_oddness():
-    z = Field(FINE, np.zeros(FINE.N))
-    assert np.all(to_w(z, VirialConfig(2.0)).values == 0.0)
+    z = np.zeros(FINE.N)
+    assert np.all(to_w(z, FINE, VirialConfig(2.0)) == 0.0)
 
 
 def test_b_equals_bsharp_after_transform():
     cfg = VirialConfig(10.0)
     u1 = _field(lambda x: x * np.exp(-x * x / 4.0) + 0.3 * np.sin(x) * np.exp(-x * x / 9.0))
-    B = bilinear_B(u1, cfg)
-    Bs = bsharp(to_w(u1, cfg), cfg)
+    B = bilinear_B(u1, FINE, cfg)
+    Bs = bsharp(to_w(u1, FINE, cfg), FINE, cfg)
     assert Bs == pytest.approx(B, rel=1e-8)
 
 
@@ -133,14 +148,14 @@ def test_bsharp_odd_coercivity_on_samples():
         w = _field(lambda x: np.exp(-x * x / 8.0)
                    * (c[0] * x + c[1] * np.sin(x) + c[2] * np.sin(2 * x) + c[3] * x ** 3
                       * np.exp(-x * x)))
-        dw = derivative(w.values, FINE)
+        dw = derivative(w, FINE)
         stiff = integrate_fullline(dw * dw, FINE, origin="even")
-        assert bsharp(w, cfg) >= 0.75 * stiff - 1e-9 * stiff
+        assert bsharp(w, FINE, cfg) >= 0.75 * stiff - 1e-9 * stiff
 
 
 def test_virial_rhs_zero_state():
     g = make_grid(20.0, 999)
-    z = State(Field(g, np.zeros(g.N)), Field(g, np.zeros(g.N)))
+    z = State(g, np.zeros(g.N), np.zeros(g.N))
     assert virial_rhs(z, make_model("phi4"), VirialConfig(10.0)) == 0.0
 
 
@@ -148,7 +163,7 @@ def test_virial_rhs_linear_model_reduces_to_B():
     st = _state(lambda x: x * np.exp(-x * x), lambda x: 0.0 * x)
     cfg = VirialConfig(10.0)
     lk = make_model("linear-kg")
-    assert virial_rhs(st, lk, cfg) == pytest.approx(bilinear_B(st.u1, cfg), rel=1e-15)
+    assert virial_rhs(st, lk, cfg) == pytest.approx(bilinear_B(st.u1, FINE, cfg), rel=1e-15)
 
 
 def test_weighted_norms_oracle_and_zero_velocity():
@@ -173,7 +188,7 @@ def test_H_equals_sum_of_weighted_norms():
 
 def test_H_zero_state():
     g = make_grid(20.0, 999)
-    z = State(Field(g, np.zeros(g.N)), Field(g, np.zeros(g.N)))
+    z = State(g, np.zeros(g.N), np.zeros(g.N))
     assert H_loc(z) == 0.0
 
 
@@ -181,7 +196,7 @@ def test_dH_analytic_vanishes_without_velocity():
     st = _state(lambda x: x * np.exp(-x * x), lambda x: 0.0 * x)
     assert dH_analytic(st, make_model("sine-gordon")) == 0.0
     g = make_grid(20.0, 999)
-    z = State(Field(g, np.zeros(g.N)), Field(g, np.zeros(g.N)))
+    z = State(g, np.zeros(g.N), np.zeros(g.N))
     assert dH_analytic(z, make_model("phi4")) == 0.0
 
 
@@ -197,19 +212,19 @@ def test_cross_term_oracle_and_bound():
 
 def test_sf_ratio_zero_field_and_validation():
     g = make_grid(20.0, 999)
-    z = Field(g, np.zeros(g.N))
-    assert sf_ratio(z, VirialConfig(10.0), 2.0) == 0.0
+    z = np.zeros(g.N)
+    assert sf_ratio(z, g, VirialConfig(10.0), 2.0) == 0.0
     with pytest.raises(ValueError):
-        sf_ratio(z, VirialConfig(10.0), 0.0)
+        sf_ratio(z, g, VirialConfig(10.0), 0.0)
 
 
 def test_sf_ratio_scale_invariance():
     cfg = VirialConfig(10.0)
     u1 = _field(lambda x: x * np.exp(-x * x))
-    base = sf_ratio(u1, cfg, 2.0)
+    base = sf_ratio(u1, FINE, cfg, 2.0)
     for c in (2.0, -5.0, 0.03):
-        scaled = Field(FINE, c * u1.values)
-        assert sf_ratio(scaled, cfg, 2.0) == pytest.approx(base, rel=1e-12)
+        scaled = c * u1
+        assert sf_ratio(scaled, FINE, cfg, 2.0) == pytest.approx(base, rel=1e-12)
 
 
 def test_sf_ratio_against_quadrature_oracle():
@@ -229,26 +244,25 @@ def test_sf_ratio_against_quadrature_oracle():
 
     num = 2.0 * quad(num_int, 0.0, 20.0, epsabs=1e-14)[0]
     den = 2.0 * quad(dw_int, 0.0, 20.0, epsabs=1e-14)[0]
-    sup = float(np.max(np.abs(u1.values)))
+    sup = float(np.max(np.abs(u1)))
     oracle = num / (sup ** q * den)
-    assert sf_ratio(u1, VirialConfig(lam), q) == pytest.approx(oracle, rel=1e-6)
+    assert sf_ratio(u1, FINE, VirialConfig(lam), q) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_make_record_consistent_with_functionals():
     g = make_grid(40.0, 1999)
-    st = State(Field(g, g.x * np.exp(-g.x ** 2 / 4.0)),
-               Field(g, 0.2 * g.x * np.exp(-g.x ** 2 / 3.0)))
+    st = State(g, g.x * np.exp(-g.x ** 2 / 4.0), 0.2 * g.x * np.exp(-g.x ** 2 / 3.0))
     sg = make_model("sine-gordon")
     cfg = VirialConfig(10.0)
     rec = make_record(st, sg, cfg)
     assert rec.I == virial_I(st, cfg)
-    assert rec.B_val == bilinear_B(st.u1, cfg)
+    assert rec.B_val == bilinear_B(st.u1, g, cfg)
     assert rec.dI_dt_rhs == -virial_rhs(st, sg, cfg)
     assert rec.H == H_loc(st)
     assert (rec.H1w_sq, rec.L2w_sq) == weighted_norms(st)
     assert rec.cross == cross_term(st)
     assert rec.dH_dt_analytic == dH_analytic(st, sg)
-    assert rec.sf_ratio == sf_ratio(st.u1, cfg, q=sg.p - 1.0)
+    assert rec.sf_ratio == sf_ratio(st.u1, g, cfg, q=sg.p - 1.0)
     assert math.isnan(rec.dI_dt_numeric)
 
 
