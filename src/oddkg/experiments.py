@@ -19,8 +19,10 @@ Five scenarios turn the decay machinery into runnable experiments:
                pseudo-random odd fields.
 
 The time-stepping scenarios share one pipeline: `_fullline` picks the grid
-kind, `_Simulation` builds a run at one resolution, and its `simulate` turns
-a NaN/Inf blow-up into `status: aborted_nan` with `abort_step`/`abort_t`.
+kind, `_Simulation` builds a run at one resolution, and its `simulate` runs
+it with the one record observer (the exact-breather error, and a stop test
+such as the decay smallness guard); a NaN/Inf blow-up becomes `status:
+aborted_nan` with `abort_step`/`abort_t`.
 
 Outputs: ``timeseries.csv`` (`write_timeseries`) and ``summary.txt`` (flat
 ``key: value`` lines, `format_summary`).  This module writes every byte of
@@ -45,7 +47,7 @@ from .grid import (
     MIN_INTERIOR_POINTS, Grid, State, integrate_fullline, make_fullline_grid, make_grid,
     spacing,
 )
-from .integrator import BlowupError, RunSettings, StopRun, cfl_dt, run
+from .integrator import BlowupError, RunSettings, cfl_dt, run
 from .models import CATALOG_NAMES, Model, ModelError, make_model
 from .virial import (
     CSV_COLUMNS, H_loc, VirialConfig, bilinear_B, bsharp, energy_norm_sq, to_w, virial_I,
@@ -367,7 +369,7 @@ def write_summary(summary: dict, path) -> None:
 
 
 # ----------------------------------------------------------------------
-# the time-stepping pipeline: setup, run, breather-error probe
+# the time-stepping pipeline: setup, and a run with its record observer
 # ----------------------------------------------------------------------
 
 class _Simulation:
@@ -391,31 +393,28 @@ class _Simulation:
         else:
             self.initial = breather_state(self.breather, 0.0, self.grid)
 
-    def simulate(self, on_record=None) -> tuple[list, dict]:
-        """Run to T; returns the records and the abort keys.
+    def simulate(self, stop=None) -> tuple[list, dict, list]:
+        """Run to T, or to the first record for which `stop(rec)` is true; returns
+        the records, the abort keys and, with breather data, the L2 distances of
+        u1 from the exact breather at each record's t (else []).
 
         A NaN/Inf state or record is a scenario outcome, not an exception: the
         records so far come back with {abort_step, abort_t}, for the summary
         of a run with status aborted_nan.  Otherwise the abort keys are {}.
         """
+        errors = []
+
+        def on_record(state: State, rec) -> bool:
+            if self.breather is not None:
+                diff = state.u1 - breather_exact(self.breather, state.t, self.grid.x)
+                errors.append(math.sqrt(integrate_fullline(diff * diff, self.grid)))
+            return stop is not None and stop(rec)
+
         try:
             return run(self.initial, self.model, self.settings, self.vcfg,
-                       on_record=on_record), {}
+                       on_record=on_record), {}, errors
         except BlowupError as exc:
-            return exc.records, {"abort_step": exc.step, "abort_t": exc.t}
-
-
-class _BreatherError:
-    """On-record probe: L2 distance of u1 from the exact breather at the same t."""
-
-    def __init__(self, sim: _Simulation):
-        self.breather = sim.breather
-        self.grid = sim.grid
-        self.errors = []
-
-    def __call__(self, state: State, rec) -> None:
-        diff = state.u1 - breather_exact(self.breather, state.t, self.grid.x)
-        self.errors.append(math.sqrt(integrate_fullline(diff * diff, self.grid)))
+            return exc.records, {"abort_step": exc.step, "abort_t": exc.t}, errors
 
 
 def _base_summary(cfg: ExperimentConfig, sim: _Simulation, abort: dict) -> dict:
@@ -436,19 +435,6 @@ def _base_summary(cfg: ExperimentConfig, sim: _Simulation, abort: dict) -> dict:
 # ----------------------------------------------------------------------
 # decay scenario
 # ----------------------------------------------------------------------
-
-class _DecayProbe:
-    """The smallness guard: ends the run at the first record whose norm exceeds the limit."""
-
-    def __init__(self, epsilon: float):
-        self.limit = SMALLNESS_FACTOR * epsilon
-        self.aborted = False
-
-    def __call__(self, state: State, rec) -> None:
-        if math.sqrt(rec.energy_norm_sq) > self.limit:
-            self.aborted = True
-            raise StopRun()
-
 
 #: decay summary values that compare the run's last record with earlier ones
 _TWO_RECORD_RATIOS = ("H_ratio", "J_plateau_increment_ratio", "J_over_eps2",
@@ -486,17 +472,19 @@ def _decay_metrics(records, epsilon: float) -> dict:
 
 def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
     sim = _Simulation(cfg, cfg.N)
-    probe = _DecayProbe(cfg.epsilon)
-    records, abort = sim.simulate(on_record=probe)
+    bound = SMALLNESS_FACTOR * cfg.epsilon
+    # the smallness guard ends the run at the first record whose norm exceeds the
+    # bound, so the records' sup exceeds it exactly when it fired (nan fails both)
+    records, abort, _ = sim.simulate(stop=lambda rec: math.sqrt(rec.energy_norm_sq) > bound)
 
     summary = _base_summary(cfg, sim, abort)
-    if probe.aborted:
-        summary["status"] = "aborted_smallness"
     summary["epsilon"] = cfg.epsilon
     summary["sigma"] = cfg.sigma
     summary["data_family"] = cfg.data_family
     summary.update(_decay_metrics(records, cfg.epsilon))
-    summary["smallness_bound"] = SMALLNESS_FACTOR * cfg.epsilon
+    if summary["sup_energy_norm"] > bound:
+        summary["status"] = "aborted_smallness"
+    summary["smallness_bound"] = bound
     summary["smallness_ok"] = summary["status"] == "ok"
     summary.update(abort)
     if abort and len(records) < 2:
@@ -511,8 +499,8 @@ def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
 
 def _run_breather(cfg: ExperimentConfig) -> ScenarioResult:
     sim = _Simulation(cfg, cfg.N)
-    params, probe = sim.breather, _BreatherError(sim)
-    records, abort = sim.simulate(on_record=probe)
+    params = sim.breather
+    records, abort, errors = sim.simulate()
 
     summary = _base_summary(cfg, sim, abort)
     summary["beta"] = cfg.beta
@@ -531,10 +519,10 @@ def _run_breather(cfg: ExperimentConfig) -> ScenarioResult:
         summary[f"H_period_ratio_{kper}"] = ratio
         ratios.append(ratio)
     summary["min_period_ratio"] = min(ratios) if ratios else math.nan
-    summary["max_exact_err_l2"] = max(probe.errors) if probe.errors else math.nan
-    summary["final_exact_err_l2"] = probe.errors[-1] if probe.errors else math.nan
+    summary["max_exact_err_l2"] = max(errors) if errors else math.nan
+    summary["final_exact_err_l2"] = errors[-1] if errors else math.nan
     summary.update(abort)
-    return ScenarioResult(summary, records, {"exact_err_l2": probe.errors})
+    return ScenarioResult(summary, records, {"exact_err_l2": errors})
 
 
 # ----------------------------------------------------------------------
@@ -550,8 +538,7 @@ _NAN_METRICS = dict.fromkeys((key for key, _ in _ORDERS), math.nan)
 def _refinement_metrics(sim: _Simulation, resolution: str) -> tuple[dict, dict]:
     """One resolution of the convergence study: its raw metrics and abort keys.
     A run that blew up covers a shorter span than the other, so its metrics are nan."""
-    probe = _BreatherError(sim) if sim.breather is not None else None
-    records, abort = sim.simulate(on_record=probe)
+    records, abort, errors = sim.simulate()
     if abort:
         return _NAN_METRICS, {**abort, "abort_resolution": resolution}
 
@@ -562,7 +549,7 @@ def _refinement_metrics(sim: _Simulation, resolution: str) -> tuple[dict, dict]:
     resid = np.array([abs(r.dI_dt_numeric - r.dI_dt_rhs) for r in records])
     rhs_scale = float(np.max(np.abs([r.dI_dt_rhs for r in records])))
     virial_resid = float(np.max(resid) / rhs_scale) if rhs_scale > 0 else math.nan
-    exact_err = probe.errors[-1] if probe is not None else math.nan
+    exact_err = errors[-1] if errors else math.nan
     return {"drift": drift, "virial_resid": virial_resid, "exact_err": exact_err}, {}
 
 

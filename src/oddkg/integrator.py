@@ -36,10 +36,6 @@ class BlowupError(RuntimeError):
         self.records = records
 
 
-class StopRun(Exception):
-    """Raised by an on_record callback to end a run early but cleanly."""
-
-
 @dataclass(frozen=True)
 class RunSettings:
     """Time step, final time, and record cadence for one simulation."""
@@ -49,10 +45,10 @@ class RunSettings:
     record_every: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.T < 0:
-            raise ValueError(f"final time must be nonnegative, got {self.T}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.T < math.inf:
+            raise ValueError(f"final time must be nonnegative and finite, got {self.T}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -143,7 +139,7 @@ def run(
     model: Model,
     settings: RunSettings,
     diagnostics: VirialConfig,
-    on_record: Callable[[State, DiagnosticsRecord], None] | None = None,
+    on_record: Callable[[State, DiagnosticsRecord], object] | None = None,
 ) -> list[DiagnosticsRecord]:
     """Integrate from t=0 to T, emitting a record every record_every steps.
 
@@ -156,8 +152,9 @@ def run(
     invalid="raise")) at that step; a record with a non-finite CSV value
     other than dI_dt_numeric (records run under np.errstate(all="ignore"))
     at its own step, after it is kept and passed to `on_record`.
-    `on_record` receives a copy of the state and the fresh record; it may
-    raise StopRun to end the run early with the records collected so far.
+    `on_record` receives a copy of the state and the fresh record; a true
+    return value ends the run there, that record included, ahead of the
+    record's finite check, so that a stop is never a blow-up.
     """
     grid = initial.grid
     inv_dx2 = 1.0 / grid.dx ** 2
@@ -178,33 +175,32 @@ def run(
     if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
         raise blowup(0)
 
-    def emit(step: int) -> None:
+    def emit(step: int) -> bool:
+        """Keep the record of this step; True when `on_record` ends the run."""
         snap = State(grid, u1.copy(), u2.copy(), step * dt)
         with np.errstate(all="ignore"):
             rec = make_record(snap, model, diagnostics)
         records.append(rec)
-        if on_record is not None:
-            on_record(snap, rec)
+        if on_record is not None and on_record(snap, rec):
+            return True
         if not all(math.isfinite(getattr(rec, c)) for c in CSV_COLUMNS if c != "dI_dt_numeric"):
             raise blowup(step)
+        return False
 
     k = 0  # steps completed
-    try:
-        emit(0)
-        while k < n_steps:
-            stop = min(k - k % every + every, n_steps)  # the next record step
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    if k == 0:  # step 1's leading half-kick; later steps carry it
-                        window = _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
-                    while k < stop:
-                        window = _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp,
-                                                  scratch, *window)
-                        k += 1
-            except FloatingPointError:
-                raise blowup(k + 1) from None
-            emit(k)
-    except StopRun:
-        pass
+    stopped = emit(0)
+    while k < n_steps and not stopped:
+        next_record = min(k - k % every + every, n_steps)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if k == 0:  # step 1's leading half-kick; later steps carry it
+                    window = _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
+                while k < next_record:
+                    window = _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp,
+                                              scratch, *window)
+                    k += 1
+        except FloatingPointError:
+            raise blowup(k + 1) from None
+        stopped = emit(k)
     fill_dI_dt_numeric(records)
     return records

@@ -56,8 +56,8 @@ class VirialConfig:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"virial scale must be positive, got lam={self.lam}")
+        if not (self.lam > 0 and self.lam * self.lam < math.inf):  # the weights divide by lam^2
+            raise ValueError(f"virial scale lam must be positive, lam^2 finite, got {self.lam}")
 
 
 class UnitWeights:

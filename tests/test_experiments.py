@@ -18,7 +18,7 @@ from oddkg.experiments import (
 from oddkg.grid import (
     State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid, make_grid,
 )
-from oddkg.integrator import cfl_dt, leapfrog_step
+from oddkg.integrator import cfl_dt, leapfrog_step, run
 from oddkg.models import make_model
 from oddkg.virial import (
     CSV_COLUMNS, VirialConfig, energy, energy_norm_sq, virial_I_abs,
@@ -233,7 +233,7 @@ def test_decay_summary_maxima_are_taken_over_the_records(model, status):
         k = virial._Kernel(state.grid, state.u1, cfg.lam, model=sim.model)
         same.append(rec.nonlinear == k.nonlinear)
 
-    records, _ = sim.simulate(on_record=fresh_kernel)
+    records = run(sim.initial, sim.model, sim.settings, sim.vcfg, on_record=fresh_kernel)
     assert len(same) == len(records) and all(same)
 
 

@@ -8,7 +8,7 @@ import pytest
 from oddkg.exact import linear_standing_wave
 from oddkg.grid import State, make_grid, zero_state
 from oddkg.integrator import (
-    BlowupError, RunSettings, StopRun, _half_kick, _kick_drift_kick, cfl_dt,
+    BlowupError, RunSettings, _half_kick, _kick_drift_kick, cfl_dt,
     leapfrog_step, run,
 )
 from oddkg.models import CATALOG_NAMES, make_model
@@ -43,10 +43,12 @@ def test_cfl_coarse_grid_limit():
 
 
 def test_run_settings_validation():
-    with pytest.raises(ValueError):
-        RunSettings(dt=0.0, T=1.0, record_every=25)
-    with pytest.raises(ValueError):
-        RunSettings(dt=0.1, T=-1.0, record_every=25)
+    # a non-finite T or dt would take no step, overflow the step count, or
+    # blow up at step 0; each is refused when the settings are made
+    for dt, T in ((0.0, 1.0), (0.1, -1.0), (math.inf, 1.0), (math.nan, 1.0),
+                  (0.1, math.inf), (0.1, math.nan)):
+        with pytest.raises(ValueError):
+            RunSettings(dt=dt, T=T, record_every=25)
     with pytest.raises(ValueError):
         RunSettings(dt=0.1, T=1.0, record_every=0)
 
@@ -236,12 +238,49 @@ def test_on_record_stop_run():
 
     def probe(state, rec):
         seen.append(rec.t)
-        if rec.t >= 0.1:
-            raise StopRun()
+        return rec.t >= 0.1
 
     recs = run(st, LK, RunSettings(dt=0.01, T=1.0, record_every=5), VC, on_record=probe)
     assert recs[-1].t == pytest.approx(0.1)
     assert len(seen) == len(recs)
+
+
+def test_on_record_stop_at_t0_keeps_one_record():
+    g = make_grid(20.0, 199)
+    st = State(g, 0.01 * g.x * np.exp(-g.x ** 2), np.zeros(g.N))
+    seen = []
+
+    def probe(state, rec):
+        seen.append(rec)
+        return True
+
+    recs = run(st, LK, RunSettings(dt=0.01, T=1.0, record_every=5), VC, on_record=probe)
+    assert recs == seen and [r.t for r in recs] == [0.0]
+
+
+def test_on_record_stop_precedes_the_record_finite_check():
+    # the record of test_a_record_that_overflows_is_a_blowup_at_its_step: an
+    # observer that stops on it ends the run with it, as a stop, not a blow-up
+    g = make_grid(20.0, 199)
+    st = State(g, 1e100 * g.x * np.exp(-g.x ** 2), np.zeros(g.N))
+    recs = run(st, LK, RunSettings(dt=cfl_dt(g, LK, 0.4), T=1.0, record_every=1), VC,
+               on_record=lambda state, rec: True)
+    assert len(recs) == 1 and recs[0].t == 0.0 and math.isnan(recs[0].E)
+
+
+@pytest.mark.parametrize("u1_bad, u2_bad", [(math.nan, 0.0), (0.0, math.inf)])
+def test_non_finite_initial_state_is_a_blowup_at_step_0(u1_bad, u2_bad):
+    g = make_grid(20.0, 199)
+    u1 = 0.01 * g.x * np.exp(-g.x ** 2)
+    u2 = np.zeros(g.N)
+    u1[50] += u1_bad
+    u2[50] += u2_bad
+    seen = []
+    with pytest.raises(BlowupError) as exc:
+        run(State(g, u1, u2), LK, RunSettings(dt=0.01, T=1.0, record_every=5), VC,
+            on_record=lambda state, rec: seen.append(rec))
+    assert exc.value.step == 0 and exc.value.t == 0.0
+    assert exc.value.records == [] and seen == []
 
 
 def test_phi4_small_data_runs_without_nan_to_T200():

@@ -36,6 +36,10 @@ def test_virial_config_validation():
         VirialConfig(0.0)
     with pytest.raises(ValueError):
         VirialConfig(-1.0)
+    # the weights divide by lam^2, which must stay finite
+    for lam in (math.inf, 1e200):
+        with pytest.raises(ValueError):
+            VirialConfig(lam)
 
 
 @pytest.mark.parametrize("call", [
