@@ -43,12 +43,9 @@ from pathlib import Path
 import numpy as np
 
 from .exact import BreatherParams, breather_exact, breather_state
-from .grid import (
-    MIN_INTERIOR_POINTS, Grid, State, integrate_fullline, make_fullline_grid, make_grid,
-    spacing,
-)
+from .grid import Grid, State, integrate_fullline, make_fullline_grid, make_grid, spacing
 from .integrator import BlowupError, RunSettings, cfl_dt, run
-from .models import CATALOG_NAMES, Model, ModelError, make_model
+from .models import CATALOG_NAMES, Model, make_model
 from .virial import (
     CSV_COLUMNS, H_loc, VirialConfig, bilinear_B, bsharp, energy_norm_sq, to_w, virial_I,
     virial_I_abs, weighted_norms,
@@ -103,11 +100,6 @@ class ExperimentConfig:
     data_family: str = "gauss-odd-displacement"
     conv_mode: str = "decay"
 
-    @property
-    def virial(self) -> VirialConfig:
-        """The virial weight scale of every scenario that measures it."""
-        return VirialConfig(self.lam)
-
 
 def _parse_coeffs(text: str) -> tuple:
     try:
@@ -158,6 +150,8 @@ def build_config(pairs: dict) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """A ConfigError unless `cfg` meets the experiment's own rules, and then every
+    library object that a run of it builds can be made: each is made once here."""
     for key, (attr, conv) in _KEY_TABLE.items():
         if conv is float and not math.isfinite(getattr(cfg, attr)):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, attr)}")
@@ -177,26 +171,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not (cfg.sigma > 0 and 0.0 < cfg.sigma * cfg.sigma < math.inf):
         raise ConfigError(f"sigma must be positive, with a positive and finite square, "
                           f"got {cfg.sigma}")
-    if not cfg.L > 0:
-        raise ConfigError(f"L must be positive, got {cfg.L}")
-    if cfg.N < MIN_INTERIOR_POINTS:
-        raise ConfigError(f"N must be at least {MIN_INTERIOR_POINTS}, got {cfg.N}")
-    if not 0.0 < cfg.dt_safety < 1.0:
-        raise ConfigError(f"dt_safety must lie in (0, 1), got {cfg.dt_safety}")
-    if cfg.T < 0:
-        raise ConfigError(f"T must be nonnegative, got {cfg.T}")
-    if not (cfg.lam > 0 and cfg.lam * cfg.lam < math.inf):  # the weights divide by lambda^2
-        raise ConfigError(f"lambda must be positive, with a finite square, got {cfg.lam}")
-    dx = spacing(cfg.L, cfg.N, _fullline(cfg))
-    if not (dx > 0.0 and math.isfinite(4.0 / dx / dx)):  # the time step needs 4/dx^2
-        raise ConfigError(f"dx = {dx:g} is too small: L={cfg.L:g} over N+1={cfg.N + 1}")
-    if cfg.lam < MIN_LAMBDA_OVER_DX * dx:
-        raise ConfigError(f"lambda={cfg.lam:g} is not resolved by the grid: it must be "
-                          f"at least {MIN_LAMBDA_OVER_DX:g}*dx = {MIN_LAMBDA_OVER_DX * dx:g}")
-    if cfg.record_every < 1:
-        raise ConfigError(f"record_every must be >= 1, got {cfg.record_every}")
-    if not 0.0 < cfg.beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {cfg.beta}")
     if cfg.data_family not in DATA_FAMILIES:
         raise ConfigError(f"unknown data_family {cfg.data_family!r}")
     if cfg.conv_mode not in ("decay", "breather"):
@@ -204,6 +178,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if _fullline(cfg) and cfg.model != "sine-gordon":
         raise ConfigError("breather data (scenario=breather, conv_mode=breather) "
                           "requires model=sine-gordon")
+    try:
+        dx = spacing(cfg.L, cfg.N, _fullline(cfg))
+        RunSettings(cfl_dt(dx, config_model(cfg), cfg.dt_safety), cfg.T, cfg.record_every)
+        VirialConfig(cfg.lam), BreatherParams(cfg.beta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if cfg.lam < MIN_LAMBDA_OVER_DX * dx:
+        raise ConfigError(f"lambda={cfg.lam:g} is not resolved by the grid: it must be "
+                          f"at least {MIN_LAMBDA_OVER_DX:g}*dx = {MIN_LAMBDA_OVER_DX * dx:g}")
 
 
 def _fullline(cfg: ExperimentConfig) -> bool:
@@ -226,13 +209,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def config_model(cfg: ExperimentConfig) -> Model:
-    """The configured model; invalid model parameters are a ConfigError."""
-    try:
-        if cfg.model == "custom-poly":
-            return make_model("custom-poly", {"m": cfg.poly_m, "coeffs": cfg.poly_coeffs})
-        return make_model(cfg.model)
-    except ModelError as exc:
-        raise ConfigError(str(exc)) from None
+    """The configured model; make_model ignores the custom-poly parameters of the others."""
+    return make_model(cfg.model, {"m": cfg.poly_m, "coeffs": cfg.poly_coeffs})
 
 
 def describe(cfg: ExperimentConfig) -> str:
@@ -380,12 +358,12 @@ class _Simulation:
         self.grid = _grid(cfg, N)
         self.model = config_model(cfg)
         if dt is None:
-            dt = cfl_dt(self.grid, self.model, cfg.dt_safety)
+            dt = cfl_dt(self.grid.dx, self.model, cfg.dt_safety)
         if cfg.T / dt > MAX_STEPS:
             raise ConfigError(f"T={cfg.T:g} at dt={dt:g} is {cfg.T / dt:.3g} steps, "
                               f"more than the {MAX_STEPS:g} one run may take")
         self.settings = RunSettings(dt=dt, T=cfg.T, record_every=cfg.record_every)
-        self.vcfg = cfg.virial
+        self.vcfg = VirialConfig(cfg.lam)
         #: the exact solution, when the data is a breather (on the full line)
         self.breather = BreatherParams(cfg.beta) if _fullline(cfg) else None
         if self.breather is None:
@@ -618,7 +596,7 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
 
 def _run_virial_check(cfg: ExperimentConfig) -> ScenarioResult:
     grid = _grid(cfg, cfg.N)
-    vcfg = cfg.virial
+    vcfg = VirialConfig(cfg.lam)
     lcg = Lcg(cfg.seed)
 
     worst = dict.fromkeys(VIRIAL_CHECK_TOL, 0.0)

@@ -22,6 +22,7 @@ the stencil is second order up to the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,15 +53,22 @@ class Grid:
 
 
 def spacing(L: float, N: int, fullline: bool) -> float:
-    """dx of N interior nodes: L/(N+1) on the half-line, 2L/(N+1) on the full line."""
-    return (2.0 if fullline else 1.0) * L / (N + 1)
+    """dx of N interior nodes: L/(N+1) on the half-line, 2L/(N+1) on the full line.
+
+    The one check of a grid's size, which allocates nothing: L > 0, N >= 16
+    (MIN_INTERIOR_POINTS) and 0 < dx < inf, else ValueError.
+    """
+    if not L > 0:
+        raise ValueError(f"domain half-width must be positive, got L={L}")
+    if not N >= MIN_INTERIOR_POINTS:
+        raise ValueError(f"need at least {MIN_INTERIOR_POINTS} interior points, got N={N}")
+    dx = (2.0 if fullline else 1.0) * L / (N + 1)
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"dx = {dx:g} is not positive and finite: L={L:g} over N+1={N + 1}")
+    return dx
 
 
 def _make(L: float, N: int, fullline: bool) -> Grid:
-    if not L > 0:
-        raise ValueError(f"domain half-width must be positive, got L={L}")
-    if N < MIN_INTERIOR_POINTS:
-        raise ValueError(f"need at least {MIN_INTERIOR_POINTS} interior points, got N={N}")
     dx = spacing(L, N, fullline)
     x = dx * np.arange(1, N + 1, dtype=float)
     if x.size != N:  # np.arange gives no nodes for a count past numpy's index range

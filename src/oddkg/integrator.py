@@ -16,12 +16,13 @@ a window of nodes; outside it, V' is -m u1 to the last bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, State
+from .grid import State
 from .models import Model
 from .virial import CSV_COLUMNS, DiagnosticsRecord, VirialConfig, fill_dI_dt_numeric, make_record
 
@@ -47,21 +48,24 @@ class RunSettings:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not 0 <= self.T < math.inf:
-            raise ValueError(f"final time must be nonnegative and finite, got {self.T}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not (0 <= self.T and self.T / self.dt < math.inf):  # run takes round(T/dt) steps
+            raise ValueError(f"T must be nonnegative, T/dt finite, got T={self.T}, dt={self.dt}")
+        if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every}")
 
 
-def cfl_dt(grid: Grid, model: Model, safety: float) -> float:
-    """Stable time step: safety * 2 / sqrt(4/dx^2 + max(|m|, 1)).
+def cfl_dt(dx: float, model: Model, safety: float) -> float:
+    """Stable time step on a grid of spacing dx: safety * 2 / sqrt(4/dx^2 + max(|m|, 1)).
 
     The bound covers the linearized operator -D2 - m on either grid; the
-    max(|m|, 1) term keeps a margin when m reduces the stiffness.
+    max(|m|, 1) term keeps a margin when m reduces the stiffness.  ValueError
+    unless 0 < safety < 1, dx > 0 and dx^2, 4/dx^2 are finite (about 1e-154 < dx < 1e154).
     """
     if not 0.0 < safety < 1.0:
         raise ValueError(f"safety factor must lie in (0, 1), got {safety}")
-    return safety * 2.0 / math.sqrt(4.0 / grid.dx ** 2 + max(abs(model.m), 1.0))
+    if not (dx > 0.0 and dx * dx < math.inf and 4.0 / dx / dx < math.inf):
+        raise ValueError(f"dx = {dx:g} is out of range: dx^2 and 4/dx^2 must be finite")
+    return safety * 2.0 / math.sqrt(4.0 / dx ** 2 + max(abs(model.m), 1.0))
 
 
 def _acceleration(u1: np.ndarray, model: Model, inv_dx2: float, a: np.ndarray,

@@ -137,9 +137,12 @@ def make_model(name: str, params: Mapping | None = None) -> Model:
     if name == "custom-poly":
         if params is None or "m" not in params or "coeffs" not in params:
             raise ModelError("custom-poly requires params with 'm' and 'coeffs'")
+        m = float(params["m"])
         coeffs = np.asarray(list(params["coeffs"]), dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ModelError("custom-poly coeffs must be a nonempty 1D sequence")
+        if not (math.isfinite(m) and np.isfinite(coeffs).all()):
+            raise ModelError(f"custom-poly m and coeffs must be finite, got m={m}")
         for deg in range(0, coeffs.size, 2):
             if coeffs[deg] != 0.0:
                 raise ModelError(
@@ -153,6 +156,6 @@ def make_model(name: str, params: Mapping | None = None) -> Model:
         p = float(nonzero[0]) if nonzero.size else 3.0
         # an f of degree below 3 is zero: linear-kg's row
         row = tuple(coeffs[3::2].tolist()) or (0.0,)
-        return _polynomial(name, float(params["m"]), row, p)
+        return _polynomial(name, m, row, p)
     raise ModelError(f"unknown model {name!r}; choose one of {CATALOG_NAMES}")
 

@@ -39,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid
+from .virial import VirialConfig
 
 #: |eigenvalue| below this is reported as marginal (threshold resonance)
 MARGINAL_EIG_TOL = 1e-4
@@ -70,14 +71,18 @@ def _bisect(holds, lo: float, hi: float, width: float) -> float:
             lo = mid
 
 
+def _check_strength(V0: float) -> None:
+    if not 0.0 <= V0 < math.inf:  # the one rule on a potential strength
+        raise ValueError(f"potential strength must be nonnegative and finite, got V0={V0}")
+
+
 def pt_index(V0: float) -> int:
     """Largest integer strictly below sqrt(4*V0 + 1)/2 + 1/2.
 
     The strict inequality matters at thresholds: the marginal state there
     is a resonance and is not counted (pt_index(2) == 1, not 2).
     """
-    if V0 < 0:
-        raise ValueError(f"potential strength must be nonnegative, got V0={V0}")
+    _check_strength(V0)
     bound = 0.5 * (math.sqrt(4.0 * V0 + 1.0) + 1.0)
     k = math.floor(bound)
     return int(k - 1) if k == bound else int(k)
@@ -119,10 +124,8 @@ def assemble(grid: Grid, V0: float, lam: float, parity: str) -> SchrodingerDiscr
     """
     if grid.fullline:
         raise ValueError("spectral sectors are assembled on the half-line grid")
-    if V0 < 0:
-        raise ValueError(f"potential strength must be nonnegative, got V0={V0}")
-    if not lam > 0:
-        raise ValueError(f"potential scale must be positive, got lam={lam}")
+    _check_strength(V0)
+    VirialConfig(lam)  # the potential's scale obeys the virial weight's rule
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     inv_dx2 = 1.0 / grid.dx ** 2
@@ -232,6 +235,8 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     radius[1:] += np.abs(d.offdiag)
     gl = float(np.min(d.diag - radius))
     gu = float(np.max(d.diag + radius))
+    if not (math.isfinite(gl) and math.isfinite(gu)):  # nan would bisect forever
+        raise ValueError(f"the Gershgorin interval [{gl:g}, {gu:g}] is not finite")
     margin = 16.0 * _EPS * max(abs(gl), abs(gu))
     shifts, counts = d.counts
 

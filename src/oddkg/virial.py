@@ -56,8 +56,10 @@ class VirialConfig:
     lam: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.lam * self.lam < math.inf):  # the weights divide by lam^2
-            raise ValueError(f"virial scale lam must be positive, lam^2 finite, got {self.lam}")
+        lam2 = self.lam * self.lam  # the weights take lam^2 and 2/lam^2
+        if not (self.lam > 0 and 0.0 < lam2 < math.inf and 2.0 / lam2 < math.inf):
+            raise ValueError(f"virial scale lam must be positive, with lam^2 and 2/lam^2 "
+                             f"finite, got {self.lam}")
 
 
 class UnitWeights:

@@ -472,7 +472,7 @@ def _first_nonfinite_step(cfg: ExperimentConfig) -> int:
     step and return the first step whose state is not finite."""
     grid = make_grid(cfg.L, cfg.N)
     model = config_model(cfg)
-    dt = cfl_dt(grid, model, cfg.dt_safety)
+    dt = cfl_dt(grid.dx, model, cfg.dt_safety)
     state = make_initial_data(cfg, grid)
     with np.errstate(all="ignore"):
         for step in range(1, round(cfg.T / dt) + 1):
@@ -609,7 +609,7 @@ def test_convergence_breather_mode_steps_on_the_fullline_grid():
     assert s["status"] == "ok"
     assert s["dx"] == s["dx_coarse"]
     assert s["dt"] == s["dt_coarse"] == cfl_dt(
-        make_fullline_grid(cfg.L, cfg.N), make_model("sine-gordon"), cfg.dt_safety)
+        make_fullline_grid(cfg.L, cfg.N).dx, make_model("sine-gordon"), cfg.dt_safety)
 
 
 def test_breather_data_requires_sine_gordon_at_parse():
@@ -673,3 +673,28 @@ def test_cli_output_file_that_cannot_be_written_exits_2(tmp_path, blocked):
     assert proc.stderr.startswith(f"config error: failed writing o3/{blocked}")
     assert proc.stdout == ""
     assert not list((tmp_path / "o3").glob("*.tmp"))
+
+
+def test_describe_spectral_and_run_agree_that_custom_poly_needs_coeffs(tmp_path, capsys):
+    # --describe and the spectral scenario never built the model, so both
+    # exited 0 on a config that the decay run refused with exit code 2
+    for argv in (["decay", "--describe"], ["decay"], ["spectral"]):
+        rc = cli_main(argv + ["--set", "model=custom-poly", "--set", "N=99",
+                              "--set", f"output_dir={tmp_path / 'out'}"])
+        assert rc == 2, argv
+        assert capsys.readouterr() == (
+            "", "config error: custom-poly coeffs must be a nonempty 1D sequence\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting, message", (
+    ("record_every=0", "record_every must be an integer >= 1, got 0"),
+    ("lambda=1e-200", "virial scale lam must be positive"),
+    ("beta=1", "breather parameter must lie in (0, 1), got beta=1.0"),
+    ("L=0", "domain half-width must be positive, got L=0.0"),
+    ("dt_safety=1", "safety factor must lie in (0, 1), got 1.0"),
+))
+def test_config_errors_carry_the_message_of_the_object_that_refuses(setting, message, capsys):
+    # validate_config makes each library object once; its rule and message are the object's
+    assert cli_main(["decay", "--set", setting, "--set", "N=99", "--describe"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")

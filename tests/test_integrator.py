@@ -24,7 +24,7 @@ VC = VirialConfig(10.0)
 
 def test_cfl_formula():
     g = make_grid(80.0, 7999)  # dx = 0.01
-    dt = cfl_dt(g, LK, 0.4)
+    dt = cfl_dt(g.dx, LK, 0.4)
     assert dt == pytest.approx(0.4 * 2.0 / math.sqrt(4.0 / 0.01 ** 2 + 1.0), rel=1e-14)
     assert dt == pytest.approx(0.004, rel=1e-4)
 
@@ -33,13 +33,13 @@ def test_cfl_rejects_bad_safety():
     g = make_grid(80.0, 7999)
     for s in (0.0, 1.0, -0.2, 2.0):
         with pytest.raises(ValueError):
-            cfl_dt(g, LK, s)
+            cfl_dt(g.dx, LK, s)
 
 
 def test_cfl_coarse_grid_limit():
     # dx -> infinity: dt -> safety * 2 / sqrt(max(|m|, 1))
     g = make_grid(1e9, 16)
-    assert cfl_dt(g, LK, 0.5) == pytest.approx(1.0, rel=1e-8)
+    assert cfl_dt(g.dx, LK, 0.5) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_run_settings_validation():
@@ -149,7 +149,7 @@ def test_energy_conservation_linear_small_data():
 def test_long_linear_run_stays_bounded():
     # 1e5 steps at the CFL bound: no blow-up, bounded energy wobble
     g = make_grid(40.0, 3999)
-    dt = cfl_dt(g, LK, 0.4)
+    dt = cfl_dt(g.dx, LK, 0.4)
     st = State(g, 0.1 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
     recs = run(st, LK, RunSettings(dt=dt, T=1e5 * dt, record_every=5000), VC)
     E = np.array([r.E for r in recs])
@@ -199,7 +199,7 @@ def test_blowup_is_reported_at_the_first_non_finite_step():
     g = make_grid(40.0, 999)
     nl = make_model("cubic-nlkg")
     st = State(g, 5.0 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
-    _first_non_finite_step_is_reported(nl, st, cfl_dt(g, nl, 0.4))
+    _first_non_finite_step_is_reported(nl, st, cfl_dt(g.dx, nl, 0.4))
     # sine-Gordon at dt = 0.1, beyond the stability bound: a grid-scale ripple
     # of 1e-10 in the far field grows ~25x per step and overflows there first,
     # at step 232; below linear_below, the far field starts outside the window
@@ -224,7 +224,7 @@ def test_a_record_that_overflows_is_a_blowup_at_its_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowupError) as exc:
-            run(st, LK, RunSettings(dt=cfl_dt(g, LK, 0.4), T=1.0, record_every=1), VC,
+            run(st, LK, RunSettings(dt=cfl_dt(g.dx, LK, 0.4), T=1.0, record_every=1), VC,
                 on_record=lambda state, rec: seen.append(rec))
     assert exc.value.step == 0 and exc.value.t == 0.0
     assert exc.value.records == seen and len(seen) == 1
@@ -263,7 +263,7 @@ def test_on_record_stop_precedes_the_record_finite_check():
     # observer that stops on it ends the run with it, as a stop, not a blow-up
     g = make_grid(20.0, 199)
     st = State(g, 1e100 * g.x * np.exp(-g.x ** 2), np.zeros(g.N))
-    recs = run(st, LK, RunSettings(dt=cfl_dt(g, LK, 0.4), T=1.0, record_every=1), VC,
+    recs = run(st, LK, RunSettings(dt=cfl_dt(g.dx, LK, 0.4), T=1.0, record_every=1), VC,
                on_record=lambda state, rec: True)
     assert len(recs) == 1 and recs[0].t == 0.0 and math.isnan(recs[0].E)
 
@@ -288,7 +288,7 @@ def test_phi4_small_data_runs_without_nan_to_T200():
     # sqrt(2) and the run must stay finite all the way out
     g = make_grid(40.0, 1999)  # dx = 0.02 keeps this test quick
     p4 = make_model("phi4")
-    dt = cfl_dt(g, p4, 0.4)
+    dt = cfl_dt(g.dx, p4, 0.4)
     st = State(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0), np.zeros(g.N))
     recs = run(st, p4, RunSettings(dt=dt, T=200.0, record_every=500), VC)
     assert all(math.isfinite(r.E) and math.isfinite(r.H) for r in recs)
@@ -350,7 +350,7 @@ def test_step_allocates_nothing(name):
     u2 = np.zeros(g.N)
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))
     inv_dx2 = 1.0 / g.dx ** 2
-    dt = cfl_dt(g, model, 0.4)
+    dt = cfl_dt(g.dx, model, 0.4)
     _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
     lo = hi = 0  # an empty window: the first traced step rescans
     tracemalloc.start()

@@ -299,7 +299,7 @@ def _odd_state(N, L, seed, amplitude):
 def test_run_is_repeated_leapfrog_and_reversible(N, L, model, seed, amplitude, safety,
                                                  n, every):
     st0 = _odd_state(N, L, seed, amplitude)
-    dt = cfl_dt(st0.grid, model, safety)
+    dt = cfl_dt(st0.grid.dx, model, safety)
     if model.m > 0:
         # the data grows at the zero state's linear rate sqrt(m) only while it
         # is small: end the run before it passes 0.1 (phi4 data reaching the
