@@ -8,7 +8,7 @@ breather as the even counterexample.
 
 __version__ = "0.1.0"
 
-from .exact import BreatherParams, breather_exact, breather_state, linear_standing_wave
+from .exact import BreatherParams, breather_exact, breather_state
 from .experiments import (
     ConfigError, ExperimentConfig, make_initial_data, parse_config, run_scenario,
     write_summary, write_timeseries,
@@ -21,8 +21,8 @@ from .spectral import (
     negative_count, pt_index,
 )
 from .virial import (
-    DiagnosticsRecord, VirialConfig, H_loc, bilinear_B, bsharp, cross_term,
-    dH_analytic, energy, sf_ratio, to_w, virial_I, virial_rhs, weighted_norms,
+    DiagnosticsRecord, VirialConfig, H_loc, bilinear_B, bsharp, energy, to_w, virial_I,
+    weighted_norms,
 )
 
 __all__ = [
@@ -30,11 +30,9 @@ __all__ = [
     "ExperimentConfig", "Grid", "H_loc", "Model", "ModelError",
     "RunSettings", "SpectralReport", "State", "VirialConfig", "assemble",
     "bilinear_B", "breather_exact", "breather_state", "bsharp", "cfl_dt",
-    "coercivity_certificate", "cross_term", "dH_analytic", "derivative",
-    "energy", "index_check", "integrate_fullline",
-    "leapfrog_step", "linear_standing_wave", "lowest_eigs", "make_fullline_grid",
+    "coercivity_certificate", "derivative", "energy", "index_check",
+    "integrate_fullline", "leapfrog_step", "lowest_eigs", "make_fullline_grid",
     "make_grid", "make_initial_data", "make_model", "negative_count",
-    "parse_config", "pt_index", "run", "run_scenario", "sf_ratio", "to_w",
-    "virial_I", "virial_rhs", "weighted_norms", "write_summary",
-    "write_timeseries",
+    "parse_config", "pt_index", "run", "run_scenario", "to_w",
+    "virial_I", "weighted_norms", "write_summary", "write_timeseries",
 ]

@@ -1,18 +1,13 @@
-"""Closed-form reference solutions used as independent oracles.
+"""The sine-Gordon breather family, a closed-form solution used as initial
+data and as an independent oracle:
 
-* The sine-Gordon breather family
+    B_beta(t, x) = 4 arctan( (beta/alpha) cos(alpha t) / cosh(beta x) ),
+    alpha = sqrt(1 - beta^2),
 
-      B_beta(t, x) = 4 arctan( (beta/alpha) cos(alpha t) / cosh(beta x) ),
-      alpha = sqrt(1 - beta^2),
-
-  an even, time-periodic (period 2 pi / alpha) solution of
-  phi_tt - phi_xx = -sin(phi) with energy 16 beta: localized energy that
-  never decays.  Being even, it cannot be represented on the odd
-  half-line grid; breather runs use the full-line grid.
-
-* Linear Klein-Gordon standing waves sin(kx) cos(wt), w^2 = k^2 + 1,
-  k = n pi / L: odd, exactly representable on the half-line grid, used
-  for integrator order and energy checks.
+an even, time-periodic (period 2 pi / alpha) solution of
+phi_tt - phi_xx = -sin(phi) with energy 16 beta: localized energy that
+never decays.  Being even, it cannot be represented on the odd half-line
+grid; breather runs use the full-line grid.
 
 The time derivative of the breather is implemented in closed form, not
 by differencing B, so the oracle stays independent of the code paths it
@@ -70,30 +65,3 @@ def breather_state(p: BreatherParams, t: float, grid: Grid) -> State:
     u1 = breather_exact(p, t, grid.x)
     u2 = breather_dt_exact(p, t, grid.x)
     return State(grid, u1, u2, t)
-
-
-def linear_standing_wave(n: int, grid: Grid, t: float) -> State:
-    """Standing wave of the m = -1 linear equation: u = sin(kx) cos(wt).
-
-    k = n pi / L with the mode number n >= 1, w = sqrt(k^2 + 1).  sin(kx)
-    vanishes at x = 0 and x = L, so the sample is exactly compatible with
-    the Dirichlet/odd representation.
-    """
-    if n < 1:
-        raise ValueError(f"mode number must be >= 1, got n={n}")
-    k = n * math.pi / grid.L
-    w = math.sqrt(k * k + 1.0)
-    u1 = np.sin(k * grid.x) * math.cos(w * t)
-    u2 = -w * np.sin(k * grid.x) * math.sin(w * t)
-    return State(grid, u1, u2, t)
-
-
-def standing_wave_energy(n: int, grid: Grid) -> float:
-    """Closed-form full-line energy of the standing wave: (L/2) * w^2.
-
-    Over [0, L]: int sin^2 = int cos^2 = L/2, so the energy density
-    integrates to (L/4)(w^2 sin^2(wt) + (k^2+1) cos^2(wt)) = (L/4) w^2,
-    and the odd extension doubles it.
-    """
-    k = n * math.pi / grid.L
-    return 0.5 * grid.L * (k * k + 1.0)

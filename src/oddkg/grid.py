@@ -52,20 +52,27 @@ class Grid:
         return self.tables[key]
 
 
+def check_spacing(dx: float) -> float:
+    """`dx` if dx > 0 with dx^2 and 4/dx^2 finite (about 1e-154 < dx < 1e154), else ValueError.
+
+    The one rule on a spacing: the stencil, `cfl_dt` and the spectral sectors take 1/dx^2.
+    """
+    if not (dx > 0.0 and dx * dx < math.inf and 4.0 / dx / dx < math.inf):
+        raise ValueError(f"dx = {dx:g} is out of range: dx^2 and 4/dx^2 must be finite")
+    return dx
+
+
 def spacing(L: float, N: int, fullline: bool) -> float:
     """dx of N interior nodes: L/(N+1) on the half-line, 2L/(N+1) on the full line.
 
     The one check of a grid's size, which allocates nothing: L > 0, N >= 16
-    (MIN_INTERIOR_POINTS) and 0 < dx < inf, else ValueError.
+    (MIN_INTERIOR_POINTS) and `check_spacing`'s rule on dx, else ValueError.
     """
     if not L > 0:
         raise ValueError(f"domain half-width must be positive, got L={L}")
     if not N >= MIN_INTERIOR_POINTS:
         raise ValueError(f"need at least {MIN_INTERIOR_POINTS} interior points, got N={N}")
-    dx = (2.0 if fullline else 1.0) * L / (N + 1)
-    if not 0.0 < dx < math.inf:
-        raise ValueError(f"dx = {dx:g} is not positive and finite: L={L:g} over N+1={N + 1}")
-    return dx
+    return check_spacing((2.0 if fullline else 1.0) * L / (N + 1))
 
 
 def _make(L: float, N: int, fullline: bool) -> Grid:
@@ -111,32 +118,20 @@ class State:
         return State(self.grid, self.u1.copy(), self.u2.copy(), self.t)
 
 
-def zero_state(grid: Grid, t: float = 0.0) -> State:
-    return State(grid, np.zeros(grid.N), np.zeros(grid.N), t)
-
-
-def integrate_fullline(v: np.ndarray, grid: Grid, origin: str = "zero") -> float:
+def integrate_fullline(v: np.ndarray, grid: Grid) -> float:
     """Integral over the whole real line of an even integrand sampled as `v` on `grid`.
 
     On a full-line grid this is the trapezoid rule with zero Dirichlet end
     values (x=0 is an ordinary interior node there).  On a half-line grid
-    it is 2 x trapezoid on [0, L]; the value at the unstored x=0 node is
-    controlled by `origin`:
-
-    * "zero": take 0.  Correct whenever the integrand carries an odd
-      factor (u1^2, u1*u2, ...), which covers the raw field products.
-    * "even": estimate g(0) ~= (4 g(x_1) - g(x_2))/3, the parabola through
-      the first two nodes of an even function.  Needed for integrands
-      built from x-derivatives of odd fields, e.g. (du1/dx)^2, whose
-      origin value does not vanish; leaving it out costs an O(dx) error.
+    it is 2 x trapezoid on [0, L] with 0 at the unstored x=0 node: right for
+    an integrand with an odd factor (u1^2, u1*u2, ...), not for (du1/dx)^2,
+    which the diagnostics kernel integrates with its `UnitWeights.even` row.
     """
-    if origin not in ("zero", "even"):
-        raise ValueError(f"unknown origin mode {origin!r}")
     v = check_samples(v, grid)
     if grid.fullline:
         return float(grid.dx * v.sum())
-    g0 = 0.0 if origin == "zero" else (4.0 * v[0] - v[1]) / 3.0
-    return float(grid.dx * (g0 + 2.0 * v.sum()))
+    # 0.0 is the origin value; adding it also turns a -0 sum into +0
+    return float(grid.dx * (0.0 + 2.0 * v.sum()))
 
 
 def derivative(v: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import State
+from .grid import State, check_spacing
 from .models import Model
 from .virial import CSV_COLUMNS, DiagnosticsRecord, VirialConfig, fill_dI_dt_numeric, make_record
 
@@ -59,12 +59,11 @@ def cfl_dt(dx: float, model: Model, safety: float) -> float:
 
     The bound covers the linearized operator -D2 - m on either grid; the
     max(|m|, 1) term keeps a margin when m reduces the stiffness.  ValueError
-    unless 0 < safety < 1, dx > 0 and dx^2, 4/dx^2 are finite (about 1e-154 < dx < 1e154).
+    unless 0 < safety < 1 and dx obeys `grid.check_spacing`.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError(f"safety factor must lie in (0, 1), got {safety}")
-    if not (dx > 0.0 and dx * dx < math.inf and 4.0 / dx / dx < math.inf):
-        raise ValueError(f"dx = {dx:g} is out of range: dx^2 and 4/dx^2 must be finite")
+    check_spacing(dx)
     return safety * 2.0 / math.sqrt(4.0 / dx ** 2 + max(abs(model.m), 1.0))
 
 

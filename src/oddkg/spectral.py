@@ -62,7 +62,7 @@ def _bisect(holds, lo: float, hi: float, width: float) -> float:
     float spacing.
     """
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
         if hi - lo <= width + 2.0 * _EPS * max(abs(lo), abs(hi)) or mid in (lo, hi):
             return mid
         if holds(mid):
@@ -83,7 +83,7 @@ def pt_index(V0: float) -> int:
     is a resonance and is not counted (pt_index(2) == 1, not 2).
     """
     _check_strength(V0)
-    bound = 0.5 * (math.sqrt(4.0 * V0 + 1.0) + 1.0)
+    bound = math.sqrt(V0 + 0.25) + 0.5  # the same bits, without overflow at 4*V0
     k = math.floor(bound)
     return int(k - 1) if k == bound else int(k)
 
@@ -265,7 +265,10 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
                 floor = lower - margin
             if math.isfinite(upper + margin):
                 ceil = upper + margin
-        out.append(_bisect(lambda x: at_least(i, x, floor, ceil), lo, gu, 2.0 * EIG_ATOL))
+        mid = _bisect(lambda x: at_least(i, x, floor, ceil), lo, gu, 2.0 * EIG_ATOL)
+        # a bracket can end below the last midpoint where eigenvalues lie closer than
+        # EIG_ATOL; lambda_i >= lambda_(i-1) >= out[-1] - EIG_ATOL, so out[-1] is close too
+        out.append(max(mid, out[-1]) if out else mid)
     return np.array(out)
 
 

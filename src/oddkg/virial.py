@@ -42,7 +42,7 @@ import numpy as np
 from .grid import Grid, State, check_samples, derivative, gradient_sq_integral, integrate_fullline
 from .models import Model
 
-#: fixed CSV schema for one diagnostics record (dI_dt_rhs = -virial_rhs)
+#: fixed CSV schema for one diagnostics record (dI_dt_rhs = -(B + nonlinear term))
 CSV_COLUMNS = (
     "t", "E", "I", "dI_dt_numeric", "dI_dt_rhs", "B_val",
     "H", "H1w_sq", "L2w_sq", "cross", "dH_dt_analytic", "sf_ratio",
@@ -65,9 +65,10 @@ class VirialConfig:
 class UnitWeights:
     """The rows on one grid that no virial scale lam enters.
 
-    np.dot(even, g) is integrate_fullline(g, grid, origin="even"): the row is
-    dx*(2, ..., 2) + dx*(4/3, -1/3, 0, ..., 0) on the half-line and
-    dx*(1, ..., 1) on the full line.  The localization rows are `even` times
+    np.dot(even, g) integrates an even g over the line, with g(0) taken from the
+    parabola through the first two nodes (`even_origin_integral` in tests/oracles.py
+    is the tests' reference): the row is dx*(2, ..., 2) + dx*(4/3, -1/3, 0, ..., 0)
+    on the half-line and dx*(1, ..., 1) on the full line.  The localization rows are `even` times
 
         sech   = sech(x)          (unit-scale localization weight)
         dsech  = -sech(x) tanh(x)
@@ -137,7 +138,7 @@ class _Kernel:
 
     `u1` and `u2` are sample arrays on `grid`; a kernel of one field takes
     u2 = None.  `lam` is the scale of the rows W; a kernel that reads only
-    the lam-free rows U (H, its rate, the weighted norms, the energy) takes None.
+    the lam-free rows U (H, the weighted norms, the energy) takes None.
     Arrays go into the grid's one workspace table, a dict of buffers by
     name, so records and standalone functionals alike allocate nothing
     N-sized here but what model.f and model.F return, and agree bit for
@@ -147,9 +148,9 @@ class _Kernel:
     """
 
     def __init__(self, grid: Grid, u1: np.ndarray, lam: float | None,
-                 u2: np.ndarray | None = None, model: Model | None = None, q: float = 2.0):
+                 u2: np.ndarray | None = None, model: Model | None = None):
         self.grid, self.u1, self.lam, self.u2 = grid, u1, lam, u2
-        self.model, self.q = model, q
+        self.model = model
         self.ws = grid.table(("workspace",), dict)
 
     def buf(self, name: str, size: int | None = None) -> np.ndarray:
@@ -172,7 +173,8 @@ class _Kernel:
     F = _Once(lambda k: k.model.F(k.u1))
     u1f = _Once(lambda k: np.multiply(k.u1, k.f, out=k.buf("u1f")))
     fu2 = _Once(lambda k: np.multiply(k.f, k.u2, out=k.buf("fu2")))
-    # |u1|^(2+q); the catalog's p = 3 makes the quartic case the hot one
+    # |u1|^(2+q) with q = p - 1; the catalog's p = 3 makes the quartic case the hot one
+    q = _Once(lambda k: k.model.p - 1.0)
     abs_pow = _Once(lambda k: np.square(k.u1_sq, out=k.buf("abs_pow")) if 2.0 + k.q == 4.0
                     else np.power(np.abs(k.u1, out=k.buf("abs_pow")), 2.0 + k.q,
                                   out=k.buf("abs_pow")))
@@ -207,6 +209,8 @@ class _Kernel:
                - 2.0 * _dot(k.U.dsech, k.du1u2))
     sup = _Once(lambda k: float(np.max(np.abs(k.u1, out=k.buf("abs_u1")))))
     dw_norm_sq = _Once(lambda k: _dot(k.U.even, k.dw_sq))
+    # sf_ratio = int psi' |u1|^(2+q) / (||u1||_inf^q ||dw/dx||^2), 0 at u1 = 0, is scale
+    # invariant: its bound is the weighted Sobolev bound behind the nonlinear estimate.
     # numpy pow overflows to inf rather than raising, as near-blow-up states need
     sf_denom = _Once(lambda k: float(np.float64(k.sup) ** k.q) * k.dw_norm_sq)
     sf = _Once(lambda k: _dot(k.W.psip, k.abs_pow) / k.sf_denom if k.sf_denom != 0.0 else 0.0)
@@ -239,11 +243,6 @@ def bsharp(w: np.ndarray, grid: Grid, cfg: VirialConfig) -> float:
     return _Kernel(grid, check_samples(w, grid), cfg.lam).bsharp
 
 
-def virial_rhs(state: State, model: Model, cfg: VirialConfig) -> float:
-    """-dI/dt as predicted by the virial identity: B(u1) + nonlinear term."""
-    return _Kernel(state.grid, state.u1, cfg.lam, model=model).rhs
-
-
 def weighted_norms(state: State) -> tuple[float, float]:
     """(H1w_sq, L2w_sq): sech(x)-weighted H1 and L2 norms squared.
 
@@ -258,16 +257,6 @@ def H_loc(state: State) -> float:
     return _Kernel(state.grid, state.u1, None, state.u2).H
 
 
-def dH_analytic(state: State, model: Model) -> float:
-    """Exact dH/dt: 2 int sech [(1+m)u1 + f(u1)] u2 - 2 int sech' u2 u1x."""
-    return _Kernel(state.grid, state.u1, None, state.u2, model).dH
-
-
-def cross_term(state: State) -> float:
-    """integral sech(x) u1 u2."""
-    return _Kernel(state.grid, state.u1, None, state.u2).cross
-
-
 def energy(state: State, model: Model) -> float:
     """Conserved energy: full-line integral of u2^2/2 + u1x^2/2 - m*u1^2/2 - F(u1).
 
@@ -280,19 +269,6 @@ def energy(state: State, model: Model) -> float:
 def energy_norm_sq(state: State) -> float:
     """Full-line H1 x L2 norm squared, with the staggered gradient of `energy`."""
     return _Kernel(state.grid, state.u1, None, state.u2).energy_norm_sq
-
-
-def sf_ratio(u1: np.ndarray, grid: Grid, cfg: VirialConfig, q: float) -> float:
-    """[int psi' |u1|^(2+q)] / [||u1||_inf^q * ||dw/dx||_L2^2], or 0 for u1 = 0.
-
-    Scale invariant: both numerator and denominator are homogeneous of
-    degree 2+q in u1.  Boundedness of this ratio along trajectories is
-    the testable content of the weighted Sobolev bound behind the
-    nonlinear error estimate.
-    """
-    if not q > 0:
-        raise ValueError(f"exponent q must be positive, got {q}")
-    return _Kernel(grid, check_samples(u1, grid), cfg.lam, q=q).sf
 
 
 @dataclass
@@ -327,7 +303,7 @@ class DiagnosticsRecord:
 
 def make_record(state: State, model: Model, cfg: VirialConfig) -> DiagnosticsRecord:
     """Every diagnostic functional of one state, bit-identical to the standalone ones."""
-    k = _Kernel(state.grid, state.u1, cfg.lam, state.u2, model, model.p - 1.0)
+    k = _Kernel(state.grid, state.u1, cfg.lam, state.u2, model)
     return DiagnosticsRecord(
         t=state.t, E=k.E, I=k.I, dI_dt_numeric=math.nan, dI_dt_rhs=-k.rhs, B_val=k.B,
         H=k.H, H1w_sq=k.h1w, L2w_sq=k.l2w, cross=k.cross, dH_dt_analytic=k.dH,

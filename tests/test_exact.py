@@ -2,11 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import linear_standing_wave, standing_wave_energy
 
-from oddkg.exact import (
-    BreatherParams, breather_dt_exact, breather_exact, breather_state,
-    linear_standing_wave, standing_wave_energy,
-)
+from oddkg.exact import BreatherParams, breather_dt_exact, breather_exact, breather_state
 from oddkg.grid import make_fullline_grid, make_grid
 from oddkg.models import make_model
 from oddkg.virial import energy
@@ -128,9 +126,3 @@ def test_standing_wave_energy_closed_form():
     for t in (0.0, 0.4):
         st = linear_standing_wave(5, g, t)
         assert energy(st, lk) == pytest.approx(standing_wave_energy(5, g), rel=1e-4)
-
-
-def test_standing_wave_mode_validation():
-    g = make_grid(40.0, 1999)
-    with pytest.raises(ValueError):
-        linear_standing_wave(0, g, 0.0)

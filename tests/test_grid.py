@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import even_origin_integral
 
 from oddkg.grid import (
     State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid, make_grid,
@@ -48,9 +49,9 @@ def test_field_shape_validation():
 
 
 def test_integrate_gaussian_against_sqrt_pi():
-    # full-line integral of exp(-x^2); even-origin mode supplies the x=0 value
+    # full-line integral of exp(-x^2); the even-origin estimate supplies the x=0 value
     g = make_grid(40.0, 3999)
-    val = integrate_fullline(np.exp(-g.x ** 2), g, origin="even")
+    val = even_origin_integral(np.exp(-g.x ** 2), g)
     assert abs(val - math.sqrt(math.pi)) < 1e-6
 
 
@@ -61,12 +62,10 @@ def test_integrate_zero_field():
 
 @pytest.mark.parametrize("make", (make_grid, make_fullline_grid))
 def test_integrate_rejects_unknown_origin_and_foreign_grid(make):
-    # both checks hold on either grid kind; samples of another size than
-    # the grid's are an error rather than integrated with its dx
+    # on either grid kind, samples of another size than the grid's are an
+    # error rather than integrated with its dx
     g, other = make(20.0, 99), make(40.0, 199)
     v = np.ones(g.N)
-    with pytest.raises(ValueError, match="unknown origin mode"):
-        integrate_fullline(v, g, origin="bogus")
     with pytest.raises(ValueError, match="N=199"):
         integrate_fullline(v, other)
 
@@ -75,10 +74,10 @@ def test_integrate_sech_against_pi():
     # int sech = pi; domain truncation is exponentially small at L = 40
     # (the 1e-9 floor is the O(dx^5) origin-extrapolation term, not truncation)
     g40 = make_grid(40.0, 3999)
-    val40 = integrate_fullline(1.0 / np.cosh(g40.x), g40, origin="even")
+    val40 = even_origin_integral(1.0 / np.cosh(g40.x), g40)
     assert abs(val40 - math.pi) < 1e-9
     g80 = make_grid(80.0, 7999)  # same dx, doubled domain isolates truncation
-    val80 = integrate_fullline(1.0 / np.cosh(g80.x), g80, origin="even")
+    val80 = even_origin_integral(1.0 / np.cosh(g80.x), g80)
     assert abs(val80 - val40) < 10 * math.exp(-g40.L)
 
 
@@ -119,8 +118,7 @@ def test_quadrature_refinement_at_least_second_order():
     def err(N):
         g = make_grid(20.0, N)
         exact = math.gamma(1.75) / 2.0 ** 1.75  # int_R |x|^2.5 exp(-2 x^2) via Gamma
-        val = integrate_fullline(np.abs(g.x) ** 2.5 * np.exp(-2.0 * g.x ** 2), g,
-                                 origin="even")
+        val = even_origin_integral(np.abs(g.x) ** 2.5 * np.exp(-2.0 * g.x ** 2), g)
         return abs(val - exact)
 
     e1, e2 = err(999), err(1999)

@@ -4,17 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import linear_standing_wave
 
-from oddkg.exact import linear_standing_wave
-from oddkg.grid import State, make_grid, zero_state
+from oddkg.grid import State, make_grid
 from oddkg.integrator import (
     BlowupError, RunSettings, _half_kick, _kick_drift_kick, cfl_dt,
     leapfrog_step, run,
 )
 from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.virial import (
-    H_loc, VirialConfig, bilinear_B, cross_term, energy_norm_sq, virial_I, virial_I_abs,
-    weighted_norms,
+    H_loc, VirialConfig, bilinear_B, energy_norm_sq, virial_I, virial_I_abs, weighted_norms,
 )
 
 LK = make_model("linear-kg")
@@ -55,7 +54,7 @@ def test_run_settings_validation():
 
 def test_zero_state_is_fixed_point():
     g = make_grid(20.0, 199)
-    st = zero_state(g)
+    st = State(g, np.zeros(g.N), np.zeros(g.N))
     for model in (LK, SG, make_model("phi4")):
         out = leapfrog_step(st, model, 0.05)
         assert np.all(out.u1 == 0.0)
@@ -105,7 +104,7 @@ def test_time_reversibility():
 
 def test_run_T_zero_single_record():
     g = make_grid(20.0, 199)
-    st = zero_state(g)
+    st = State(g, np.zeros(g.N), np.zeros(g.N))
     recs = run(st, LK, RunSettings(dt=0.01, T=0.0, record_every=25), VC)
     assert len(recs) == 1
     assert recs[0].t == 0.0
@@ -364,11 +363,10 @@ def test_step_allocates_nothing(name):
 
 
 @pytest.mark.parametrize("functional", [
-    H_loc, weighted_norms, cross_term, energy_norm_sq,
+    H_loc, weighted_norms, energy_norm_sq,
     lambda state: virial_I(state, VC), lambda state: virial_I_abs(state, VC),
     lambda state: bilinear_B(state.u1, state.grid, VC),
-], ids=["H_loc", "weighted_norms", "cross_term", "energy_norm_sq", "virial_I", "virial_I_abs",
-        "bilinear_B"])
+], ids=["H_loc", "weighted_norms", "energy_norm_sq", "virial_I", "virial_I_abs", "bilinear_B"])
 def test_standalone_functional_allocates_nothing(functional):
     # after a warm-up call has made the grid's buffers and weight rows, a
     # standalone functional allocates no N-sized array, as a record does not

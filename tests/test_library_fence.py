@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_fence import EXTREME, TINY
 
 from oddkg.exact import BreatherParams, breather_state
-from oddkg.grid import State, make_fullline_grid, make_grid, zero_state
+from oddkg.grid import State, make_fullline_grid, make_grid
 from oddkg.integrator import RunSettings, cfl_dt, run
 from oddkg.models import make_model
 from oddkg.spectral import assemble, lowest_eigs, negative_count, pt_index
@@ -54,7 +54,7 @@ def test_grids_states_and_breathers_are_finite_or_refused(L, N, fullline, beta):
     grid = _refused(make_fullline_grid if fullline else make_grid, float(L), _number(N))
     if grid is None:
         return
-    assert 0.0 < grid.dx < math.inf
+    assert 0.0 < grid.dx < math.inf and 0.0 < 1.0 / grid.dx ** 2 < math.inf
     assert grid.x.shape == (grid.N,) and np.isfinite(grid.x).all()
     for shape in ((grid.N,), (grid.N - 1,), (grid.N, 1)):  # a State holds one value per node
         state = _refused(State, grid, np.zeros(shape), np.zeros(grid.N))
@@ -78,7 +78,8 @@ def test_run_settings_record_whole_strides_or_are_refused(dt, T, every):
     if rs is None or rs.T / rs.dt > 1000:  # too long to run here
         return
     seen = []  # the run stops at its 50th record
-    records = run(zero_state(make_grid(20.0, 16)), LK, rs, VC,
+    grid = make_grid(20.0, 16)
+    records = run(State(grid, np.zeros(grid.N), np.zeros(grid.N)), LK, rs, VC,
                   on_record=lambda state, rec: seen.append(rec) or len(seen) >= 50)
     steps = [round(rec.t / rs.dt) for rec in records]
     assert steps == sorted(set(steps)) and steps[0] == 0
@@ -123,7 +124,7 @@ def test_custom_poly_models_are_finite_or_refused(m, coeffs):
                            "inf")),
        model=st.sampled_from(("sine-gordon", "phi4", "linear-kg")),
        safety=st.sampled_from(EXTREME["dt_safety"]))
-@example(dx=repr(make_grid(1e-300, 99).dx), model="linear-kg", safety="0.4")  # dx^2 = 0
+@example(dx="1e-302", model="linear-kg", safety="0.4")  # dx^2 = 0
 def test_cfl_steps_are_finite_or_refused(dx, model, safety):
     dt = _refused(cfl_dt, float(dx), make_model(model), float(safety))
     if dt is not None:
@@ -133,16 +134,21 @@ def test_cfl_steps_are_finite_or_refused(dx, model, safety):
 @FEW
 @given(V0=st.sampled_from(("0", "0.5", "2", "6", "1e300", "-1", "nan", "inf")),
        lam=st.sampled_from(EXTREME["lambda"] + ("1", "1e-5")),
-       parity=st.sampled_from(("odd", "even")), N=st.sampled_from((16, 99, 399)))
-@example(V0="2", lam="1e200", parity="odd", N=99)  # lam^2 raised OverflowError
-@example(V0="2", lam="1e-200", parity="odd", N=99)  # lam^2 = 0: ZeroDivisionError
-@example(V0="nan", lam="1", parity="odd", N=99)  # the bisection never returned
-@example(V0="inf", lam="1", parity="odd", N=99)  # returned [-inf]
-@example(V0="1e300", lam="1e-5", parity="even", N=99)  # V0/lam^2 = inf: nan entries, a hang
-def test_spectral_sectors_give_finite_eigenvalues_or_are_refused(V0, lam, parity, N):
-    # on a grid of L = 20 only: assemble does not refuse a dx whose 1/dx^2 overflows
+       parity=st.sampled_from(("odd", "even")), N=st.sampled_from((16, 99, 399)),
+       L=st.sampled_from(EXTREME["L"] + TINY["L"]))
+@example(V0="2", lam="1e200", parity="odd", N=99, L="20")  # lam^2 raised OverflowError
+@example(V0="2", lam="1e-200", parity="odd", N=99, L="20")  # lam^2 = 0: ZeroDivisionError
+@example(V0="nan", lam="1", parity="odd", N=99, L="20")  # the bisection never returned
+@example(V0="inf", lam="1", parity="odd", N=99, L="20")  # returned [-inf]
+@example(V0="1e308", lam="1", parity="odd", N=99, L="20")  # the midpoint overflowed: [-inf]
+@example(V0="1e300", lam="1e-5", parity="even", N=99, L="20")  # V0/lam^2 = inf: nan entries, a hang
+@example(V0="2", lam="1", parity="odd", N=99, L="1e-300")  # 1/dx^2 = inf: ZeroDivisionError
+def test_spectral_sectors_give_finite_eigenvalues_or_are_refused(V0, lam, parity, N, L):
     index = _refused(pt_index, float(V0))
-    sector = _refused(assemble, make_grid(20.0, N), float(V0), float(lam), parity)
+    grid = _refused(make_grid, float(L), N)
+    if grid is None:
+        return
+    sector = _refused(assemble, grid, float(V0), float(lam), parity)
     if sector is None:
         return
     assert index is not None  # pt_index and assemble share the rule on V0

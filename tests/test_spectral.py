@@ -19,7 +19,7 @@ from oddkg import spectral
 from oddkg.experiments import build_config, parse_pairs, run_scenario
 from oddkg.grid import make_grid
 from oddkg.spectral import (
-    MARGINAL_EIG_TOL, assemble, coercivity_certificate, count_below,
+    EIG_ATOL, MARGINAL_EIG_TOL, assemble, coercivity_certificate, count_below,
     index_check, lowest_eigs, negative_count, pt_index,
 )
 
@@ -134,6 +134,16 @@ def test_bounds_that_are_not_finite_decide_nothing():
         diag=d.diag, offdiag=d.offdiag, eig_bounds=lambda i: (math.inf, -math.inf))
     assert lowest_eigs(broken, 5).tolist() == lowest_eigs(bare, 5).tolist()
     assert lowest_eigs(d, 5).tolist() == lowest_eigs(bare, 5).tolist()
+
+
+def test_lowest_eigs_ascend_where_eigenvalues_lie_closer_than_the_tolerance():
+    # dx = 1e98 puts every eigenvalue in [0, 4e-196], far inside EIG_ATOL, so
+    # a bracket can end below the previous eigenvalue's midpoint
+    with np.errstate(over="ignore"):  # cosh(x/lam) overflows on every node
+        op = assemble(make_grid(1e100, 99), 2.0, 1.0, "odd")
+    eigs = lowest_eigs(op, 3)
+    assert eigs.tolist() == sorted(eigs.tolist())
+    assert np.all(np.abs(eigs - np.linalg.eigvalsh(_dense(op))[:3]) <= EIG_ATOL)
 
 
 def test_shipped_spectral_run_takes_at_most_450_counts(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import even_origin_integral
 from scipy.integrate import quad
 
 from oddkg.experiments import write_timeseries
@@ -15,8 +16,7 @@ from oddkg.grid import State, derivative, integrate_fullline, make_grid
 from oddkg.models import make_model
 from oddkg.virial import (
     CSV_COLUMNS, DiagnosticsRecord, VirialConfig, H_loc, bilinear_B, bsharp,
-    cross_term, dH_analytic, fill_dI_dt_numeric, make_record, sf_ratio, to_w,
-    virial_I, virial_rhs, weighted_norms,
+    fill_dI_dt_numeric, make_record, to_w, virial_I, weighted_norms,
 )
 
 # dense grid so quadrature/stencil error sits below the 1e-6 oracle tolerance
@@ -46,9 +46,8 @@ def test_virial_config_validation():
     lambda v, g: bilinear_B(v, g, VirialConfig(10.0)),
     lambda v, g: bsharp(v, g, VirialConfig(10.0)),
     lambda v, g: to_w(v, g, VirialConfig(10.0)),
-    lambda v, g: sf_ratio(v, g, VirialConfig(10.0), 2.0),
     integrate_fullline,
-], ids=["bilinear_B", "bsharp", "to_w", "sf_ratio", "integrate_fullline"])
+], ids=["bilinear_B", "bsharp", "to_w", "integrate_fullline"])
 def test_single_field_entry_points_check_the_sample_count(call):
     # one shape check, grid.check_samples, guards every entry point that takes
     # a bare array; the State cases are in test_grid.test_field_shape_validation
@@ -153,21 +152,22 @@ def test_bsharp_odd_coercivity_on_samples():
                    * (c[0] * x + c[1] * np.sin(x) + c[2] * np.sin(2 * x) + c[3] * x ** 3
                       * np.exp(-x * x)))
         dw = derivative(w, FINE)
-        stiff = integrate_fullline(dw * dw, FINE, origin="even")
+        stiff = even_origin_integral(dw * dw, FINE)
         assert bsharp(w, FINE, cfg) >= 0.75 * stiff - 1e-9 * stiff
 
 
 def test_virial_rhs_zero_state():
     g = make_grid(20.0, 999)
     z = State(g, np.zeros(g.N), np.zeros(g.N))
-    assert virial_rhs(z, make_model("phi4"), VirialConfig(10.0)) == 0.0
+    assert make_record(z, make_model("phi4"), VirialConfig(10.0)).dI_dt_rhs == 0.0
 
 
 def test_virial_rhs_linear_model_reduces_to_B():
     st = _state(lambda x: x * np.exp(-x * x), lambda x: 0.0 * x)
     cfg = VirialConfig(10.0)
     lk = make_model("linear-kg")
-    assert virial_rhs(st, lk, cfg) == pytest.approx(bilinear_B(st.u1, FINE, cfg), rel=1e-15)
+    rhs = -make_record(st, lk, cfg).dI_dt_rhs
+    assert rhs == pytest.approx(bilinear_B(st.u1, FINE, cfg), rel=1e-15)
 
 
 def test_weighted_norms_oracle_and_zero_velocity():
@@ -198,41 +198,43 @@ def test_H_zero_state():
 
 def test_dH_analytic_vanishes_without_velocity():
     st = _state(lambda x: x * np.exp(-x * x), lambda x: 0.0 * x)
-    assert dH_analytic(st, make_model("sine-gordon")) == 0.0
+    cfg = VirialConfig(10.0)
+    assert make_record(st, make_model("sine-gordon"), cfg).dH_dt_analytic == 0.0
     g = make_grid(20.0, 999)
     z = State(g, np.zeros(g.N), np.zeros(g.N))
-    assert dH_analytic(z, make_model("phi4")) == 0.0
+    assert make_record(z, make_model("phi4"), cfg).dH_dt_analytic == 0.0
 
 
 def test_cross_term_oracle_and_bound():
     st = _state(lambda x: x * np.exp(-x * x), lambda x: x * np.exp(-x * x))
     oracle = 2.0 * quad(lambda x: (x * math.exp(-x * x)) ** 2 / math.cosh(x),
                         0.0, 20.0, epsabs=1e-13)[0]
-    assert cross_term(st) == pytest.approx(oracle, rel=1e-6)
+    cross = make_record(st, make_model("sine-gordon"), VirialConfig(10.0)).cross
+    assert cross == pytest.approx(oracle, rel=1e-6)
     # |cross| <= (H1w + L2w)/2 by Cauchy-Schwarz + AM-GM
     h1w, l2w = weighted_norms(st)
-    assert abs(cross_term(st)) <= 0.5 * (h1w + l2w) + 1e-15
+    assert abs(cross) <= 0.5 * (h1w + l2w) + 1e-15
 
 
 def test_sf_ratio_zero_field_and_validation():
+    # sine-Gordon's p = 3 gives q = p - 1 = 2
     g = make_grid(20.0, 999)
-    z = np.zeros(g.N)
-    assert sf_ratio(z, g, VirialConfig(10.0), 2.0) == 0.0
-    with pytest.raises(ValueError):
-        sf_ratio(z, g, VirialConfig(10.0), 0.0)
+    z = State(g, np.zeros(g.N), np.zeros(g.N))
+    assert make_record(z, make_model("sine-gordon"), VirialConfig(10.0)).sf_ratio == 0.0
 
 
 def test_sf_ratio_scale_invariance():
-    cfg = VirialConfig(10.0)
+    cfg, sg = VirialConfig(10.0), make_model("sine-gordon")  # q = p - 1 = 2
     u1 = _field(lambda x: x * np.exp(-x * x))
-    base = sf_ratio(u1, FINE, cfg, 2.0)
+    base = make_record(State(FINE, u1, u1), sg, cfg).sf_ratio
     for c in (2.0, -5.0, 0.03):
         scaled = c * u1
-        assert sf_ratio(scaled, FINE, cfg, 2.0) == pytest.approx(base, rel=1e-12)
+        assert make_record(State(FINE, scaled, scaled), sg, cfg).sf_ratio == pytest.approx(
+            base, rel=1e-12)
 
 
 def test_sf_ratio_against_quadrature_oracle():
-    lam, q = 10.0, 2.0
+    lam, q = 10.0, 2.0  # sine-Gordon's q = p - 1
     u1 = _field(lambda x: x * np.exp(-x * x))
 
     def num_int(x):
@@ -250,7 +252,8 @@ def test_sf_ratio_against_quadrature_oracle():
     den = 2.0 * quad(dw_int, 0.0, 20.0, epsabs=1e-14)[0]
     sup = float(np.max(np.abs(u1)))
     oracle = num / (sup ** q * den)
-    assert sf_ratio(u1, FINE, VirialConfig(lam), q) == pytest.approx(oracle, rel=1e-6)
+    rec = make_record(State(FINE, u1, u1), make_model("sine-gordon"), VirialConfig(lam))
+    assert rec.sf_ratio == pytest.approx(oracle, rel=1e-6)
 
 
 def test_make_record_consistent_with_functionals():
@@ -261,12 +264,8 @@ def test_make_record_consistent_with_functionals():
     rec = make_record(st, sg, cfg)
     assert rec.I == virial_I(st, cfg)
     assert rec.B_val == bilinear_B(st.u1, g, cfg)
-    assert rec.dI_dt_rhs == -virial_rhs(st, sg, cfg)
     assert rec.H == H_loc(st)
     assert (rec.H1w_sq, rec.L2w_sq) == weighted_norms(st)
-    assert rec.cross == cross_term(st)
-    assert rec.dH_dt_analytic == dH_analytic(st, sg)
-    assert rec.sf_ratio == sf_ratio(st.u1, g, cfg, q=sg.p - 1.0)
     assert math.isnan(rec.dI_dt_numeric)
 
 
