@@ -18,11 +18,11 @@ Five scenarios turn the decay machinery into runnable experiments:
 * virial-check single-state identity tests over 100 reproducible
                pseudo-random odd fields.
 
-The time-stepping scenarios share one pipeline: `_fullline` picks the grid
-kind, `_Simulation` builds a run at one resolution, and its `simulate` runs
-it with the one record observer (the exact-breather error, and a stop test
-such as the decay smallness guard); a NaN/Inf blow-up becomes `status:
-aborted_nan` with `abort_step`/`abort_t`.
+`validate_config` sets a scenario up once, as a `_Simulation`; `_fullline`
+picks its grid kind.  The time-stepping scenarios share `simulate`, which makes
+the grid and initial state and runs them with the one record observer (the
+exact-breather error, and a stop test such as the decay smallness guard); a
+NaN/Inf blow-up becomes `status: aborted_nan` with `abort_step`/`abort_t`.
 
 Outputs: ``timeseries.csv`` (`write_timeseries`) and ``summary.txt`` (flat
 ``key: value`` lines, `format_summary`).  This module writes every byte of
@@ -37,7 +37,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ import numpy as np
 from .exact import BreatherParams, breather_exact, breather_state
 from .grid import Grid, State, integrate_fullline, make_fullline_grid, make_grid, spacing
 from .integrator import BlowupError, RunSettings, cfl_dt, run
-from .models import CATALOG_NAMES, Model, make_model
+from .models import Model, make_model
 from .virial import (
     CSV_COLUMNS, H_loc, VirialConfig, bilinear_B, bsharp, energy_norm_sq, to_w, virial_I,
     virial_I_abs, weighted_norms,
@@ -149,9 +149,9 @@ def build_config(pairs: dict) -> ExperimentConfig:
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """A ConfigError unless `cfg` meets the experiment's own rules, and then every
-    library object that a run of it builds can be made: each is made once here."""
+def validate_config(cfg: ExperimentConfig) -> _Simulation:
+    """The run of `cfg`, with each library object it needs made once here and no
+    array; a ConfigError unless `cfg` meets the experiment's rules and the library's."""
     for key, (attr, conv) in _KEY_TABLE.items():
         if conv is float and not math.isfinite(getattr(cfg, attr)):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, attr)}")
@@ -159,8 +159,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"poly_coeffs must be finite, got {cfg.poly_coeffs}")
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}; choose one of {SCENARIOS}")
-    if cfg.model not in CATALOG_NAMES:
-        raise ConfigError(f"unknown model {cfg.model!r}; choose one of {CATALOG_NAMES}")
     if not cfg.epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {cfg.epsilon}")
     # the summary divides by epsilon^2; the smallness guard squares norms up to 3 epsilon
@@ -180,13 +178,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           "requires model=sine-gordon")
     try:
         dx = spacing(cfg.L, cfg.N, _fullline(cfg))
-        RunSettings(cfl_dt(dx, config_model(cfg), cfg.dt_safety), cfg.T, cfg.record_every)
-        VirialConfig(cfg.lam), BreatherParams(cfg.beta)
+        model = config_model(cfg)
+        settings = RunSettings(cfl_dt(dx, model, cfg.dt_safety), cfg.T, cfg.record_every)
+        vcfg, breather = VirialConfig(cfg.lam), BreatherParams(cfg.beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg.lam < MIN_LAMBDA_OVER_DX * dx:
         raise ConfigError(f"lambda={cfg.lam:g} is not resolved by the grid: it must be "
                           f"at least {MIN_LAMBDA_OVER_DX:g}*dx = {MIN_LAMBDA_OVER_DX * dx:g}")
+    # the dt of each run that steps time; the convergence study's fine run takes dt/2
+    runs = {"decay": 1, "breather": 1, "convergence": 2}.get(cfg.scenario, 0)
+    for dt in (settings.dt, 0.5 * settings.dt)[:runs]:
+        if cfg.T / dt > MAX_STEPS:
+            raise ConfigError(f"T={cfg.T:g} at dt={dt:g} is {cfg.T / dt:.3g} steps, "
+                              f"more than the {MAX_STEPS:g} one run may take")
+    return _Simulation(cfg, cfg.N, dx, model, settings, vcfg,
+                       breather if _fullline(cfg) else None)
 
 
 def _fullline(cfg: ExperimentConfig) -> bool:
@@ -350,26 +357,20 @@ def write_summary(summary: dict, path) -> None:
 # the time-stepping pipeline: setup, and a run with its record observer
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class _Simulation:
-    """One time-stepping run of `cfg` at N nodes: grid, model, dt (the CFL
-    step of the grid unless given), settings and initial state."""
+    """One run of `cfg` at N nodes of spacing dx, as `validate_config` set it up:
+    the model, settings, virial config and, for breather data (on the full line),
+    the exact breather, else None.  It holds no array: `simulate` makes the grid
+    and the initial state when the run starts."""
 
-    def __init__(self, cfg: ExperimentConfig, N: int, dt: float | None = None):
-        self.grid = _grid(cfg, N)
-        self.model = config_model(cfg)
-        if dt is None:
-            dt = cfl_dt(self.grid.dx, self.model, cfg.dt_safety)
-        if cfg.T / dt > MAX_STEPS:
-            raise ConfigError(f"T={cfg.T:g} at dt={dt:g} is {cfg.T / dt:.3g} steps, "
-                              f"more than the {MAX_STEPS:g} one run may take")
-        self.settings = RunSettings(dt=dt, T=cfg.T, record_every=cfg.record_every)
-        self.vcfg = VirialConfig(cfg.lam)
-        #: the exact solution, when the data is a breather (on the full line)
-        self.breather = BreatherParams(cfg.beta) if _fullline(cfg) else None
-        if self.breather is None:
-            self.initial = make_initial_data(cfg, self.grid)
-        else:
-            self.initial = breather_state(self.breather, 0.0, self.grid)
+    cfg: ExperimentConfig
+    N: int
+    dx: float
+    model: Model
+    settings: RunSettings
+    vcfg: VirialConfig
+    breather: BreatherParams | None
 
     def simulate(self, stop=None) -> tuple[list, dict, list]:
         """Run to T, or to the first record for which `stop(rec)` is true; returns
@@ -380,34 +381,29 @@ class _Simulation:
         records so far come back with {abort_step, abort_t}, for the summary
         of a run with status aborted_nan.  Otherwise the abort keys are {}.
         """
+        grid = _grid(self.cfg, self.N)
+        initial = (make_initial_data(self.cfg, grid) if self.breather is None
+                   else breather_state(self.breather, 0.0, grid))
         errors = []
 
         def on_record(state: State, rec) -> bool:
             if self.breather is not None:
-                diff = state.u1 - breather_exact(self.breather, state.t, self.grid.x)
-                errors.append(math.sqrt(integrate_fullline(diff * diff, self.grid)))
+                diff = state.u1 - breather_exact(self.breather, state.t, grid.x)
+                errors.append(math.sqrt(integrate_fullline(diff * diff, grid)))
             return stop is not None and stop(rec)
 
         try:
-            return run(self.initial, self.model, self.settings, self.vcfg,
+            return run(initial, self.model, self.settings, self.vcfg,
                        on_record=on_record), {}, errors
         except BlowupError as exc:
             return exc.records, {"abort_step": exc.step, "abort_t": exc.t}, errors
 
 
 def _base_summary(cfg: ExperimentConfig, sim: _Simulation, abort: dict) -> dict:
-    return {
-        "scenario": cfg.scenario,
-        "status": "aborted_nan" if abort else "ok",
-        "model": cfg.model,
-        "L": cfg.L,
-        "N": cfg.N,
-        "dx": sim.grid.dx,
-        "dt": sim.settings.dt,
-        "T": cfg.T,
-        "lambda": cfg.lam,
-        "record_every": cfg.record_every,
-    }
+    """Leading summary keys of the scenarios that step time."""
+    return {"scenario": cfg.scenario, "status": "aborted_nan" if abort else "ok",
+            "model": cfg.model, "L": cfg.L, "N": cfg.N, "dx": sim.dx, "dt": sim.settings.dt,
+            "T": cfg.T, "lambda": cfg.lam, "record_every": cfg.record_every}
 
 
 # ----------------------------------------------------------------------
@@ -448,8 +444,7 @@ def _decay_metrics(records, epsilon: float) -> dict:
     }
 
 
-def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
-    sim = _Simulation(cfg, cfg.N)
+def _run_decay(cfg: ExperimentConfig, sim: _Simulation) -> ScenarioResult:
     bound = SMALLNESS_FACTOR * cfg.epsilon
     # the smallness guard ends the run at the first record whose norm exceeds the
     # bound, so the records' sup exceeds it exactly when it fired (nan fails both)
@@ -475,24 +470,22 @@ def _run_decay(cfg: ExperimentConfig) -> ScenarioResult:
 # breather scenario
 # ----------------------------------------------------------------------
 
-def _run_breather(cfg: ExperimentConfig) -> ScenarioResult:
-    sim = _Simulation(cfg, cfg.N)
-    params = sim.breather
+def _run_breather(cfg: ExperimentConfig, sim: _Simulation) -> ScenarioResult:
     records, abort, errors = sim.simulate()
 
     summary = _base_summary(cfg, sim, abort)
     summary["beta"] = cfg.beta
-    summary["alpha"] = params.alpha
-    summary["period"] = params.period
+    summary["alpha"] = sim.breather.alpha
+    summary["period"] = sim.breather.period
     summary["n_records"] = len(records)
     t = np.array([r.t for r in records])
     H = np.array([r.H for r in records])
     summary["H_initial"] = float(H[0])
-    n_periods = int(math.floor(cfg.T / params.period + 1e-9))
+    n_periods = int(math.floor(cfg.T / sim.breather.period + 1e-9))
     summary["n_periods"] = n_periods
     ratios = []
     for kper in range(1, n_periods + 1):
-        idx = int(np.argmin(np.abs(t - kper * params.period)))
+        idx = int(np.argmin(np.abs(t - kper * sim.breather.period)))
         ratio = float(H[idx] / H[0]) if H[0] > 0 else math.nan
         summary[f"H_period_ratio_{kper}"] = ratio
         ratios.append(ratio)
@@ -531,17 +524,18 @@ def _refinement_metrics(sim: _Simulation, resolution: str) -> tuple[dict, dict]:
     return {"drift": drift, "virial_resid": virial_resid, "exact_err": exact_err}, {}
 
 
-def _run_convergence(cfg: ExperimentConfig) -> ScenarioResult:
-    coarse = _Simulation(cfg, cfg.N)
-    fine = _Simulation(cfg, 2 * cfg.N + 1, 0.5 * coarse.settings.dt)
+def _run_convergence(cfg: ExperimentConfig, coarse: _Simulation) -> ScenarioResult:
+    # 2N+1 nodes at dt/2: spacing(L, 2N+1) divides by 2(N+1), so it is dx/2 exactly
+    fine = replace(coarse, N=2 * cfg.N + 1, dx=0.5 * coarse.dx,
+                   settings=replace(coarse.settings, dt=0.5 * coarse.settings.dt))
     c, abort = _refinement_metrics(coarse, "coarse")
     # a blown-up coarse run leaves nothing to compare the fine run with
     f, abort = (_NAN_METRICS, abort) if abort else _refinement_metrics(fine, "fine")
 
     summary = _base_summary(cfg, coarse, abort)
     summary["conv_mode"] = cfg.conv_mode
-    summary["dx_coarse"] = coarse.grid.dx
-    summary["dx_fine"] = fine.grid.dx
+    summary["dx_coarse"] = coarse.dx
+    summary["dx_fine"] = fine.dx
     summary["dt_coarse"] = coarse.settings.dt
     summary["dt_fine"] = fine.settings.dt
     for key, order_key in _ORDERS if coarse.breather is not None else _ORDERS[:2]:
@@ -556,17 +550,19 @@ def _run_convergence(cfg: ExperimentConfig) -> ScenarioResult:
 # spectral scenario
 # ----------------------------------------------------------------------
 
-def _check_summary(cfg: ExperimentConfig, grid: Grid) -> dict:
+def _check_summary(cfg: ExperimentConfig, sim: _Simulation) -> dict:
     """Leading summary keys of the scenarios that check a grid, not a run."""
     return {"scenario": cfg.scenario, "status": "ok", "lambda": cfg.lam, "L": cfg.L,
-            "N": cfg.N, "dx": grid.dx}
+            "N": cfg.N, "dx": sim.dx}
 
 
-def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
+def _run_spectral(cfg: ExperimentConfig, sim: _Simulation) -> ScenarioResult:
+    # imported at call time: the benchmark tracer patches these names in
+    # oddkg.spectral, which a module-level import would capture before it does
     from .spectral import coercivity_certificate, index_check
 
-    grid = _grid(cfg, cfg.N)
-    summary = _check_summary(cfg, grid)
+    grid = _grid(cfg, sim.N)
+    summary = _check_summary(cfg, sim)
     all_ok = True
     for V0 in SPECTRAL_BATTERY_V0:
         chk = index_check(grid, V0, cfg.lam)
@@ -594,9 +590,8 @@ def _run_spectral(cfg: ExperimentConfig) -> ScenarioResult:
 # virial-check scenario
 # ----------------------------------------------------------------------
 
-def _run_virial_check(cfg: ExperimentConfig) -> ScenarioResult:
-    grid = _grid(cfg, cfg.N)
-    vcfg = VirialConfig(cfg.lam)
+def _run_virial_check(cfg: ExperimentConfig, sim: _Simulation) -> ScenarioResult:
+    grid, vcfg = _grid(cfg, sim.N), sim.vcfg
     lcg = Lcg(cfg.seed)
 
     worst = dict.fromkeys(VIRIAL_CHECK_TOL, 0.0)
@@ -615,7 +610,7 @@ def _run_virial_check(cfg: ExperimentConfig) -> ScenarioResult:
                           ("H_decomp", abs(H - (h1w + l2w)) / max(abs(H), 1e-12))):
             worst[name] = max(worst[name], rel)
 
-    summary = _check_summary(cfg, grid)
+    summary = _check_summary(cfg, sim)
     if not all(worst[name] < tol for name, tol in VIRIAL_CHECK_TOL.items()):
         summary["status"] = "failed_checks"
     summary.update({"seed": cfg.seed, "n_fields": VIRIAL_CHECK_FIELDS})
@@ -635,14 +630,14 @@ _SCENARIO_RUNNERS = {
 
 def run_scenario(cfg: ExperimentConfig, write_files: bool = True) -> ScenarioResult:
     """Execute the configured scenario; optionally write the artifacts."""
-    validate_config(cfg)
+    sim = validate_config(cfg)
     outdir = Path(cfg.output_dir)
     if write_files:
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output_dir {outdir}: {exc}") from exc
-    result = _SCENARIO_RUNNERS[cfg.scenario](cfg)
+    result = _SCENARIO_RUNNERS[cfg.scenario](cfg, sim)
     if write_files:
         csv_path = outdir / "timeseries.csv"
         summary_path = outdir / "summary.txt"

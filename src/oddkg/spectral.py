@@ -130,6 +130,8 @@ def assemble(grid: Grid, V0: float, lam: float, parity: str) -> SchrodingerDiscr
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     inv_dx2 = 1.0 / grid.dx ** 2
     depth = V0 / lam ** 2
+    if not depth < math.inf:  # V0 and lam each obey their rule, but the quotient may overflow
+        raise ValueError(f"potential depth V0/lam^2 must be finite, got V0={V0:g}, lam={lam:g}")
     V_interior = depth / np.cosh(grid.x / lam) ** 2
     if parity == "odd":
         diag = 2.0 * inv_dx2 - V_interior

@@ -11,9 +11,9 @@ import pytest
 from oddkg import experiments, virial
 from oddkg.cli import main as cli_main
 from oddkg.experiments import (
-    ConfigError, ExperimentConfig, Lcg, _Simulation, config_model, describe,
-    make_initial_data, parse_config, random_odd_field, run_scenario, write_summary,
-    write_timeseries,
+    MAX_STEPS, SCENARIOS, ConfigError, ExperimentConfig, Lcg, config_model, describe,
+    make_initial_data, parse_config, random_odd_field, run_scenario, validate_config,
+    write_summary, write_timeseries,
 )
 from oddkg.grid import (
     State, derivative, gradient_sq_integral, integrate_fullline, make_fullline_grid, make_grid,
@@ -226,14 +226,15 @@ def test_decay_summary_maxima_are_taken_over_the_records(model, status):
                                        if r.sf_denom > 0.0)
     assert (s["sup_energy_norm"] > s["smallness_bound"]) == (status != "ok")
 
-    sim = _Simulation(cfg, cfg.N)
+    sim = validate_config(cfg)
     same = []
 
     def fresh_kernel(state, rec):
         k = virial._Kernel(state.grid, state.u1, cfg.lam, model=sim.model)
         same.append(rec.nonlinear == k.nonlinear)
 
-    records = run(sim.initial, sim.model, sim.settings, sim.vcfg, on_record=fresh_kernel)
+    initial = make_initial_data(cfg, make_grid(cfg.L, cfg.N))
+    records = run(initial, sim.model, sim.settings, sim.vcfg, on_record=fresh_kernel)
     assert len(same) == len(records) and all(same)
 
 
@@ -685,6 +686,41 @@ def test_describe_spectral_and_run_agree_that_custom_poly_needs_coeffs(tmp_path,
         assert capsys.readouterr() == (
             "", "config error: custom-poly coeffs must be a nonempty 1D sequence\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", (
+    ["decay", "--set", "T=1e7"],  # dt = 0.004 at the default N: 2.5e9 steps
+    ["convergence", "--set", "L=20", "--set", "N=99", "--set", "T=6e6"],  # the fine run only
+))
+def test_describe_and_run_agree_on_the_step_budget(argv, tmp_path, capsys):
+    # the budget was checked only when a run was set up: --describe exited 0
+    # and the run exited 2 after it had made output_dir
+    if argv[0] == "convergence":
+        coarse = validate_config(parse_config("scenario=decay\nL=20\nN=99\nT=6e6\n"))
+        assert coarse.settings.T / coarse.settings.dt <= MAX_STEPS
+    errors = []
+    for extra in (["--describe"], []):
+        assert cli_main(argv + extra + ["--set", f"output_dir={tmp_path / 'out'}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        errors.append(err)
+    assert errors[0] == errors[1] and errors[0].startswith("config error: T=")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_run_scenario_makes_the_model_once(scenario, monkeypatch):
+    # validate_config makes the model, and the scenario runs the one it made
+    cfg = parse_config(f"scenario={scenario}\nL=20\nN=99\nT=0.5\nlambda=2\n")
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return config_model(c)
+
+    monkeypatch.setattr(experiments, "config_model", counted)
+    run_scenario(cfg, write_files=False)
+    assert calls == [cfg]
 
 
 @pytest.mark.parametrize("setting, message", (

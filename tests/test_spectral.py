@@ -50,6 +50,13 @@ def test_assemble_validation():
         assemble(LAM1_GRID, 1.0, 1.0, "both")
 
 
+def test_assemble_refuses_a_depth_that_overflows():
+    # V0 and lam each pass their rule, but V0/lam^2 = inf gave a sector of nan
+    # entries whose negative_count was 1
+    with pytest.raises(ValueError, match="depth"):
+        assemble(make_grid(20.0, 99), 1e300, 1e-5, "even")
+
+
 def test_assemble_shapes_and_parity_structure():
     odd = assemble(LAM1_GRID, 2.0, 1.0, "odd")
     even = assemble(LAM1_GRID, 2.0, 1.0, "even")
