@@ -43,13 +43,15 @@ class BreatherParams:
 
 def breather_exact(p: BreatherParams, t: float, x):
     """B_beta(t, x); broadcasts over x."""
-    g = (p.beta / p.alpha) * math.cos(p.alpha * t) / np.cosh(p.beta * np.asarray(x))
+    with np.errstate(over="ignore"):  # cosh overflows past 710: g = 0, its value there
+        g = (p.beta / p.alpha) * math.cos(p.alpha * t) / np.cosh(p.beta * np.asarray(x))
     return 4.0 * np.arctan(g)
 
 
 def breather_dt_exact(p: BreatherParams, t: float, x):
     """Exact time derivative of B_beta at (t, x)."""
-    sech = 1.0 / np.cosh(p.beta * np.asarray(x))
+    with np.errstate(over="ignore"):  # cosh overflows past 710: sech = 0, its value there
+        sech = 1.0 / np.cosh(p.beta * np.asarray(x))
     g = (p.beta / p.alpha) * math.cos(p.alpha * t) * sech
     return -4.0 * p.beta * math.sin(p.alpha * t) * sech / (1.0 + g * g)
 

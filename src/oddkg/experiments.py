@@ -18,9 +18,9 @@ Five scenarios turn the decay machinery into runnable experiments:
 * virial-check single-state identity tests over 100 reproducible
                pseudo-random odd fields.
 
-`validate_config` sets a scenario up once, as a `_Simulation`; `_fullline`
-picks its grid kind.  The time-stepping scenarios share `simulate`, which makes
-the grid and initial state and runs them with the one record observer (the
+`validate_config` sets a scenario up once, as a `_Simulation`, which makes its
+grid and the convergence study's fine run.  The time-stepping scenarios share
+`simulate`, which runs the initial state with the one record observer (the
 exact-breather error, and a stop test such as the decay smallness guard); a
 NaN/Inf blow-up becomes `status: aborted_nan` with `abort_step`/`abort_t`.
 
@@ -43,7 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from .exact import BreatherParams, breather_exact, breather_state
-from .grid import Grid, State, integrate_fullline, make_fullline_grid, make_grid, spacing
+from .grid import (Grid, State, check_spacing, integrate_fullline, make_fullline_grid,
+                   make_grid, spacing)
 from .integrator import BlowupError, RunSettings, cfl_dt, run
 from .models import Model, make_model
 from .virial import (
@@ -51,7 +52,6 @@ from .virial import (
     virial_I_abs, weighted_norms,
 )
 
-SCENARIOS = ("decay", "breather", "convergence", "spectral", "virial-check")
 DATA_FAMILIES = ("gauss-odd-displacement", "gauss-odd-velocity")
 
 #: verification battery of potential strengths for the spectral scenario
@@ -173,41 +173,31 @@ def validate_config(cfg: ExperimentConfig) -> _Simulation:
         raise ConfigError(f"unknown data_family {cfg.data_family!r}")
     if cfg.conv_mode not in ("decay", "breather"):
         raise ConfigError(f"conv_mode must be 'decay' or 'breather', got {cfg.conv_mode!r}")
-    if _fullline(cfg) and cfg.model != "sine-gordon":
+    fullline = cfg.scenario == "breather" or (  # only breather data runs on the full line
+        cfg.scenario == "convergence" and cfg.conv_mode == "breather")
+    if fullline and cfg.model != "sine-gordon":
         raise ConfigError("breather data (scenario=breather, conv_mode=breather) "
                           "requires model=sine-gordon")
     try:
-        dx = spacing(cfg.L, cfg.N, _fullline(cfg))
+        dx = spacing(cfg.L, cfg.N, fullline)
         model = config_model(cfg)
         settings = RunSettings(cfl_dt(dx, model, cfg.dt_safety), cfg.T, cfg.record_every)
         vcfg, breather = VirialConfig(cfg.lam), BreatherParams(cfg.beta)
+        sim = _Simulation(cfg, cfg.N, dx, model, settings, vcfg,
+                          breather if fullline else None)
+        # the runs that step time; the convergence study adds its fine run
+        runs = ((sim, sim.refined()) if cfg.scenario == "convergence"
+                else (sim,) if cfg.scenario in ("decay", "breather") else ())
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg.lam < MIN_LAMBDA_OVER_DX * dx:
         raise ConfigError(f"lambda={cfg.lam:g} is not resolved by the grid: it must be "
                           f"at least {MIN_LAMBDA_OVER_DX:g}*dx = {MIN_LAMBDA_OVER_DX * dx:g}")
-    # the dt of each run that steps time; the convergence study's fine run takes dt/2
-    runs = {"decay": 1, "breather": 1, "convergence": 2}.get(cfg.scenario, 0)
-    for dt in (settings.dt, 0.5 * settings.dt)[:runs]:
+    for dt in (r.settings.dt for r in runs):
         if cfg.T / dt > MAX_STEPS:
             raise ConfigError(f"T={cfg.T:g} at dt={dt:g} is {cfg.T / dt:.3g} steps, "
                               f"more than the {MAX_STEPS:g} one run may take")
-    return _Simulation(cfg, cfg.N, dx, model, settings, vcfg,
-                       breather if _fullline(cfg) else None)
-
-
-def _fullline(cfg: ExperimentConfig) -> bool:
-    """The one place that decides the grid kind: only breather data runs on the full line."""
-    return cfg.scenario == "breather" or (
-        cfg.scenario == "convergence" and cfg.conv_mode == "breather")
-
-
-def _grid(cfg: ExperimentConfig, N: int) -> Grid:
-    make = make_fullline_grid if _fullline(cfg) else make_grid
-    try:
-        return make(cfg.L, N)
-    except (MemoryError, ValueError):  # ValueError: a count numpy cannot index
-        raise ConfigError(f"a grid of N={N} nodes does not fit in memory") from None
+    return sim
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -361,8 +351,8 @@ def write_summary(summary: dict, path) -> None:
 class _Simulation:
     """One run of `cfg` at N nodes of spacing dx, as `validate_config` set it up:
     the model, settings, virial config and, for breather data (on the full line),
-    the exact breather, else None.  It holds no array: `simulate` makes the grid
-    and the initial state when the run starts."""
+    the exact breather, else None.  It holds no array: `grid` makes the grid and
+    `simulate` the initial state when the run starts."""
 
     cfg: ExperimentConfig
     N: int
@@ -371,6 +361,20 @@ class _Simulation:
     settings: RunSettings
     vcfg: VirialConfig
     breather: BreatherParams | None
+
+    def grid(self) -> Grid:
+        """The run's grid: the full line exactly when it carries breather data."""
+        make = make_grid if self.breather is None else make_fullline_grid
+        try:
+            return make(self.cfg.L, self.N)
+        except (MemoryError, ValueError):  # ValueError: a count numpy cannot index
+            raise ConfigError(f"a grid of N={self.N} nodes does not fit in memory") from None
+
+    def refined(self) -> _Simulation:
+        """The convergence study's fine run: 2N+1 nodes at dt/2.  spacing(L, 2N+1)
+        divides by 2(N+1), so it is dx/2 exactly; ValueError if dx/2 fails `check_spacing`."""
+        return replace(self, N=2 * self.N + 1, dx=check_spacing(0.5 * self.dx),
+                       settings=replace(self.settings, dt=0.5 * self.settings.dt))
 
     def simulate(self, stop=None) -> tuple[list, dict, list]:
         """Run to T, or to the first record for which `stop(rec)` is true; returns
@@ -381,7 +385,7 @@ class _Simulation:
         records so far come back with {abort_step, abort_t}, for the summary
         of a run with status aborted_nan.  Otherwise the abort keys are {}.
         """
-        grid = _grid(self.cfg, self.N)
+        grid = self.grid()
         initial = (make_initial_data(self.cfg, grid) if self.breather is None
                    else breather_state(self.breather, 0.0, grid))
         errors = []
@@ -525,9 +529,7 @@ def _refinement_metrics(sim: _Simulation, resolution: str) -> tuple[dict, dict]:
 
 
 def _run_convergence(cfg: ExperimentConfig, coarse: _Simulation) -> ScenarioResult:
-    # 2N+1 nodes at dt/2: spacing(L, 2N+1) divides by 2(N+1), so it is dx/2 exactly
-    fine = replace(coarse, N=2 * cfg.N + 1, dx=0.5 * coarse.dx,
-                   settings=replace(coarse.settings, dt=0.5 * coarse.settings.dt))
+    fine = coarse.refined()
     c, abort = _refinement_metrics(coarse, "coarse")
     # a blown-up coarse run leaves nothing to compare the fine run with
     f, abort = (_NAN_METRICS, abort) if abort else _refinement_metrics(fine, "fine")
@@ -561,7 +563,7 @@ def _run_spectral(cfg: ExperimentConfig, sim: _Simulation) -> ScenarioResult:
     # oddkg.spectral, which a module-level import would capture before it does
     from .spectral import coercivity_certificate, index_check
 
-    grid = _grid(cfg, sim.N)
+    grid = sim.grid()
     summary = _check_summary(cfg, sim)
     all_ok = True
     for V0 in SPECTRAL_BATTERY_V0:
@@ -591,7 +593,7 @@ def _run_spectral(cfg: ExperimentConfig, sim: _Simulation) -> ScenarioResult:
 # ----------------------------------------------------------------------
 
 def _run_virial_check(cfg: ExperimentConfig, sim: _Simulation) -> ScenarioResult:
-    grid, vcfg = _grid(cfg, sim.N), sim.vcfg
+    grid, vcfg = sim.grid(), sim.vcfg
     lcg = Lcg(cfg.seed)
 
     worst = dict.fromkeys(VIRIAL_CHECK_TOL, 0.0)
@@ -626,26 +628,24 @@ _SCENARIO_RUNNERS = {
     "spectral": _run_spectral,
     "virial-check": _run_virial_check,
 }
+SCENARIOS = tuple(_SCENARIO_RUNNERS)
 
 
-def run_scenario(cfg: ExperimentConfig, write_files: bool = True) -> ScenarioResult:
-    """Execute the configured scenario; optionally write the artifacts."""
+def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
+    """Execute the configured scenario and write its two files into output_dir."""
     sim = validate_config(cfg)
     outdir = Path(cfg.output_dir)
-    if write_files:
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output_dir {outdir}: {exc}") from exc
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {outdir}: {exc}") from exc
     result = _SCENARIO_RUNNERS[cfg.scenario](cfg, sim)
-    if write_files:
-        csv_path = outdir / "timeseries.csv"
-        summary_path = outdir / "summary.txt"
-        try:
-            write_timeseries(result.records, csv_path, result.extra_columns or None)
-            write_summary(result.summary, summary_path)
-        except OSError as exc:
-            raise ConfigError(str(exc)) from exc
-        result.csv_path = str(csv_path)
-        result.summary_path = str(summary_path)
+    csv_path, summary_path = outdir / "timeseries.csv", outdir / "summary.txt"
+    try:
+        write_timeseries(result.records, csv_path, result.extra_columns)
+        write_summary(result.summary, summary_path)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    result.csv_path = str(csv_path)
+    result.summary_path = str(summary_path)
     return result

@@ -80,7 +80,8 @@ class UnitWeights:
         if not grid.fullline:
             even[0] += 4.0 * dx / 3.0
             even[1] -= dx / 3.0
-        sech1 = 1.0 / np.cosh(x)
+        with np.errstate(over="ignore"):  # cosh overflows past 710: sech = 0, its value there
+            sech1 = 1.0 / np.cosh(x)
         self.sech = even * sech1
         self.dsech = even * (-sech1 * np.tanh(x))
 
@@ -98,7 +99,8 @@ class Weights:
 
     def __init__(self, grid: Grid, lam: float):
         even = _unit_weights(grid).even
-        s = 1.0 / np.cosh(grid.x / lam)
+        with np.errstate(over="ignore"):  # cosh overflows past 710: sech = 0, its value there
+            s = 1.0 / np.cosh(grid.x / lam)
         th = np.tanh(grid.x / lam)
         self.psi = even * (lam * th)
         self.psip = even * (s * s)

@@ -42,25 +42,27 @@ def report(tag: str, ok: bool, detail: str) -> None:
 # shared runs
 # ----------------------------------------------------------------------
 
-def _decay_cfg(model, epsilon, T, N=7999, L=80.0):
+def _decay_cfg(model, epsilon, T, N=7999, L=80.0, output_dir="."):
     return ExperimentConfig(scenario="decay", model=model, epsilon=epsilon,
-                            T=T, L=L, N=N)
+                            T=T, L=L, N=N, output_dir=str(output_dir))
 
 
 @pytest.fixture(scope="module")
-def sg_decay():
-    return run_scenario(_decay_cfg("sine-gordon", 0.05, 200.0), write_files=False)
+def sg_decay(tmp_path_factory):
+    return run_scenario(_decay_cfg("sine-gordon", 0.05, 200.0,
+                                   output_dir=tmp_path_factory.mktemp("sg_decay")))
 
 
 @pytest.fixture(scope="module")
-def sg_decay_half_eps():
-    return run_scenario(_decay_cfg("sine-gordon", 0.025, 200.0), write_files=False)
+def sg_decay_half_eps(tmp_path_factory):
+    return run_scenario(_decay_cfg("sine-gordon", 0.025, 200.0,
+                                   output_dir=tmp_path_factory.mktemp("sg_decay_half_eps")))
 
 
 @pytest.fixture(scope="module")
-def sg_decay_refined():
-    return run_scenario(_decay_cfg("sine-gordon", 0.05, 200.0, N=15999),
-                        write_files=False)
+def sg_decay_refined(tmp_path_factory):
+    return run_scenario(_decay_cfg("sine-gordon", 0.05, 200.0, N=15999,
+                                   output_dir=tmp_path_factory.mktemp("sg_decay_refined")))
 
 
 def _virial_residual_ratio(model_name, epsilon, N, dt, T):
@@ -261,7 +263,7 @@ def test_criterion_07a_decay_trend_sine_gordon(sg_decay, sg_decay_half_eps):
     assert 3.0 <= j_ratio <= 5.0
 
 
-def test_criterion_07b_decay_trend_phi4():
+def test_criterion_07b_decay_trend_phi4(tmp_path):
     # The theorem's dichotomy at eps and eps/2: a run that stays within the
     # 3*eps smallness guard must decay as in 07a; otherwise the guard ends
     # it with status aborted_smallness.  With m = +1 the linearisation
@@ -272,7 +274,7 @@ def test_criterion_07b_decay_trend_phi4():
     # time barely depends on eps.  Up to the exit the virial form must
     # stay positive.
     T = 200.0
-    runs = [run_scenario(_decay_cfg("phi4", eps, T), write_files=False)
+    runs = [run_scenario(_decay_cfg("phi4", eps, T, output_dir=tmp_path / f"eps{eps:g}"))
             for eps in (0.05, 0.025)]
     sums = [r.summary for r in runs]
     statuses = [r.status for r in runs]
@@ -315,11 +317,11 @@ def test_criterion_07b_decay_trend_phi4():
     assert not failed, failed
 
 
-def test_criterion_08_breather_non_decay():
+def test_criterion_08_breather_non_decay(tmp_path):
     p = BreatherParams(0.5)
     cfg = ExperimentConfig(scenario="breather", model="sine-gordon", beta=0.5,
-                           T=3.0 * p.period, L=80.0, N=15999)
-    result = run_scenario(cfg, write_files=False)
+                           T=3.0 * p.period, L=80.0, N=15999, output_dir=str(tmp_path))
+    result = run_scenario(cfg)
     s = result.summary
     ratios = [s[f"H_period_ratio_{k}"] for k in (1, 2, 3)]
     ok = result.status == "ok" and min(ratios) >= 0.8

@@ -213,12 +213,13 @@ def test_decay_scenario_phi4_aborts_on_smallness(tmp_path):
 
 
 @pytest.mark.parametrize("model, status", [("sine-gordon", "ok"), ("phi4", "aborted_smallness")])
-def test_decay_summary_maxima_are_taken_over_the_records(model, status):
+def test_decay_summary_maxima_are_taken_over_the_records(model, status, tmp_path):
     # the maxima cover every record the run returns, the one that tripped
     # the smallness guard included; each record's nonlinear term is the
     # kernel's own, not a difference of two larger values
-    cfg = parse_config(QUICK_DECAY.replace("T=4", "T=12") + f"model={model}\n")
-    result = run_scenario(cfg, write_files=False)
+    cfg = parse_config(QUICK_DECAY.replace("T=4", "T=12")
+                       + f"model={model}\noutput_dir={tmp_path}\n")
+    result = run_scenario(cfg)
     assert result.status == status
     recs, s = result.records, result.summary
     assert s["sup_energy_norm"] == max(math.sqrt(r.energy_norm_sq) for r in recs)
@@ -255,10 +256,11 @@ def test_breather_scenario_quick(tmp_path):
     assert header == ",".join(CSV_COLUMNS) + ",exact_err_l2"
 
 
-def test_breather_scenario_requires_sine_gordon():
-    cfg = ExperimentConfig(scenario="breather", model="phi4", L=40, N=799, T=1.0)
+def test_breather_scenario_requires_sine_gordon(tmp_path):
+    cfg = ExperimentConfig(scenario="breather", model="phi4", L=40, N=799, T=1.0,
+                           output_dir=str(tmp_path / "out"))
     with pytest.raises(ConfigError):
-        run_scenario(cfg, write_files=False)
+        run_scenario(cfg)
 
 
 def test_convergence_scenario_quick(tmp_path):
@@ -424,19 +426,19 @@ def test_cli_failure_exit_code_1(tmp_path):
     assert rc == 1
 
 
-def test_custom_poly_through_config_matches_cubic():
+def test_custom_poly_through_config_matches_cubic(tmp_path):
     # custom-poly with coeffs of u^3 and m=-1 is the cubic model; the two
     # trajectories agree to rounding-level differences
     base = parse_config(
         "scenario=decay\nmodel=cubic-nlkg\nepsilon=0.05\nL=20\nN=999\nT=2\n"
-        "record_every=10\n"
+        f"record_every=10\noutput_dir={tmp_path / 'base'}\n"
     )
     custom = parse_config(
         "scenario=decay\nmodel=custom-poly\npoly_m=-1\npoly_coeffs=0,0,0,1\n"
-        "epsilon=0.05\nL=20\nN=999\nT=2\nrecord_every=10\n"
+        f"epsilon=0.05\nL=20\nN=999\nT=2\nrecord_every=10\noutput_dir={tmp_path / 'custom'}\n"
     )
-    r1 = run_scenario(base, write_files=False)
-    r2 = run_scenario(custom, write_files=False)
+    r1 = run_scenario(base)
+    r2 = run_scenario(custom)
     assert r1.status == r2.status == "ok"
     for a, b in zip(r1.records, r2.records):
         assert b.H == pytest.approx(a.H, rel=1e-12)
@@ -527,8 +529,8 @@ def test_decay_whose_records_overflow_aborts_nan(tmp_path, capsys):
     assert (summary["abort_step"], summary["abort_t"], summary["n_records"]) == ("0", "0", "1")
 
 
-def test_decay_ok_summary_has_no_abort_keys():
-    result = run_scenario(parse_config(QUICK_DECAY), write_files=False)
+def test_decay_ok_summary_has_no_abort_keys(tmp_path):
+    result = run_scenario(parse_config(QUICK_DECAY + f"output_dir={tmp_path}\n"))
     assert result.status == "ok"
     assert result.summary["smallness_ok"] is True
     assert "abort_step" not in result.summary and "abort_t" not in result.summary
@@ -600,13 +602,13 @@ def test_cli_out_of_range_value_exits_2_without_traceback(setting, tmp_path):
     assert len(err) == 1 and err[0].startswith("config error: "), proc.stderr
 
 
-def test_convergence_breather_mode_steps_on_the_fullline_grid():
+def test_convergence_breather_mode_steps_on_the_fullline_grid(tmp_path):
     # dt and the reported dx come from the grid the breather runs on
     cfg = parse_config(
         "scenario=convergence\nconv_mode=breather\nmodel=sine-gordon\nbeta=0.5\n"
-        "L=40\nN=1999\nT=0.5\nrecord_every=25\n"
+        f"L=40\nN=1999\nT=0.5\nrecord_every=25\noutput_dir={tmp_path}\n"
     )
-    s = run_scenario(cfg, write_files=False).summary
+    s = run_scenario(cfg).summary
     assert s["status"] == "ok"
     assert s["dx"] == s["dx_coarse"]
     assert s["dt"] == s["dt_coarse"] == cfl_dt(
@@ -708,10 +710,39 @@ def test_describe_and_run_agree_on_the_step_budget(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_convergence_refuses_a_fine_spacing_out_of_range_before_it_runs(tmp_path, capsys):
+    # the coarse dx = 2.3e-154 passes check_spacing and its half does not: both
+    # --describe and the run refuse the fine grid before anything runs
+    argv = ["convergence", "--set", "L=2.3e-152", "--set", "N=99", "--set", "T=0",
+            "--set", f"output_dir={tmp_path / 'out'}"]
+    for extra in (["--describe"], []):
+        assert cli_main(argv + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("config error: dx = 1.15e-154 is out of range"), err
+    assert not (tmp_path / "out").exists()
+    # a decay run has no fine grid: the same config is valid there
+    assert cli_main(["decay"] + argv[1:] + ["--describe"]) == 0
+
+
+@pytest.mark.parametrize("argv", (
+    ["virial-check", "--set", "lambda=1", "--set", "L=720", "--set", "N=71999"],  # sech x, x/lam
+    ["spectral", "--set", "lambda=2", "--set", "L=720", "--set", "N=7199"],  # cosh^2(x/lam)
+    ["breather", "--set", "L=2000", "--set", "N=1999", "--set", "T=0.2"],  # cosh(beta x)
+), ids=("virial-check", "spectral", "breather"))
+def test_runs_whose_cosh_overflows_warn_nothing(argv, tmp_path, capsys):
+    # past x = 710 (355 for a square) cosh is inf: sech and the potential are 0 there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(argv + ["--set", f"output_dir={tmp_path}"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_run_scenario_makes_the_model_once(scenario, monkeypatch):
+def test_run_scenario_makes_the_model_once(scenario, monkeypatch, tmp_path):
     # validate_config makes the model, and the scenario runs the one it made
-    cfg = parse_config(f"scenario={scenario}\nL=20\nN=99\nT=0.5\nlambda=2\n")
+    cfg = parse_config(f"scenario={scenario}\nL=20\nN=99\nT=0.5\nlambda=2\n"
+                       f"output_dir={tmp_path}\n")
     calls = []
 
     def counted(c):
@@ -719,7 +750,7 @@ def test_run_scenario_makes_the_model_once(scenario, monkeypatch):
         return config_model(c)
 
     monkeypatch.setattr(experiments, "config_model", counted)
-    run_scenario(cfg, write_files=False)
+    run_scenario(cfg)
     assert calls == [cfg]
 
 

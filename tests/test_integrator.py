@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from oracles import linear_standing_wave
 
-from oddkg.grid import State, make_grid
+from oddkg.experiments import ExperimentConfig, make_initial_data
+from oddkg.grid import State, gradient_sq_integral, integrate_fullline, make_grid
 from oddkg.integrator import (
-    BlowupError, RunSettings, _half_kick, _kick_drift_kick, cfl_dt,
+    BlowupError, RunSettings, _acceleration, _half_kick, _kick_drift_kick, cfl_dt,
     leapfrog_step, run,
 )
 from oddkg.models import CATALOG_NAMES, make_model
@@ -303,6 +304,56 @@ def test_energy_drift_halves_fourfold_with_dt():
         E = np.array([r.E for r in recs])
         drifts.append(np.max(np.abs(E - E[0])) / abs(E[0]))
     assert 3.0 <= drifts[0] / drifts[1] <= 5.0
+
+
+#: V''(u) of the models whose modified energy is fenced, written here, not taken from src
+D2V = {"linear-kg": np.ones_like, "sine-gordon": np.cos,
+       "phi6": lambda u: 1.0 - 12.0 * u ** 2 + 15.0 * u ** 4}
+
+
+def _energy_drifts(name, dt_halvings, T, record_every):
+    """Per dt = cfl_dt(0.4) / 2^h, the drifts of E, of E - (dt^2/8) int a^2 and of
+    H~ = E - (dt^2/24) int a^2 + (dt^2/12) [int (du2/dx)^2 + int V''(u1) u2^2], each
+    max |value - value at t=0| against the run's largest energy_scale.  a = D2 u1 - V'(u1)
+    is `_acceleration` on the whole grid; the data is the decay scenario's at eps = 0.05."""
+    model, g = make_model(name), make_grid(20.0, 999)
+    initial = make_initial_data(ExperimentConfig(scenario="decay", L=20.0, N=999), g)
+    a, tmp, scratch = (np.empty(g.N) for _ in range(3))
+    out = []
+    for h in range(dt_halvings):
+        dt = cfl_dt(g.dx, model, 0.4) / 2 ** h
+        rows = []
+
+        def observe(state, rec):
+            _acceleration(state.u1, model, 1.0 / g.dx ** 2, a, tmp, scratch, 0, g.N)
+            a_sq = integrate_fullline(a * a, g)
+            kinetic = (gradient_sq_integral(state.u2, g)
+                       + integrate_fullline(D2V[name](state.u1) * state.u2 ** 2, g))
+            rows.append((rec.E, rec.E - dt * dt / 8.0 * a_sq,
+                         rec.E - dt * dt / 24.0 * a_sq + dt * dt / 12.0 * kinetic,
+                         rec.energy_scale))
+
+        run(initial, model, RunSettings(dt, T, record_every), VC, on_record=observe)
+        values = np.array(rows)
+        out.append(np.max(np.abs(values[:, :3] - values[0, :3]), axis=0) / values[:, 3].max())
+    return out
+
+
+def test_linear_step_conserves_its_modified_energy_to_roundoff():
+    # for a linear force, kick-drift-kick conserves E - (dt^2/8) int a^2 exactly:
+    # a roundoff-level oracle for the stencil, the tail path and the carried half-kick
+    for E_drift, modified_drift, _ in _energy_drifts("linear-kg", 3, T=20.0, record_every=25):
+        assert E_drift > 1e-6
+        assert modified_drift < 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(D2V))
+def test_modified_energy_drift_falls_sixteenfold_per_dt_halving(name):
+    # H~ is the O(dt^4) modified energy of Stormer-Verlet (Hairer, Lubich & Wanner,
+    # Geometric Numerical Integration, ch. IX); other coefficients leave an O(dt^2) rest
+    (E0, _, H0), (E1, _, H1) = _energy_drifts(name, 2, T=10.0, record_every=5)
+    assert 3.0 <= E0 / E1 <= 5.0
+    assert 12.0 <= H0 / H1 <= 20.0
 
 
 def test_dH_analytic_matches_H_differences():
