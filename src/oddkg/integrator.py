@@ -144,66 +144,54 @@ def run(
     diagnostics: VirialConfig,
     on_record: Callable[[State, DiagnosticsRecord], object] | None = None,
 ) -> list[DiagnosticsRecord]:
-    """Integrate from t=0 to T, emitting a record every record_every steps.
+    """Integrate from t=0 to T, keeping a record every record_every steps.
 
-    Records always include t=0 and the final step, in strictly increasing
-    time order; dI_dt_numeric is filled over the collected sequence before
-    returning.  A blow-up raises BlowupError with its step and the records
-    so far (instability is experimentally meaningful data, not silent
-    output): a non-finite initial state at step 0; a step whose arithmetic
-    overflows or turns invalid (steps run under np.errstate(over="raise",
-    invalid="raise")) at that step; a record with a non-finite CSV value
-    other than dI_dt_numeric (records run under np.errstate(all="ignore"))
-    at its own step, after it is kept and passed to `on_record`.
-    `on_record` receives a copy of the state and the fresh record; a true
-    return value ends the run there, that record included, ahead of the
-    record's finite check, so that a stop is never a blow-up.
+    Records include t=0 and the final step, in strictly increasing time
+    order; dI_dt_numeric is filled over them on every way out.  A blow-up
+    (instability is data, not silent output) raises BlowupError with its
+    step and the records so far: step 0 for a non-finite initial state; the
+    step whose arithmetic overflows or turns invalid (steps run under
+    np.errstate(over="raise", invalid="raise")); the record's own step for a
+    non-finite CSV value other than dI_dt_numeric (records run under
+    errstate(all="ignore")), after it is kept and passed to `on_record`.
+    `on_record` gets a copy of the state and the fresh record; a true return
+    ends the run there, that record included, before its finite check.
     """
-    grid = initial.grid
-    inv_dx2 = 1.0 / grid.dx ** 2
+    inv_dx2 = 1.0 / initial.grid.dx ** 2
     dt = settings.dt
     every = settings.record_every
     n_steps = int(round(settings.T / dt)) if settings.T > 0 else 0
 
-    u1 = initial.u1.copy()
-    u2 = initial.u2.copy()
+    u1, u2 = initial.u1.copy(), initial.u2.copy()
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))  # step buffers
-
     records: list[DiagnosticsRecord] = []
-
-    def blowup(step: int) -> BlowupError:
-        fill_dI_dt_numeric(records)
-        return BlowupError(step, step * dt, records)
-
-    if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
-        raise blowup(0)
-
-    def emit(step: int) -> bool:
-        """Keep the record of this step; True when `on_record` ends the run."""
-        snap = State(grid, u1.copy(), u2.copy(), step * dt)
-        with np.errstate(all="ignore"):
-            rec = make_record(snap, model, diagnostics)
-        records.append(rec)
-        if on_record is not None and on_record(snap, rec):
-            return True
-        if not all(math.isfinite(getattr(rec, c)) for c in CSV_COLUMNS if c != "dI_dt_numeric"):
-            raise blowup(step)
-        return False
-
     k = 0  # steps completed
-    stopped = emit(0)
-    while k < n_steps and not stopped:
-        next_record = min(k - k % every + every, n_steps)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                if k == 0:  # step 1's leading half-kick; later steps carry it
-                    window = _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
-                while k < next_record:
-                    window = _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp,
-                                              scratch, *window)
-                    k += 1
-        except FloatingPointError:
-            raise blowup(k + 1) from None
-        stopped = emit(k)
-    fill_dI_dt_numeric(records)
+    try:
+        if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
+            raise BlowupError(0, 0.0, records)
+        while True:
+            snap = State(initial.grid, u1.copy(), u2.copy(), k * dt)
+            with np.errstate(all="ignore"):
+                rec = make_record(snap, model, diagnostics)
+            records.append(rec)
+            if on_record is not None and on_record(snap, rec):
+                break
+            if not all(math.isfinite(getattr(rec, c)) for c in CSV_COLUMNS
+                       if c != "dI_dt_numeric"):
+                raise BlowupError(k, k * dt, records)
+            if k == n_steps:
+                break
+            next_record = min(k - k % every + every, n_steps)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    if k == 0:  # step 1's leading half-kick; later steps carry it
+                        window = _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
+                    while k < next_record:
+                        window = _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp,
+                                                  scratch, *window)
+                        k += 1
+            except FloatingPointError:
+                raise BlowupError(k + 1, (k + 1) * dt, records) from None
+    finally:
+        fill_dI_dt_numeric(records)
     return records

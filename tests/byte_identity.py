@@ -15,8 +15,12 @@ on any difference.
 
 The list is the golden runs (`test_golden.RUNS`, run by `test_golden._run`)
 plus the shipped decay at T = 200, the T = 20 decay with phi4, phi6,
-cubic-nlkg and linear-kg and with odd velocity data, and a breather-mode
-convergence study on the full line.  Both sides run on one host, so the bits of
+cubic-nlkg and linear-kg and with odd velocity data, a breather-mode
+convergence study on the full line, and three runs that blow up.  With the
+smallness stop of the phi4 decay, those reach every early exit of
+`integrator.run`: a decay whose step overflows at step 40, a decay whose
+first record overflows at step 0, and a convergence study whose coarse run
+overflows at step 40.  Both sides run on one host, so the bits of
 libm cancel; the golden test cannot show byte identity, as it allows
 1e-9 relative.
 
@@ -44,6 +48,13 @@ EXTRA_RUNS = {
                        {"T": "20", "data_family": "gauss-odd-velocity"}),
     "convergence_breather": ("breather.cfg", {"scenario": "convergence", "conv_mode": "breather",
                                               "L": "40", "N": "1999", "T": "3"}),
+    "abort_step": ("decay_sine_gordon.cfg", {"model": "cubic-nlkg", "epsilon": "5", "N": "999",
+                                             "T": "20", "record_every": "100000"}),
+    "abort_record": ("decay_sine_gordon.cfg", {"model": "linear-kg", "epsilon": "1e100",
+                                               "N": "99", "T": "1"}),
+    "abort_convergence": ("decay_sine_gordon.cfg", {"scenario": "convergence",
+                                                    "model": "cubic-nlkg", "epsilon": "5",
+                                                    "N": "999", "T": "20"}),
 }
 
 

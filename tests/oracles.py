@@ -9,9 +9,14 @@ as `oracles`, as they import `test_fence`.
 * Linear Klein-Gordon standing waves sin(kx) cos(wt), w^2 = k^2 + 1,
   k = n pi / L: odd, exactly representable on the half-line grid, used
   for integrator order and energy checks.
+* `exact_count_below`: the LDL^T inertia count of a symmetric tridiagonal
+  matrix in rational arithmetic.  Every float is a rational number, so by
+  Sylvester's law of inertia the count is exact for the assembled matrix,
+  with no rounding in the loop.  It is the reference for `count_below`.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,3 +64,20 @@ def standing_wave_energy(n: int, grid: Grid) -> float:
     """
     k = n * math.pi / grid.L
     return 0.5 * grid.L * (k * k + 1.0)
+
+
+def exact_count_below(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> tuple[int, bool]:
+    """Eigenvalues of the tridiagonal (diag, offdiag) below `shift`, counted exactly,
+    and whether some exact LDL^T pivot is zero (then the count stops there and
+    says nothing; a caller should require that it is not)."""
+    shift = Fraction(shift)
+    count, pivot = 0, None
+    for i, a in enumerate(diag.tolist()):
+        d = Fraction(a) - shift
+        if i:
+            d -= Fraction(offdiag[i - 1].item()) ** 2 / pivot
+        if d == 0:
+            return count, True
+        count += d < 0
+        pivot = d
+    return count, False

@@ -765,3 +765,24 @@ def test_config_errors_carry_the_message_of_the_object_that_refuses(setting, mes
     # validate_config makes each library object once; its rule and message are the object's
     assert cli_main(["decay", "--set", setting, "--set", "N=99", "--describe"]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+#: records with t <= 2L - WALL_R do not yet see the radiation that the wall at
+#: x = L sends back (sine-Gordon, sigma = 1); ROADMAP item 1 ends the shipped decay by it
+WALL_R = 24
+
+
+def test_decay_records_before_the_wall_echo_do_not_depend_on_the_box(tmp_path):
+    runs = {}
+    for L, N in ((20.0, 999), (30.0, 1499)):  # dx = 0.02 on both, bit for bit
+        cfg = ExperimentConfig(scenario="decay", model="sine-gordon", epsilon=0.05, sigma=1.0,
+                               lam=2.0, T=20.0, L=L, N=N, output_dir=str(tmp_path / str(N)))
+        runs[L] = run_scenario(cfg).records
+    small, large = runs[20.0], runs[30.0]
+    assert [r.t for r in small] == [r.t for r in large]
+    horizon = 2 * 20.0 - WALL_R
+    before = [(a.H, b.H) for a, b in zip(small, large) if a.t <= horizon]
+    assert len(before) > len(small) // 2
+    assert all(abs(h - H) <= 1e-9 * abs(H) for h, H in before)
+    # the test sees the wall: past the horizon, the small box's H departs
+    assert abs(small[-1].H - large[-1].H) > 1e-9 * abs(large[-1].H)

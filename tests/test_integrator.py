@@ -376,6 +376,43 @@ def test_dH_analytic_matches_H_differences():
     assert 3.0 <= coarse / fine <= 5.0
 
 
+def _virial_residual_parts(N, record_every):
+    """The virial residual of sine-Gordon decay data (L = 40, T = 8) split in two,
+    each as a fraction of max |dI_dt_rhs|: max |Idot_h - dI_dt_rhs|, the space
+    part, and max |dI_dt_numeric - Idot_h|, the record-spacing part.  I is
+    bilinear in (u1, u2), so along the semidiscrete flow the rate of I is
+    Idot_h = I(u2, u2) + I(u1, a), with a = D2 u1 - V'(u1) on the whole grid."""
+    g = make_grid(40.0, N)
+    initial = make_initial_data(ExperimentConfig(scenario="decay", L=40.0, N=N), g)
+    a, tmp, scratch = (np.empty(g.N) for _ in range(3))
+    rates = []
+
+    def on_record(state, rec):
+        _acceleration(state.u1, SG, 1.0 / g.dx ** 2, a, tmp, scratch, 0, g.N)
+        rates.append(virial_I(State(g, state.u2, state.u2), VC)
+                     + virial_I(State(g, state.u1, a), VC))
+
+    settings = RunSettings(dt=cfl_dt(g.dx, SG, 0.4), T=8.0, record_every=record_every)
+    recs = run(initial, SG, settings, VC, on_record=on_record)
+    scale = max(abs(r.dI_dt_rhs) for r in recs)
+    space = max(abs(i - r.dI_dt_rhs) for i, r in zip(rates, recs))
+    spacing = max(abs(r.dI_dt_numeric - i) for i, r in zip(rates, recs))
+    return space / scale, spacing / scale
+
+
+def test_virial_space_residual_falls_fourfold_per_dx_halving():
+    space = [_virial_residual_parts(N, 25)[0] for N in (499, 999, 1999)]
+    assert space[0] < 1e-2
+    assert 3.0 <= space[0] / space[1] <= 5.0
+    assert 3.0 <= space[1] / space[2] <= 5.0
+
+
+def test_virial_record_spacing_residual_falls_fourfold_per_spacing_halving():
+    spacing = [_virial_residual_parts(999, every)[1] for every in (12, 6, 3)]
+    assert 3.0 <= spacing[0] / spacing[1] <= 5.0
+    assert 3.0 <= spacing[1] / spacing[2] <= 5.0
+
+
 def test_dH_bound_constant_stable_under_refinement():
     # |dH/dt| <= C (H1w^2 + L2w^2) along trajectories, with C converged
     def max_ratio(N, dt):

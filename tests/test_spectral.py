@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import exact_count_below
 
 from oddkg import spectral
 from oddkg.experiments import build_config, parse_pairs, run_scenario
@@ -319,3 +320,18 @@ def test_bisection_stops_at_float_resolution():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) == pytest.approx(-2e18, rel=1e-6)
+
+
+@pytest.mark.parametrize("N", (100, 400))
+@pytest.mark.parametrize("V0, parity", ((0.5, "even"), (2.0, "odd"), (2.0, "even"),
+                                        (6.0, "odd")))
+def test_counts_equal_the_exact_inertia_of_the_assembled_matrix(V0, parity, N):
+    # at 0 and just either side of each of the three lowest eigenvalues, the
+    # float count equals the exact count in rational arithmetic, and no exact
+    # pivot vanishes, so the exact count is the inertia itself
+    d = assemble(make_grid(20.0, N), V0, 1.0, parity)
+    shifts = [0.0] + [float(e) + s for e in lowest_eigs(d, 3) for s in (-1e-6, 1e-6)]
+    for shift in shifts:
+        exact, zero_pivot = exact_count_below(d.diag, d.offdiag, shift)
+        assert not zero_pivot, shift
+        assert exact == count_below(d, shift), shift
