@@ -71,6 +71,10 @@ SMALLNESS_FACTOR = 3.0
 #: long T can ask for 1e150) is a config error, not an endless loop
 MAX_STEPS = 10 ** 8
 
+#: most grid nodes one run may hold: 8 GB per array, and a run holds several,
+#: so no larger grid can run; a larger N is a config error before output_dir is made
+MAX_NODES = 10 ** 9
+
 #: smallest lambda/dx accepted: the sech^2(x/lambda) weights and potentials
 #: need a few grid points across their width
 MIN_LAMBDA_OVER_DX = 4.0
@@ -197,6 +201,14 @@ def validate_config(cfg: ExperimentConfig) -> _Simulation:
         if cfg.T / dt > MAX_STEPS:
             raise ConfigError(f"T={cfg.T:g} at dt={dt:g} is {cfg.T / dt:.3g} steps, "
                               f"more than the {MAX_STEPS:g} one run may take")
+    for r in runs or (sim,):  # the grids that the scenario makes
+        if r.N > MAX_NODES:
+            raise ConfigError(f"a grid of N={r.N} nodes does not fit in memory: "
+                              f"one run may hold {MAX_NODES:g}")
+    for r in runs:
+        if r.breather is None and not _profile_peak(cfg.sigma, r.dx, r.N) > 0.0:
+            raise ConfigError(f"the profile of sigma={cfg.sigma:g} has norm 0 on this grid; "
+                              f"it must be positive and finite")
     return sim
 
 
@@ -220,6 +232,23 @@ def describe(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _profile(x: np.ndarray, sigma: float) -> np.ndarray:
+    """x exp(-x^2/sigma^2), the shape of the Gaussian odd data, at the nodes `x`."""
+    with np.errstate(over="ignore"):  # x^2/sigma^2 overflows for a tiny sigma: the sample is 0
+        return x * np.exp(-(x ** 2) / sigma ** 2)
+
+
+def _profile_peak(sigma: float, dx: float, N: int) -> float:
+    """The largest sample of `_profile` on the half-line grid of N nodes j*dx.
+
+    The profile rises up to x = sigma/sqrt(2) and falls after it, so its largest
+    sample is at one of the two nodes around that point; 0 means every sample
+    underflows, and the profile has norm 0 on the grid.
+    """
+    j = min(max(math.floor(min(sigma / math.sqrt(2.0) / dx, N)), 1), N)
+    return float(np.max(_profile(dx * np.array([j, min(j + 1, N)], dtype=float), sigma)))
+
+
 def make_initial_data(cfg: ExperimentConfig, grid: Grid) -> State:
     """Small odd data with an exact discrete norm of epsilon.
 
@@ -227,8 +256,7 @@ def make_initial_data(cfg: ExperimentConfig, grid: Grid) -> State:
     Z fixed so the discrete H1 x L2 norm of the state equals eps.
     gauss-odd-velocity: the same profile placed in u2, normalized in L2.
     """
-    with np.errstate(over="ignore"):  # x^2/sigma^2 overflows for a tiny sigma: Z = 0 below
-        profile = grid.x * np.exp(-(grid.x ** 2) / cfg.sigma ** 2)
+    profile = _profile(grid.x, cfg.sigma)
     zero = np.zeros(grid.N)
     displaced = cfg.data_family == "gauss-odd-displacement"
     Z = math.sqrt(energy_norm_sq(State(grid, profile, zero) if displaced

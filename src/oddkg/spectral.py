@@ -14,8 +14,12 @@ coercive with the sharp constant 3/4 on odd functions.
 Everything here is computed from inertia (Sturm) counts on symmetric
 tridiagonal matrices: counts are certified integers obtained from LDL^T
 pivot signs, and the few eigenvalues needed are isolated by bisection on
-the same count, never by a general-purpose dense eigensolver.  Every count,
-the coercivity pencil's included, is `count_below` on an assembled sector.
+the same count, never by a general-purpose dense eigensolver.  Newton steps
+on the same pivots locate each eigenvalue first, so that a few counts next
+to it decide most of the bisection; the counts alone still decide every
+midpoint.  Every count, the coercivity pencil's included, is
+`count_below` on an assembled sector or a pass of `_sturm_slope`, whose
+count is `_sturm_count`'s.
 
 Parity is encoded in the boundary treatment at x = 0:
 
@@ -46,6 +50,10 @@ MARGINAL_EIG_TOL = 1e-4
 
 #: absolute half-width to which bisection brackets each eigenvalue
 EIG_ATOL = 1e-10
+
+#: half-width of the window around a located eigenvalue whose two counts
+#: decide every bisection midpoint outside it
+_LOCATE_RADIUS = 2.0 * EIG_ATOL
 
 _EPS = float(np.finfo(float).eps)
 
@@ -180,6 +188,54 @@ def _sturm_count(diag: list, off_sq: list, shift: float, pivmin: float) -> int:
     return count
 
 
+def _sturm_slope(diag: list, off_sq: list, shift: float, pivmin: float) -> tuple[int, float]:
+    """`_sturm_count`'s count at `shift`, from the same pivots by the same
+    operations, and the slope of log|det(A - shift)|, -sum_j 1/(lambda_j - shift).
+
+    The slope t_i of log|p_i|, p_i the leading i x i minor of A - shift,
+    follows from p_i = (a_i - shift) p_(i-1) - b^2 p_(i-2) and p_i = d_i p_(i-1):
+    t_i = ((a_i - shift) t_(i-1) - r t_(i-2) - 1) / d_i with r = b^2 / d_(i-1).
+    Summing the pivots' own slopes d_i'/d_i instead would add two terms near
+    +-1/pivmin after a nudged zero pivot, and their sum would lose every digit.
+    """
+    d = diag[0] - shift
+    if d == 0.0:
+        d = -pivmin
+    count = 1 if d < 0.0 else 0
+    t_prev, t = 0.0, -1.0 / d
+    for a, b2 in zip(diag[1:], off_sq):
+        r = b2 / d
+        am = a - shift
+        d = am - r  # _sturm_count's a - shift - b2 / d, bit for bit
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = -pivmin
+            count += 1
+        t_prev, t = t, (am * t - r * t_prev - 1.0) / d
+    if not math.isfinite(t):  # a pivot below pivmin, but not 0, overflowed t_i
+        t = _nudged_slope(diag, off_sq, shift, pivmin)
+    return count, t
+
+
+def _nudged_slope(diag: list, off_sq: list, shift: float, pivmin: float) -> float:
+    """`_sturm_slope`'s slope on pivots of which each below pivmin in size is
+    -pivmin, as in LAPACK dstebz: a matrix within about pivmin of A, whose
+    t_i stay below about 1/pivmin.  Its count would not be `_sturm_count`'s."""
+    d = diag[0] - shift
+    if abs(d) < pivmin:
+        d = -pivmin
+    t_prev, t = 0.0, -1.0 / d
+    for a, b2 in zip(diag[1:], off_sq):
+        r = b2 / d
+        am = a - shift
+        d = am - r
+        if abs(d) < pivmin:
+            d = -pivmin
+        t_prev, t = t, (am * t - r * t_prev - 1.0) / d
+    return t
+
+
 def _as_lists(diag: np.ndarray, offdiag: np.ndarray) -> tuple[list, list, float]:
     off_sq = (offdiag * offdiag).tolist()
     scale = float(np.max(np.abs(offdiag))) if offdiag.size else 1.0
@@ -198,6 +254,40 @@ def count_below(d: SchrodingerDiscretization, shift: float) -> int:
         shifts.insert(j, shift)
         counts.insert(j, _sturm_count(diag, off_sq, shift, pivmin))
     return counts[j]
+
+
+def _locate_eigenvalue(d: SchrodingerDiscretization, i: int, lo: float, hi: float) -> float:
+    """An estimate of the i-th smallest eigenvalue, which a count below i at lo
+    and one of at least i at hi place in [lo, hi].
+
+    Safeguarded Newton steps on log|det(A - s)| (Parlett, The Symmetric
+    Eigenvalue Problem, 1998), each from one `_sturm_slope` pass whose count
+    goes into `d.counts` and narrows [lo, hi].  A step that leaves the bracket,
+    or is not at most half the move before it, is replaced by the bracket's
+    midpoint.  The search ends when a step falls below a quarter of
+    _LOCATE_RADIUS, or the bracket below _LOCATE_RADIUS plus float resolution.
+    """
+    diag, off_sq, pivmin = d.lists
+    shifts, counts = d.counts
+    s, moved = 0.5 * lo + 0.5 * hi, hi - lo
+    while hi - lo > _LOCATE_RADIUS + 2.0 * _EPS * max(abs(lo), abs(hi)):
+        count, slope = _sturm_slope(diag, off_sq, s, pivmin)
+        # s lies inside the bracket, where the table holds no count yet
+        j = bisect.bisect_left(shifts, s)
+        shifts.insert(j, s)
+        counts.insert(j, count)
+        if count >= i:
+            hi = s
+        else:
+            lo = s
+        step = -1.0 / slope if slope != 0.0 else math.inf
+        if abs(step) < 0.25 * _LOCATE_RADIUS:
+            return s + step
+        x = s + step
+        if not (lo < x < hi and abs(step) <= 0.5 * moved):  # nan fails too
+            x = 0.5 * lo + 0.5 * hi
+        s, moved = x, abs(x - s)
+    return 0.5 * lo + 0.5 * hi
 
 
 def negative_count(d: SchrodingerDiscretization) -> int:
@@ -228,7 +318,15 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     backward error of a computed count, which is the exact count of a
     matrix within a few eps ||A|| of A (Kahan 1966), so a decided midpoint
     gets the answer its count would give and the bisection again visits the
-    same midpoints.  The shipped spectral run takes 443 counts.
+    same midpoints.
+
+    Before its bisection each eigenvalue is located: `_locate_eigenvalue`
+    runs Newton steps inside the bracket that lo, gu, the bounds and the
+    table leave, and the counts at theta +- _LOCATE_RADIUS around its
+    estimate theta then decide every midpoint outside that window.  These
+    are counts like any other, so a poor theta costs counts and changes no
+    bit.  The shipped spectral run takes 84 counts, 51 of them the
+    coercivity pencil's, and 81 Newton passes of about two counts' time each.
     """
     n = d.size
     if not 1 <= k <= n:
@@ -268,6 +366,14 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
                 floor = lower - margin
             if math.isfinite(upper + margin):
                 ceil = upper + margin
+        # the table narrows the bracket: counts are monotone in the shift
+        j = bisect.bisect_left(counts, i)
+        below = max(lo, floor, shifts[j - 1] if j else -math.inf)
+        above = min(gu, ceil, shifts[j] if j < len(shifts) else math.inf)
+        theta = _locate_eigenvalue(d, i, below, above)
+        for x in (theta - _LOCATE_RADIUS, theta + _LOCATE_RADIUS):
+            if below < x < above:  # a count outside the bracket decides nothing new
+                at_least(i, x, floor, ceil)
         mid = _bisect(lambda x: at_least(i, x, floor, ceil), lo, gu, 2.0 * EIG_ATOL)
         # a bracket can end below the last midpoint where eigenvalues lie closer than
         # EIG_ATOL; lambda_i >= lambda_(i-1) >= out[-1] - EIG_ATOL, so out[-1] is close too

@@ -16,9 +16,11 @@ on any difference.
 The list is the golden runs (`test_golden.RUNS`, run by `test_golden._run`)
 plus the shipped decay at T = 200, the T = 20 decay with phi4, phi6,
 cubic-nlkg and linear-kg and with odd velocity data, a breather-mode
-convergence study on the full line, and three runs that blow up.  With the
-smallness stop of the phi4 decay, those reach every early exit of
-`integrator.run`: a decay whose step overflows at step 40, a decay whose
+convergence study on the full line, three runs that blow up, and the
+spectral scenario on two more grids (lambda = 2 with dx = 0.02, lambda = 0.5
+with dx = 0.01), whose eigenvalues the bisection places afresh.  With the
+smallness stop of the phi4 decay, the three blow-ups reach every early exit
+of `integrator.run`: a decay whose step overflows at step 40, a decay whose
 first record overflows at step 0, and a convergence study whose coarse run
 overflows at step 40.  Both sides run on one host, so the bits of
 libm cancel; the golden test cannot show byte identity, as it allows
@@ -55,6 +57,8 @@ EXTRA_RUNS = {
     "abort_convergence": ("decay_sine_gordon.cfg", {"scenario": "convergence",
                                                     "model": "cubic-nlkg", "epsilon": "5",
                                                     "N": "999", "T": "20"}),
+    "spectral_lam2": ("spectral.cfg", {"lambda": "2", "L": "20", "N": "999"}),
+    "spectral_lam05": ("spectral.cfg", {"lambda": "0.5", "L": "30", "N": "2999"}),
 }
 
 

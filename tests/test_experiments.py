@@ -710,6 +710,34 @@ def test_describe_and_run_agree_on_the_step_budget(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("settings, message", (
+    (["N=1000000000000000", "T=0"], "a grid of N=1000000000000000 nodes does not fit in memory"),
+    (["sigma=1e-153", "N=99", "T=1"], "the profile of sigma=1e-153 has norm 0 on this grid"),
+), ids=("grid-memory", "zero-profile"))
+def test_describe_and_run_refuse_a_grid_or_profile_before_output_dir(settings, message,
+                                                                    tmp_path, capsys):
+    # both were found only once the run had started: the run exited 2 and left
+    # an empty output_dir behind, and --describe exited 0
+    argv = ["decay", "--config", str(ROOT / "configs" / "decay_sine_gordon.cfg")]
+    argv += [arg for setting in settings for arg in ("--set", setting)]
+    argv += ["--set", f"output_dir={tmp_path / 'out'}"]
+    for extra in (["--describe"], []):
+        assert cli_main(argv + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, err
+        assert err.startswith(f"config error: {message}"), err
+        assert not (tmp_path / "out").exists()
+
+
+def test_profile_peak_is_the_largest_sample_of_the_initial_profile():
+    # the node nearest sigma/sqrt(2), found without the grid, against every sample
+    for sigma, L, N in ((2.0, 80.0, 7999), (0.1, 20.0, 16), (50.0, 80.0, 99),
+                        (1e-153, 80.0, 99), (3e-152, 1e-150, 99), (1e150, 20.0, 99)):
+        grid = make_grid(L, N)
+        peak = experiments._profile_peak(sigma, grid.dx, N)
+        assert peak == float(np.max(experiments._profile(grid.x, sigma)))
+
+
 def test_convergence_refuses_a_fine_spacing_out_of_range_before_it_runs(tmp_path, capsys):
     # the coarse dx = 2.3e-154 passes check_spacing and its half does not: both
     # --describe and the run refuse the fine grid before anything runs

@@ -4,9 +4,11 @@ Spectral: on random symmetric tridiagonals, the Sturm count, the count at
 zero and the bisected lowest eigenvalues agree with scipy's tridiagonal
 eigensolver; the computed count is monotone in the shift, which is what
 lets `lowest_eigs` skip counts that earlier ones decide, and that skipping
-changes no bit of its result.  On assembled sectors, the free-Laplacian
-bounds enclose every eigenvalue and the counts they skip change no bit
-either.  Grid: the even-origin estimate of the tests' oracle is exact for
+changes no bit of its result.  The Newton pass counts as the Sturm count
+does and its slope of log|det(A - s)| matches scipy's eigenvalues.  On
+assembled sectors, the free-Laplacian bounds enclose every eigenvalue and
+the counts they skip change no bit either, nor does a wrong estimate of
+where an eigenvalue lies.  Grid: the even-origin estimate of the tests' oracle is exact for
 even quadratics.
 Virial: on random odd fields, B(u1) and Bsharp(zeta u1) agree to second
 order in dx.
@@ -22,6 +24,7 @@ the half-kick keeps or rescans any given window so that this holds.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,9 +39,10 @@ from oddkg.integrator import (
     RunSettings, _acceleration, _half_kick, cfl_dt, leapfrog_step, run,
 )
 from oddkg.models import CATALOG_NAMES, make_model
+from oddkg import spectral
 from oddkg.spectral import (
-    EIG_ATOL, SchrodingerDiscretization, _as_lists, _bisect, _sturm_count, assemble,
-    count_below, lowest_eigs, negative_count,
+    EIG_ATOL, SchrodingerDiscretization, _as_lists, _bisect, _sturm_count, _sturm_slope,
+    assemble, count_below, lowest_eigs, negative_count,
 )
 from oddkg.virial import VirialConfig, bilinear_B, bsharp, make_record, to_w
 
@@ -107,6 +111,36 @@ def test_sturm_count_is_monotone_in_the_shift(tri, data):
     assert _sturm_count(dl, off_sq, lo, pivmin) <= _sturm_count(dl, off_sq, hi, pivmin)
 
 
+@settings(max_examples=60, deadline=None)
+@given(tri=tridiagonals(), data=st.data())
+def test_sturm_slope_counts_as_sturm_count_and_slopes_as_scipy(tri, data):
+    diag, off = tri
+    # a shift equal to a diagonal entry makes a pivot exactly zero (pivmin nudge):
+    # the first one always, a later one where the coupling above it is 0
+    shift = data.draw(st.one_of(st.floats(-40.0, 40.0), st.sampled_from(diag.tolist())))
+    dl, off_sq, pivmin = _as_lists(diag, off)
+    count, slope = _sturm_slope(dl, off_sq, shift, pivmin)
+    # its counts go into the table that _sturm_count's counts go into
+    assert count == _sturm_count(dl, off_sq, shift, pivmin)
+    eigs = eigvalsh_tridiagonal(diag, off)
+    if np.min(np.abs(eigs - shift)) >= 1e-3:
+        # d/ds log|det(A - s)|, relative to the sum of its terms' sizes, which
+        # bounds what scipy's own eigenvalue error does to the oracle
+        terms = 1.0 / (eigs - shift)
+        assert abs(slope + float(np.sum(terms))) <= 1e-8 * float(np.sum(np.abs(terms)))
+
+
+def test_sturm_slope_survives_a_pivot_below_pivmin():
+    # at shift 1 the second pivot is 1e-310, which is not 0 and so is not nudged:
+    # its reciprocal overflowed the slope, nan where the eigenvalues lie 0.38 away
+    diag, off = np.array([0.0, 1.0, 0.0]), np.array([1e-155, 1.0])
+    dl, off_sq, pivmin = _as_lists(diag, off)
+    count, slope = _sturm_slope(dl, off_sq, 1.0, pivmin)
+    assert count == _sturm_count(dl, off_sq, 1.0, pivmin) == 2
+    terms = 1.0 / (eigvalsh_tridiagonal(diag, off) - 1.0)
+    assert abs(slope + float(np.sum(terms))) <= 1e-8 * float(np.sum(np.abs(terms)))
+
+
 def _lowest_eigs_counting_afresh(diag, off, k):
     """lowest_eigs as it reads without reuse: one new count per midpoint."""
     dl, off_sq, pivmin = _as_lists(diag, off)
@@ -166,6 +200,57 @@ def test_free_laplacian_bounds_change_no_bit(sector, k_frac):
     d = sector[0]
     k = 1 + int(k_frac * (min(d.size, 40) - 1))
     assert lowest_eigs(d, k).tolist() == _lowest_eigs_counting_afresh(d.diag, d.offdiag, k)
+
+
+WRONG_THETAS = ("gl", "gu", "nan", "neighbour")
+
+
+def _wrong_locator(kind, diag, off):
+    """A stand-in for `_locate_eigenvalue` that returns, for the i-th eigenvalue,
+    a Gershgorin end, nan, or the eigenvalue next to it."""
+    radius = np.zeros(diag.size)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    ends = {"gl": float(np.min(diag - radius)), "gu": float(np.max(diag + radius)),
+            "nan": math.nan}
+    eigs = eigvalsh_tridiagonal(diag, off)
+
+    def locate(d, i, lo, hi):
+        if kind in ends:
+            return ends[kind]
+        return float(eigs[i] if i < eigs.size else eigs[i - 2])
+    return locate
+
+
+def _lowest_eigs_with_wrong_thetas(d, k):
+    """lowest_eigs of a fresh copy of `d` under each wrong theta, as lists."""
+    out = []
+    for kind in WRONG_THETAS:
+        fresh = SchrodingerDiscretization(diag=d.diag, offdiag=d.offdiag,
+                                          eig_bounds=d.eig_bounds)
+        with mock.patch.object(spectral, "_locate_eigenvalue",
+                               _wrong_locator(kind, d.diag, d.offdiag)):
+            out.append(lowest_eigs(fresh, k).tolist())
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(sector=assembled_sectors(), k_frac=st.floats(0.0, 1.0))
+def test_a_wrong_theta_changes_no_bit(sector, k_frac):
+    # every decision still comes from a count or a bound: theta only places counts
+    d = sector[0]
+    k = 1 + int(k_frac * (min(d.size, 40) - 1))
+    fresh = _lowest_eigs_counting_afresh(d.diag, d.offdiag, k)
+    assert _lowest_eigs_with_wrong_thetas(d, k) == [fresh] * len(WRONG_THETAS)
+
+
+@pytest.mark.parametrize("parity", ("odd", "even"))
+def test_a_wrong_theta_changes_no_bit_on_the_shipped_sectors(parity):
+    # the V0 = 6 sectors of configs/spectral.cfg, bisected to their marginal eigenvalue
+    d = assemble(make_grid(40.0, 3999), 6.0, 1.0, parity)
+    k = negative_count(d) + 1
+    fresh = _lowest_eigs_counting_afresh(d.diag, d.offdiag, k)
+    assert _lowest_eigs_with_wrong_thetas(d, k) == [fresh] * len(WRONG_THETAS)
 
 
 @st.composite

@@ -166,6 +166,20 @@ def test_shipped_spectral_run_takes_at_most_450_counts(tmp_path, monkeypatch):
     assert len(shifts) <= 450
 
 
+def test_shipped_spectral_run_takes_at_most_200_pivot_passes(tmp_path, monkeypatch):
+    # plain counts and Newton passes together: 443 counts before the eigenvalues
+    # were located first, 84 counts and 81 passes after
+    passes = []
+    for name in ("_sturm_count", "_sturm_slope"):
+        original = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda *args, f=original: passes.append(f) or f(*args))
+    pairs = parse_pairs((ROOT / "configs" / "spectral.cfg").read_text(encoding="utf-8"))
+    pairs["output_dir"] = str(tmp_path)
+    run_scenario(build_config(pairs))
+    assert len(passes) <= 200
+
+
 def test_negative_count_free_laplacian_zero():
     for parity in ("odd", "even"):
         assert negative_count(assemble(LAM1_GRID, 0.0, 1.0, parity)) == 0
