@@ -205,10 +205,14 @@ def validate_config(cfg: ExperimentConfig) -> _Simulation:
         if r.N > MAX_NODES:
             raise ConfigError(f"a grid of N={r.N} nodes does not fit in memory: "
                               f"one run may hold {MAX_NODES:g}")
-    for r in runs:
-        if r.breather is None and not _profile_peak(cfg.sigma, r.dx, r.N) > 0.0:
+    for r in (r for r in runs if r.breather is None):
+        low, high = _profile_norm_sq_bounds(cfg, r.dx, r.N)
+        if not low > 0.0:
             raise ConfigError(f"the profile of sigma={cfg.sigma:g} has norm 0 on this grid; "
                               f"it must be positive and finite")
+        if not high < math.inf:
+            raise ConfigError(f"the profile of sigma={cfg.sigma:g} has a norm that overflows "
+                              f"on this grid; it must be positive and finite")
     return sim
 
 
@@ -247,6 +251,33 @@ def _profile_peak(sigma: float, dx: float, N: int) -> float:
     """
     j = min(max(math.floor(min(sigma / math.sqrt(2.0) / dx, N)), 1), N)
     return float(np.max(_profile(dx * np.array([j, min(j + 1, N)], dtype=float), sigma)))
+
+
+def _profile_norm_sq_bounds(cfg: ExperimentConfig, dx: float, N: int) -> tuple[float, float]:
+    """Bounds (low, high) of the squared norm that `make_initial_data` finds for
+    the profile on the half-line grid of N nodes j*dx, from two of its samples.
+
+    low is the largest sample squared times dx and, for displaced data, the
+    origin cell's squared difference (first sample / dx)^2 times dx too.
+    Each is a term of the norm's sums, rounded as they round it, and the
+    sums add only terms >= 0, so low > 0 means a positive norm.
+    high is 4 max(1, dx) max((N+1) (peak/dx)^2, N peak^2).  The profile is
+    >= 0 on the half-line, so each of its N + 1 staggered differences (zero
+    ghosts included) is at most peak/dx and each sample at most peak.  The
+    norm sums the squared differences and the squared samples, multiplies
+    each sum by 2 dx and adds the two: each of these is at most half of
+    high, which leaves a factor 2 for rounding, so a finite high means a
+    finite norm.  `validate_config` accepts a profile only when low > 0 and
+    high is finite; near the ends of the float range that can refuse a
+    profile whose norm would have been finite.
+    """
+    peak = _profile_peak(cfg.sigma, dx, N)
+    low = peak * peak * dx
+    if cfg.data_family == "gauss-odd-displacement":
+        d0 = float(_profile(np.array([dx]), cfg.sigma)[0]) / dx
+        low = max(low, d0 * d0 * dx)
+    q = peak / dx
+    return low, 4.0 * max(1.0, dx) * max((N + 1) * q * q, N * peak * peak)
 
 
 def make_initial_data(cfg: ExperimentConfig, grid: Grid) -> State:

@@ -10,7 +10,9 @@ scheme is symplectic and exactly time reversible; energy error stays
 bounded and O(dt^2) instead of drifting, which long decay measurements
 rely on.  A step writes only into the acceleration and two buffers
 allocated once per run, so it allocates nothing.  V' is evaluated only on
-a window of nodes; outside it, V' is -m u1 to the last bit.
+a window of nodes; outside it, V' is -m u1 to the last bit.  `run` steps
+only the live prefix of the grid: past it, u1, u2 and the carried half-kick
+hold +0 and keep holding it.
 """
 
 from __future__ import annotations
@@ -137,12 +139,27 @@ def leapfrog_step(state: State, model: Model, dt: float) -> State:
     return State(grid, u1, u2, state.t + dt)
 
 
+#: steps between two scans for the live prefix; it grows by one node a step in between
+PREFIX_SCAN_EVERY = 64
+
+
+def _live_prefix(u1: np.ndarray, u2: np.ndarray, a: np.ndarray, bits: np.ndarray,
+                 live: np.ndarray) -> int:
+    """The least p such that u1, u2 and a hold the bits of +0.0 at every node from p
+    on (a -0 is live).  `bits` (int64) and `live` (bool) are work buffers shaped like u1."""
+    np.bitwise_or(u1.view(np.int64), u2.view(np.int64), out=bits)
+    np.bitwise_or(bits, a.view(np.int64), out=bits)
+    j = int(np.not_equal(bits, 0, out=live)[::-1].argmax())
+    return live.size - j if live[-1 - j] else 0
+
+
 def run(
     initial: State,
     model: Model,
     settings: RunSettings,
     diagnostics: VirialConfig,
     on_record: Callable[[State, DiagnosticsRecord], object] | None = None,
+    stats: dict | None = None,
 ) -> list[DiagnosticsRecord]:
     """Integrate from t=0 to T, keeping a record every record_every steps.
 
@@ -156,6 +173,17 @@ def run(
     errstate(all="ignore")), after it is kept and passed to `on_record`.
     `on_record` gets a copy of the state and the fresh record; a true return
     ends the run there, that record included, before its finite check.
+
+    Each step runs on the live prefix [0, p + 1) of the grid, where nodes
+    p, p + 1, ... hold +0 in u1, u2 and the carried half-kick.  The stencil
+    reaches one node, so a step moves p by at most one: p is found by a scan
+    of the three arrays' bits every PREFIX_SCAN_EVERY steps and taken one
+    node further after each step in between.  Node p is +0, so the prefix's
+    zero ghost gives the whole grid's bits of u1 and u2.  A `stats` dict, if
+    given, is filled on every way out with counts: "steps" and "records";
+    "window_rescans" and "window_mean_width" of V''s window (the first
+    half-kick's scan included, the width averaged over steps); and
+    "prefix_scans" and "prefix_mean_width", the nodes a step ran on.
     """
     inv_dx2 = 1.0 / initial.grid.dx ** 2
     dt = settings.dt
@@ -164,8 +192,11 @@ def run(
 
     u1, u2 = initial.u1.copy(), initial.u2.copy()
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))  # step buffers
+    live = np.empty(u1.size, dtype=bool)
     records: list[DiagnosticsRecord] = []
     k = 0  # steps completed
+    p = 0  # every node from p on is +0 in u1, u2 and a
+    rescans = window_sum = scans = prefix_sum = 0
     try:
         if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
             raise BlowupError(0, 0.0, records)
@@ -186,12 +217,26 @@ def run(
                 with np.errstate(over="raise", invalid="raise"):
                     if k == 0:  # step 1's leading half-kick; later steps carry it
                         window = _half_kick(u1, model, inv_dx2, dt, a, tmp, scratch, 0, 0)
+                        rescans += window != (0, 0)
                     while k < next_record:
-                        window = _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp,
-                                                  scratch, *window)
+                        if k % PREFIX_SCAN_EVERY == 0:
+                            p = _live_prefix(u1, u2, a, tmp.view(np.int64), live)
+                            scans += 1
+                        n = min(p + 1, u1.size)
+                        lo, hi = min(window[0], n), min(window[1], n)
+                        window = _kick_drift_kick(u1[:n], u2[:n], a[:n], model, inv_dx2, dt,
+                                                  tmp[:n], scratch[:n], lo, hi)
+                        rescans += window != (lo, hi)
+                        window_sum += window[1] - window[0]
+                        prefix_sum += n
+                        p += 1
                         k += 1
             except FloatingPointError:
                 raise BlowupError(k + 1, (k + 1) * dt, records) from None
     finally:
         fill_dI_dt_numeric(records)
+        if stats is not None:
+            stats.update(steps=k, records=len(records), window_rescans=rescans,
+                         window_mean_width=window_sum / k if k else 0.0,
+                         prefix_scans=scans, prefix_mean_width=prefix_sum / k if k else 0.0)
     return records

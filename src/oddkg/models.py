@@ -55,13 +55,16 @@ class Model:
     `dV(u, out, scratch)` writes V'(u) = -(m*u + f(u)) into `out` and
     returns it, allocating nothing; `scratch` is a buffer shaped like `u`
     that it may overwrite.  `u` stays unchanged.  Where |u| < `linear_below`
-    (at most 1), dV(u) equals u * (-m) bit for bit.
+    (at most 1), dV(u) equals u * (-m) bit for bit, and where |u| <
+    `f_zero_below`, f(u) and F(u) are +0 bit for bit (0 when no such range
+    is known: a polynomial row's f is tiny but nonzero in the tails).
     """
 
     name: str
     m: float
     p: float
     linear_below: float
+    f_zero_below: float
     f: Callable = field(repr=False)
     F: Callable = field(repr=False)
     dV: Callable = field(repr=False)
@@ -110,7 +113,7 @@ def _polynomial(name: str, m: float, coeffs: tuple, p: float = 3.0) -> Model:
     # if m = 0; the cap keeps every |u| >= 1, where u*u may overflow, in the window.
     total = sum(abs(c) for c in coeffs)
     t = 0.0 if m == 0.0 else min(1.0, math.sqrt(2.0 ** -56 * abs(m) / total) if total else 1.0)
-    return Model(name, m=m, p=p, linear_below=t, f=f, F=F, dV=dV)
+    return Model(name, m=m, p=p, linear_below=t, f_zero_below=0.0, f=f, F=F, dV=dV)
 
 
 def make_model(name: str, params: Mapping | None = None) -> Model:
@@ -125,9 +128,11 @@ def make_model(name: str, params: Mapping | None = None) -> Model:
     """
     if name == "sine-gordon":
         # |sin(u) - u| <= |u|^3/6 is below half an ulp of u for |u| < 2^-26, so sin
-        # rounds to u there; t = 2^-27 leaves a factor 2 (tests check numpy's sin)
+        # rounds to u there; t = 2^-27 leaves a factor 2 (tests check numpy's sin).
+        # Below t, cos(u) and u^2/2 + cos(u) round to 1 too, so f and F are
+        # u - u = +0 and 1 - 1 = +0 (-0 - sin(-0) is +0 as well)
         return Model(
-            name, m=-1.0, p=3.0, linear_below=2.0 ** -27,
+            name, m=-1.0, p=3.0, linear_below=2.0 ** -27, f_zero_below=2.0 ** -27,
             f=lambda u: u - np.sin(u),
             F=lambda u: 0.5 * u * u + np.cos(u) - 1.0,
             dV=lambda u, out, scratch: np.sin(u, out=out),

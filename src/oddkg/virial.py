@@ -137,6 +137,17 @@ class _Once:
         return value
 
 
+def _nonlinear_window(k: "_Kernel") -> tuple[int, int]:
+    """The smallest [lo, hi) holding every node with |u1| >= model.f_zero_below, or
+    (0, 0) if none: one compare into a bool buffer, then the first and the last
+    node not below; a nan compares False, so it lands inside, as in the step's rescan."""
+    below = np.less(k.abs_u1, k.model.f_zero_below, out=k.buf("below", dtype=bool))
+    lo = int(below.argmin())
+    if below[lo]:
+        return 0, 0
+    return lo, below.size - int(below[::-1].argmin())
+
+
 class _Kernel:
     """Every diagnostic quantity of one state, each evaluated on first read.
 
@@ -149,6 +160,12 @@ class _Kernel:
     bit.  Sharing the buffers is safe because only floats leave a kernel
     and no two kernels on one grid are ever evaluated interleaved: a
     kernel's products are read only while it is the last one evaluated.
+
+    f and F are evaluated only on `window`, the smallest span [lo, hi)
+    that holds every node with |u1| >= model.f_zero_below (a nan or inf
+    included), and are +0 outside it, which is their value there bit for
+    bit.  The window comes from the |u1| pass that `sup` reads; with a
+    threshold of 0 it is the whole grid.
     """
 
     def __init__(self, grid: Grid, u1: np.ndarray, lam: float | None,
@@ -157,10 +174,19 @@ class _Kernel:
         self.model = model
         self.ws = grid.table(("workspace",), dict)
 
-    def buf(self, name: str, size: int | None = None) -> np.ndarray:
+    def buf(self, name: str, size: int | None = None, dtype=float) -> np.ndarray:
         out = self.ws.get(name)
         if out is None:
-            out = self.ws[name] = np.empty(self.grid.N if size is None else size)
+            out = self.ws[name] = np.empty(self.grid.N if size is None else size, dtype)
+        return out
+
+    def on_window(self, name: str, fn) -> np.ndarray:
+        """fn(u1) on `window` and +0 outside it, in the buffer `name`."""
+        lo, hi = self.window
+        out = self.buf(name)
+        out[:lo] = 0.0
+        out[hi:] = 0.0
+        out[lo:hi] = fn(self.u1[lo:hi])
         return out
 
     # weight rows: U has no lam; W, of scale lam, is built only when read
@@ -173,8 +199,8 @@ class _Kernel:
     u2_sq = _Once(lambda k: np.multiply(k.u2, k.u2, out=k.buf("u2_sq")))
     u1u2 = _Once(lambda k: np.multiply(k.u1, k.u2, out=k.buf("u1u2")))
     du1u2 = _Once(lambda k: np.multiply(k.du1, k.u2, out=k.buf("du1u2")))
-    f = _Once(lambda k: k.model.f(k.u1))
-    F = _Once(lambda k: k.model.F(k.u1))
+    f = _Once(lambda k: k.on_window("f", k.model.f))
+    F = _Once(lambda k: k.on_window("F", k.model.F))
     u1f = _Once(lambda k: np.multiply(k.u1, k.f, out=k.buf("u1f")))
     fu2 = _Once(lambda k: np.multiply(k.f, k.u2, out=k.buf("fu2")))
     # |u1|^(2+q) with q = p - 1; the catalog's p = 3 makes the quartic case the hot one
@@ -211,7 +237,9 @@ class _Kernel:
     cross = _Once(lambda k: _dot(k.U.sech, k.u1u2))
     dH = _Once(lambda k: 2.0 * (1.0 + k.model.m) * k.cross + 2.0 * _dot(k.U.sech, k.fu2)
                - 2.0 * _dot(k.U.dsech, k.du1u2))
-    sup = _Once(lambda k: float(np.max(np.abs(k.u1, out=k.buf("abs_u1")))))
+    abs_u1 = _Once(lambda k: np.abs(k.u1, out=k.buf("abs_u1")))
+    sup = _Once(lambda k: float(np.max(k.abs_u1)))
+    window = _Once(_nonlinear_window)
     dw_norm_sq = _Once(lambda k: _dot(k.U.even, k.dw_sq))
     # sf_ratio = int psi' |u1|^(2+q) / (||u1||_inf^q ||dw/dx||^2), 0 at u1 = 0, is scale
     # invariant: its bound is the weighted Sobolev bound behind the nonlinear estimate.

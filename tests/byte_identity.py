@@ -15,7 +15,9 @@ on any difference.
 
 The list is the golden runs (`test_golden.RUNS`, run by `test_golden._run`)
 plus the shipped decay at T = 200, the T = 20 decay with phi4, phi6,
-cubic-nlkg and linear-kg and with odd velocity data, a breather-mode
+cubic-nlkg and linear-kg and with odd velocity data, the T = 2 decay with a
+record at every step for sine-Gordon and phi6 (every record reads f and F on
+their window and follows a step on the live prefix), a breather-mode
 convergence study on the full line, three runs that blow up, and the
 spectral scenario on two more grids (lambda = 2 with dx = 0.02, lambda = 0.5
 with dx = 0.01), whose eigenvalues the bisection places afresh.  With the
@@ -48,6 +50,9 @@ EXTRA_RUNS = {
        for model in ("phi4", "phi6", "cubic-nlkg", "linear-kg")},
     "decay_velocity": ("decay_sine_gordon.cfg",
                        {"T": "20", "data_family": "gauss-odd-velocity"}),
+    **{f"decay_dense_{model}": ("decay_sine_gordon.cfg",
+                                {"T": "2", "record_every": "1", "model": model})
+       for model in ("sine-gordon", "phi6")},
     "convergence_breather": ("breather.cfg", {"scenario": "convergence", "conv_mode": "breather",
                                               "L": "40", "N": "1999", "T": "3"}),
     "abort_step": ("decay_sine_gordon.cfg", {"model": "cubic-nlkg", "epsilon": "5", "N": "999",

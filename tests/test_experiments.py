@@ -713,7 +713,12 @@ def test_describe_and_run_agree_on_the_step_budget(argv, tmp_path, capsys):
 @pytest.mark.parametrize("settings, message", (
     (["N=1000000000000000", "T=0"], "a grid of N=1000000000000000 nodes does not fit in memory"),
     (["sigma=1e-153", "N=99", "T=1"], "the profile of sigma=1e-153 has norm 0 on this grid"),
-), ids=("grid-memory", "zero-profile"))
+    # nonzero samples whose squares underflow, and a norm that overflows
+    (["sigma=5.1e-4", "L=1", "N=99", "T=1"],
+     "the profile of sigma=0.00051 has norm 0 on this grid"),
+    (["L=1e150", "sigma=1e150", "lambda=1e150", "N=99", "T=0"],
+     "the profile of sigma=1e+150 has a norm that overflows on this grid"),
+), ids=("grid-memory", "zero-profile", "underflowing-squares", "infinite-norm"))
 def test_describe_and_run_refuse_a_grid_or_profile_before_output_dir(settings, message,
                                                                     tmp_path, capsys):
     # both were found only once the run had started: the run exited 2 and left
@@ -736,6 +741,27 @@ def test_profile_peak_is_the_largest_sample_of_the_initial_profile():
         grid = make_grid(L, N)
         peak = experiments._profile_peak(sigma, grid.dx, N)
         assert peak == float(np.max(experiments._profile(grid.x, sigma)))
+
+
+@pytest.mark.parametrize("family", ("gauss-odd-displacement", "gauss-odd-velocity"))
+def test_profile_norm_bounds_bracket_the_norm_the_run_finds(family):
+    # low <= the squared norm of make_initial_data <= high / 2, on grids from the
+    # shipped one to the ends of the float range: the samples at L = 2.3e-152
+    # square to 0, but for displaced data the origin cell's difference does not;
+    # at sigma = 5.1e-4 both square to 0, and at L = 1e150 the norm overflows
+    for sigma, L, N in ((2.0, 80.0, 7999), (0.1, 20.0, 16), (50.0, 80.0, 99),
+                        (2.0, 2.3e-152, 99), (5.1e-4, 1.0, 99), (1e100, 1e120, 99),
+                        (1e150, 1e150, 99)):
+        cfg = ExperimentConfig(scenario="decay", sigma=sigma, L=L, N=N, data_family=family)
+        grid = make_grid(L, N)
+        profile, zero = experiments._profile(grid.x, sigma), np.zeros(N)
+        with np.errstate(over="ignore"):
+            norm_sq = energy_norm_sq(State(grid, profile, zero)
+                                     if family == "gauss-odd-displacement"
+                                     else State(grid, zero, profile))
+        low, high = experiments._profile_norm_sq_bounds(cfg, grid.dx, N)
+        assert low <= norm_sq <= 0.5 * high
+        assert (low > 0.0) == (norm_sq > 0.0) and (high < math.inf) == (norm_sq < math.inf)
 
 
 def test_convergence_refuses_a_fine_spacing_out_of_range_before_it_runs(tmp_path, capsys):

@@ -1,22 +1,24 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import linear_standing_wave
 
-from oddkg.experiments import ExperimentConfig, make_initial_data
+from oddkg.experiments import ExperimentConfig, make_initial_data, parse_config, validate_config
 from oddkg.grid import State, gradient_sq_integral, integrate_fullline, make_grid
 from oddkg.integrator import (
-    BlowupError, RunSettings, _acceleration, _half_kick, _kick_drift_kick, cfl_dt,
-    leapfrog_step, run,
+    PREFIX_SCAN_EVERY, BlowupError, RunSettings, _acceleration, _half_kick, _kick_drift_kick,
+    cfl_dt, leapfrog_step, run,
 )
 from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.virial import (
     H_loc, VirialConfig, bilinear_B, energy_norm_sq, virial_I, virial_I_abs, weighted_norms,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 LK = make_model("linear-kg")
 SG = make_model("sine-gordon")
 VC = VirialConfig(10.0)
@@ -121,6 +123,23 @@ def test_run_records_strictly_increasing_and_final_step():
     # 103 steps: the final step is off the regular cadence, still recorded
     assert t[-1] == pytest.approx(1.03, abs=1e-12)
     assert len(recs) == 12
+
+
+def test_run_reports_its_counts_on_the_shipped_decay():
+    # the shipped decay at T = 20 (5,000 steps, a record every 25): its Gaussian
+    # tail is +0 past x = 54.6 at t = 0, so the steps run on part of the grid,
+    # and V' is evaluated on a window within that part
+    cfg = parse_config((ROOT / "configs" / "decay_sine_gordon.cfg").read_text() + "T=20\n")
+    sim = validate_config(cfg)
+    stats = {}
+    records = run(make_initial_data(cfg, sim.grid()), sim.model, sim.settings, sim.vcfg,
+                  stats=stats)
+    steps = round(20.0 / sim.settings.dt)
+    assert stats["steps"] == steps == 5000
+    assert stats["records"] == len(records) == steps // 25 + 1
+    assert stats["prefix_scans"] == -(-steps // PREFIX_SCAN_EVERY)
+    assert 1 <= stats["window_rescans"] <= steps + 1
+    assert 0 < stats["window_mean_width"] <= stats["prefix_mean_width"] < sim.N
 
 
 def test_run_matches_repeated_leapfrog_steps():

@@ -80,7 +80,9 @@ LINEAR_BELOW_CUSTOM = [
 def test_dV_is_linear_below_linear_below_bit_for_bit(name, params):
     # the step's linear far field rests on this (for sine-Gordon: np.sin(u) == u
     # on this numpy and libm): random mantissas in every binade below t, down
-    # to the subnormals, the largest double below t, and +-0
+    # to the subnormals, the largest double below t, and +-0.  The records'
+    # f and F rest on the same values being +0 bit for bit below f_zero_below
+    # (sine-Gordon, whose threshold is t; np.cos(u) rounds to 1 there)
     model = make_model(name, params)
     t = model.linear_below
     assert 0.0 < t <= 1.0
@@ -91,6 +93,10 @@ def test_dV_is_linear_below_linear_below_bit_for_bit(name, params):
     u = np.concatenate([u, -u])
     dv = model.dV(u, np.empty_like(u), np.empty_like(u))
     assert np.array_equal(dv.view(np.int64), (u * -model.m).view(np.int64))
+    assert model.f_zero_below in (0.0, t)
+    if model.f_zero_below:
+        for g in (model.f, model.F):
+            assert np.array_equal(g(u).view(np.int64), np.zeros(u.size, np.int64))
 
 
 def test_linear_below_thresholds():
@@ -98,6 +104,10 @@ def test_linear_below_thresholds():
     assert make_model("phi4").linear_below == 2.0 ** -28
     assert make_model("linear-kg").linear_below == 1.0  # the cap: a zero row
     assert make_model("custom-poly", {"m": 0.0, "coeffs": (0.0, 0.0, 0.0, 1.0)}).linear_below == 0.0
+    # f and F are +0 below 2^-27 for sine-Gordon; a row's f = u^3 P(u^2) is not
+    assert make_model("sine-gordon").f_zero_below == 2.0 ** -27
+    for name in ("phi4", "phi6", "cubic-nlkg", "linear-kg"):
+        assert make_model(name).f_zero_below == 0.0
 
 
 @pytest.mark.parametrize("name", CATALOG)

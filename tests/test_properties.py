@@ -1,8 +1,9 @@
 """Property tests of the numerical cores.
 
 Spectral: on random symmetric tridiagonals, the Sturm count, the count at
-zero and the bisected lowest eigenvalues agree with scipy's tridiagonal
-eigensolver; the computed count is monotone in the shift, which is what
+zero and the bisected lowest eigenvalues agree with the exact inertia of
+the matrix (`oracles.exact_count_below`, in rationals); the computed count
+is monotone in the shift, which is what
 lets `lowest_eigs` skip counts that earlier ones decide, and that skipping
 changes no bit of its result.  The Newton pass counts as the Sturm count
 does and its slope of log|det(A - s)| matches scipy's eigenvalues.  On
@@ -20,7 +21,11 @@ with -dt undoes n steps to roundoff, as amplified by the linear
 instability of the zero state when m > 0 (phi4); a phi4 run ends while
 that growth keeps its data small.  The force on a window of nodes, with
 the linear force outside it, is the whole-array force bit for bit, and
-the half-kick keeps or rescans any given window so that this holds.
+the half-kick keeps or rescans any given window so that this holds.  The
+diagnostics kernel's f and F, evaluated on their own window, are the
+whole-array ones bit for bit, and `run`, which steps only the live prefix
+of the grid, equals repeated `leapfrog_step` in u1, u2 and every record
+on states with long +0 tails.
 """
 
 import math
@@ -30,7 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import even_origin_integral
+from oracles import even_origin_integral, exact_count_below
 from scipy.linalg import eigvalsh_tridiagonal
 
 from oddkg.experiments import Lcg, random_odd_field
@@ -44,7 +49,7 @@ from oddkg.spectral import (
     EIG_ATOL, SchrodingerDiscretization, _as_lists, _bisect, _sturm_count, _sturm_slope,
     assemble, count_below, lowest_eigs, negative_count,
 )
-from oddkg.virial import VirialConfig, bilinear_B, bsharp, make_record, to_w
+from oddkg.virial import VirialConfig, _Kernel, bilinear_B, bsharp, make_record, to_w
 
 ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -70,13 +75,30 @@ def _roundoff(diag, off) -> float:
     return 1e-9 * (1.0 + float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))))
 
 
+def _exact_count(diag, off, shift) -> int:
+    """The exact count of eigenvalues below `shift`; a draw whose exact LDL^T
+    meets a zero pivot there is discarded."""
+    count, zero_pivot = exact_count_below(diag, off, shift)
+    assume(not zero_pivot)
+    return count
+
+
+def _exact_count_if_clear(diag, off, shift) -> int:
+    """The exact count below `shift`, for a draw with no eigenvalue within
+    `_roundoff` of it (decided by the exact counts at shift -+ _roundoff)."""
+    r = _roundoff(diag, off)
+    below = _exact_count(diag, off, shift - r)
+    assume(below == _exact_count(diag, off, shift + r))
+    return below
+
+
+# the exact inertia, not LAPACK, is the oracle: eigvalsh_tridiagonal misplaced an
+# eigenvalue by 1.9e-3 on a draw with entries such as 5e-324, which ENTRIES makes
 @settings(max_examples=30, deadline=None)
 @given(tri=tridiagonals(), shift=st.floats(-40.0, 40.0))
 def test_count_below_matches_scipy(tri, shift):
     diag, off = tri
-    eigs = eigvalsh_tridiagonal(diag, off)
-    assume(np.min(np.abs(eigs - shift)) > _roundoff(diag, off))
-    assert count_below(_sector(diag, off), shift) == int(np.sum(eigs < shift))
+    assert count_below(_sector(diag, off), shift) == _exact_count_if_clear(diag, off, shift)
 
 
 @settings(max_examples=30, deadline=None)
@@ -85,19 +107,18 @@ def test_count_below_matches_scipy(tri, shift):
 @example(tri=(np.array([0.0, 0.0, -1e-12, 0.0]), np.array([1.0, 0.0, 1.0])))
 def test_negative_count_matches_scipy(tri):
     diag, off = tri
-    eigs = eigvalsh_tridiagonal(diag, off)
-    assume(np.min(np.abs(eigs)) > _roundoff(diag, off))
-    assert negative_count(_sector(diag, off)) == int(np.sum(eigs < 0.0))
+    assert negative_count(_sector(diag, off)) == _exact_count_if_clear(diag, off, 0.0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(tri=tridiagonals(), k_frac=st.floats(0.0, 1.0))
 def test_lowest_eigs_match_scipy(tri, k_frac):
+    # the i-th exact eigenvalue lies within _roundoff of the i-th one returned
     diag, off = tri
-    eigs = eigvalsh_tridiagonal(diag, off)
     k = 1 + int(k_frac * (diag.size - 1))
-    assert np.allclose(lowest_eigs(_sector(diag, off), k), eigs[:k],
-                       rtol=0.0, atol=_roundoff(diag, off))
+    r = _roundoff(diag, off)
+    for i, lam in enumerate(lowest_eigs(_sector(diag, off), k), start=1):
+        assert _exact_count(diag, off, lam - r) < i <= _exact_count(diag, off, lam + r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -359,6 +380,21 @@ def test_half_kick_window_holds_and_changes_no_bit(model, data, dt):
     assert np.array_equal(_bits(a), _bits(full))
 
 
+# each catalog model, then custom-poly rows drawn by custom_polys
+@pytest.mark.parametrize("model", [*MODELS[:-1], None], ids=[*CATALOG_NAMES[:-1], "custom-poly"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_f_and_F_on_their_window_are_the_whole_array_ones_bit_for_bit(model, data):
+    # the kernel finds its own window, evaluates f and F on that slice and
+    # writes +0 outside it; a SIMD loop's remainder could take another path
+    model = model or data.draw(custom_polys())
+    u, _, _ = data.draw(windowed_fields(model))
+    u = np.concatenate([u, np.zeros(16 - min(u.size, 16))])  # a grid has 16 nodes or more
+    k = _Kernel(make_grid(10.0, u.size), u, None, model=model)
+    assert np.array_equal(_bits(k.f), _bits(model.f(u)))
+    assert np.array_equal(_bits(k.F), _bits(model.F(u)))
+
+
 def _odd_state(N, L, seed, amplitude):
     grid = make_grid(L, N)
     rng = np.random.default_rng(seed)
@@ -415,6 +451,53 @@ def test_run_is_repeated_leapfrog_and_reversible(N, L, model, seed, amplitude, s
     diff = math.sqrt(float(np.sum((walk.u1 - st0.u1) ** 2)
                            + np.sum((walk.u2 - st0.u2) ** 2)))
     assert diff <= 1e-10 * growth * scale
+
+
+def _record_bits(rec):
+    return _bits(np.array([v for name, v in vars(rec).items() if name != "dI_dt_numeric"]))
+
+
+# a front value: "t" and "-t" stand for +-model.linear_below
+FRONT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, "t", "-t"]),
+                  st.floats(-1e-2, 1e-2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(MODELS), fronts=st.tuples(*[st.lists(FRONT, min_size=1,
+                                                                 max_size=40)] * 2),
+       tail=st.integers(0, 300), n=st.integers(1, 150), every=st.integers(1, 40),
+       safety=st.floats(0.1, 0.9))
+# a -0 is live: the whole grid's step turns this u2's -0 into +0
+@example(model=MODELS[CATALOG_NAMES.index("sine-gordon")], fronts=([0.0], [0.0, -0.0]),
+         tail=0, n=1, every=1, safety=0.5)
+def test_run_on_the_live_prefix_is_repeated_leapfrog_bit_for_bit(model, fronts, tail, n,
+                                                                   every, safety):
+    # data at the front of the grid, then a long tail of +0: run steps only the
+    # live prefix, which must grow by a node a step between its scans; -0,
+    # the least subnormal and +-linear_below sit where the prefix ends
+    edge = {"t": model.linear_below, "-t": -model.linear_below}
+    fronts = [np.array([edge.get(v, v) for v in front]) for front in fronts]
+    N = max(16, max(map(len, fronts)) + tail)
+    grid = make_grid(0.1 * (N + 1), N)
+    u1, u2 = (np.concatenate([v, np.zeros(N - v.size)]) for v in fronts)
+    dt = cfl_dt(grid.dx, model, safety)
+    if model.m > 0:  # phi4: end the run while its growth keeps the data small
+        n = max(1, min(n, int(math.log(10.0) / (math.sqrt(model.m) * dt))))
+    vcfg = VirialConfig(2.0)
+
+    seen = []
+    recs = run(State(grid, u1, u2), model, RunSettings(dt=dt, T=n * dt, record_every=every),
+               vcfg, on_record=lambda state, rec: seen.append(state))
+    walk = [State(grid, u1, u2)]
+    for _ in range(n):
+        walk.append(leapfrog_step(walk[-1], model, dt))
+    assert [round(rec.t / dt) for rec in recs] == [*range(0, n, every), n]
+    for state, rec in zip(seen, recs):
+        k = round(rec.t / dt)
+        assert np.array_equal(_bits(state.u1), _bits(walk[k].u1))
+        assert np.array_equal(_bits(state.u2), _bits(walk[k].u2))
+        walked = make_record(State(grid, walk[k].u1, walk[k].u2, rec.t), model, vcfg)
+        assert np.array_equal(_record_bits(rec), _record_bits(walked))
 
 
 @settings(max_examples=60, deadline=None)
