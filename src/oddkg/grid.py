@@ -17,7 +17,8 @@ with its grid, and `check_samples` is the one check of its length.  All
 line integrals of even integrands reduce to the half-line: 2 * trapezoid
 on [0, L].  Derivatives are plain central differences with zero ghost
 values at the Dirichlet nodes; for odd fields the x=0 ghost is exact, so
-the stencil is second order up to the boundary.
+the stencil is second order up to the boundary.  `support` is the one rule
+for the spans of nodes that the step, the records and `integrator.run` work on.
 """
 
 from __future__ import annotations
@@ -99,6 +100,16 @@ def check_samples(v, grid: Grid) -> np.ndarray:
     if v.shape != (grid.N,):
         raise ValueError(f"field has {v.shape} values for a grid with N={grid.N}")
     return v
+
+
+def support(skip: np.ndarray) -> tuple[int, int]:
+    """The smallest [lo, hi) outside which the bool array `skip` is true everywhere,
+    or (0, 0) if it is true everywhere: one argmin from the front, one from the back.
+    A nan compares False under np.less, so a mask np.less(np.abs(u), t) puts it inside."""
+    lo = int(skip.argmin())
+    if skip[lo]:
+        return 0, 0
+    return lo, skip.size - int(skip[::-1].argmin())
 
 
 @dataclass(eq=False)

@@ -12,7 +12,7 @@ rely on.  A step writes only into the acceleration and two buffers
 allocated once per run, so it allocates nothing.  V' is evaluated only on
 a window of nodes; outside it, V' is -m u1 to the last bit.  `run` steps
 only the live prefix of the grid: past it, u1, u2 and the carried half-kick
-hold +0 and keep holding it.
+hold +0 and keep holding it.  Both spans come from `grid.support`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import State, check_spacing
+from .grid import State, check_spacing, support
 from .models import Model
 from .virial import CSV_COLUMNS, DiagnosticsRecord, VirialConfig, fill_dI_dt_numeric, make_record
 
@@ -96,16 +96,15 @@ def _half_kick(u1: np.ndarray, model: Model, inv_dx2: float, dt: float, a: np.nd
                tmp: np.ndarray, scratch: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
     """a = (dt/2) (D2 u1 - V'(u1)) in place; returns the window [lo, hi) used:
     the given one (0, 0 at the start) while both tails hold |u1| < t =
-    model.linear_below (a nan fails both tests, so it lands inside), else a
-    rescan padded by 64 nodes, so that a spreading wave rescans only now and then.
+    model.linear_below (a nan fails both tests), else the `support` of
+    |u1| < t padded by 64 nodes, so that a spreading wave rescans only now and then.
     Tails of fewer than 1024 nodes in all cost more to check than np.sin saves
     on them, so such a rescan takes the whole grid, which is never checked again."""
     t, n, top, bottom = model.linear_below, u1.size, np.maximum.reduce, np.minimum.reduce
     if not ((lo == 0 or (top(u1[:lo]) < t and bottom(u1[:lo]) > -t))
             and (hi == n or (top(u1[hi:]) < t and bottom(u1[hi:]) > -t))):
-        lo = int(np.less(np.abs(u1, out=tmp), t, out=scratch).argmin())  # 1.0: linear
-        j = int(np.less(tmp[::-1], t, out=scratch).argmin())
-        lo, hi = (0, 0) if scratch[j] else (max(lo - 64, 0), min(n - j + 64, n))
+        lo, hi = support(np.less(np.abs(u1, out=tmp), t, out=scratch.view(bool)[:n]))
+        lo, hi = (max(lo - 64, 0), min(hi + 64, n)) if hi else (0, 0)
         if hi - lo > n - 1024:
             lo, hi = 0, n
     _acceleration(u1, model, inv_dx2, a, tmp, scratch, lo, hi)
@@ -143,14 +142,13 @@ def leapfrog_step(state: State, model: Model, dt: float) -> State:
 PREFIX_SCAN_EVERY = 64
 
 
-def _live_prefix(u1: np.ndarray, u2: np.ndarray, a: np.ndarray, bits: np.ndarray,
-                 live: np.ndarray) -> int:
+def _live_prefix(u1: np.ndarray, u2: np.ndarray, a: np.ndarray, tmp: np.ndarray,
+                 scratch: np.ndarray) -> int:
     """The least p such that u1, u2 and a hold the bits of +0.0 at every node from p
-    on (a -0 is live).  `bits` (int64) and `live` (bool) are work buffers shaped like u1."""
-    np.bitwise_or(u1.view(np.int64), u2.view(np.int64), out=bits)
+    on (a -0 is live), by `support`; tmp and scratch are work buffers shaped like u1."""
+    bits = np.bitwise_or(u1.view(np.int64), u2.view(np.int64), out=tmp.view(np.int64))
     np.bitwise_or(bits, a.view(np.int64), out=bits)
-    j = int(np.not_equal(bits, 0, out=live)[::-1].argmax())
-    return live.size - j if live[-1 - j] else 0
+    return support(np.equal(bits, 0, out=scratch.view(bool)[:bits.size]))[1]
 
 
 def run(
@@ -176,13 +174,13 @@ def run(
 
     Each step runs on the live prefix [0, p + 1) of the grid, where nodes
     p, p + 1, ... hold +0 in u1, u2 and the carried half-kick.  The stencil
-    reaches one node, so a step moves p by at most one: p is found by a scan
-    of the three arrays' bits every PREFIX_SCAN_EVERY steps and taken one
-    node further after each step in between.  Node p is +0, so the prefix's
-    zero ghost gives the whole grid's bits of u1 and u2.  A `stats` dict, if
-    given, is filled on every way out with counts: "steps" and "records";
-    "window_rescans" and "window_mean_width" of V''s window (the first
-    half-kick's scan included, the width averaged over steps); and
+    reaches one node, so a step moves p by at most one: p, the end of the
+    `support` of the nodes where all three arrays' bits are 0, is scanned
+    every PREFIX_SCAN_EVERY steps and taken one node further after each step
+    in between.  Node p is +0, so the prefix's zero ghost gives the whole grid's bits
+    of u1 and u2.  A `stats` dict, if given, is filled on every way out with counts:
+    "steps" and "records"; "window_rescans" and "window_mean_width" of V''s window
+    (the first half-kick's scan included, the width averaged over steps); and
     "prefix_scans" and "prefix_mean_width", the nodes a step ran on.
     """
     inv_dx2 = 1.0 / initial.grid.dx ** 2
@@ -192,7 +190,6 @@ def run(
 
     u1, u2 = initial.u1.copy(), initial.u2.copy()
     a, tmp, scratch = (np.empty_like(u1) for _ in range(3))  # step buffers
-    live = np.empty(u1.size, dtype=bool)
     records: list[DiagnosticsRecord] = []
     k = 0  # steps completed
     p = 0  # every node from p on is +0 in u1, u2 and a
@@ -220,7 +217,7 @@ def run(
                         rescans += window != (0, 0)
                     while k < next_record:
                         if k % PREFIX_SCAN_EVERY == 0:
-                            p = _live_prefix(u1, u2, a, tmp.view(np.int64), live)
+                            p = _live_prefix(u1, u2, a, tmp, scratch)
                             scans += 1
                         n = min(p + 1, u1.size)
                         lo, hi = min(window[0], n), min(window[1], n)

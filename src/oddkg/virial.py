@@ -39,7 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, State, check_samples, derivative, gradient_sq_integral, integrate_fullline
+from .grid import (
+    Grid, State, check_samples, derivative, gradient_sq_integral, integrate_fullline, support,
+)
 from .models import Model
 
 #: fixed CSV schema for one diagnostics record (dI_dt_rhs = -(B + nonlinear term))
@@ -137,17 +139,6 @@ class _Once:
         return value
 
 
-def _nonlinear_window(k: "_Kernel") -> tuple[int, int]:
-    """The smallest [lo, hi) holding every node with |u1| >= model.f_zero_below, or
-    (0, 0) if none: one compare into a bool buffer, then the first and the last
-    node not below; a nan compares False, so it lands inside, as in the step's rescan."""
-    below = np.less(k.abs_u1, k.model.f_zero_below, out=k.buf("below", dtype=bool))
-    lo = int(below.argmin())
-    if below[lo]:
-        return 0, 0
-    return lo, below.size - int(below[::-1].argmin())
-
-
 class _Kernel:
     """Every diagnostic quantity of one state, each evaluated on first read.
 
@@ -161,11 +152,11 @@ class _Kernel:
     and no two kernels on one grid are ever evaluated interleaved: a
     kernel's products are read only while it is the last one evaluated.
 
-    f and F are evaluated only on `window`, the smallest span [lo, hi)
-    that holds every node with |u1| >= model.f_zero_below (a nan or inf
-    included), and are +0 outside it, which is their value there bit for
-    bit.  The window comes from the |u1| pass that `sup` reads; with a
-    threshold of 0 it is the whole grid.
+    f and F are evaluated only on `window`, the `grid.support` of
+    |u1| < model.f_zero_below: the smallest span [lo, hi) that holds every
+    node with |u1| >= f_zero_below (a nan or inf included).  They are +0
+    outside it, which is their value there bit for bit.  The window reads
+    the |u1| pass that `sup` reads; with a threshold of 0 it is the whole grid.
     """
 
     def __init__(self, grid: Grid, u1: np.ndarray, lam: float | None,
@@ -239,7 +230,8 @@ class _Kernel:
                - 2.0 * _dot(k.U.dsech, k.du1u2))
     abs_u1 = _Once(lambda k: np.abs(k.u1, out=k.buf("abs_u1")))
     sup = _Once(lambda k: float(np.max(k.abs_u1)))
-    window = _Once(_nonlinear_window)
+    window = _Once(lambda k: support(np.less(k.abs_u1, k.model.f_zero_below,
+                                             out=k.buf("below", dtype=bool))))
     dw_norm_sq = _Once(lambda k: _dot(k.U.even, k.dw_sq))
     # sf_ratio = int psi' |u1|^(2+q) / (||u1||_inf^q ||dw/dx||^2), 0 at u1 = 0, is scale
     # invariant: its bound is the weighted Sobolev bound behind the nonlinear estimate.

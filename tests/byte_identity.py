@@ -10,8 +10,9 @@ its own `src`.  Both sides read the same config files.  Every
 per file says whether it is identical.  Under a file that differs, one
 line per CSV column gives its largest deviation as a fraction of the
 column's max |value| on <rev>, and one line per summary key gives its
-relative deviation, or names the key when its value is text.  Exits 1
-on any difference.
+relative deviation, or names the key when its value is text.  A last
+line gives the `src/oddkg/*.py` line count of both sides, which is
+tracked next to speed.  Exits 1 on any difference.
 
 The list is the golden runs (`test_golden.RUNS`, run by `test_golden._run`)
 plus the shipped decay at T = 200, the T = 20 decay with phi4, phi6,
@@ -167,6 +168,11 @@ def compare(out_rev: Path, out_tree: Path) -> tuple[list, int]:
     return lines, differ
 
 
+def line_count(src: Path) -> int:
+    """Lines of `src`/oddkg/*.py, counted as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "oddkg").glob("*.py"))
+
+
 def main(argv: list) -> int:
     if len(argv) != 1:
         print("usage: python tests/byte_identity.py <rev>", file=sys.stderr)
@@ -184,8 +190,10 @@ def main(argv: list) -> int:
             _run_tree(src, tmp / f"out_{side}")
         lines, differ = compare(tmp / "out_rev", tmp / "out_tree")
         n_files = len(FILES) * sum(1 for _ in (tmp / "out_rev").iterdir())
+        counts = {side: line_count(src) for side, src in sides.items()}
     print("\n".join(lines))
     print(f"{differ} of {n_files} files differ from {rev}")
+    print(f"src/oddkg/*.py: {counts['rev']} lines at {rev}, {counts['tree']} in the tree")
     return 1 if differ else 0
 
 

@@ -1,6 +1,7 @@
 """The deviation report of `tests/byte_identity.py`, on two small synthetic
 output directories: one run whose files are identical, one whose CSV and
-summary differ by roundoff, by a text value and by a missing key."""
+summary differ by roundoff, by a text value and by a missing key.  Its
+line count, on a synthetic source tree."""
 
 from pathlib import Path
 
@@ -56,3 +57,16 @@ def test_report_on_equal_values_in_other_text(tmp_path):
         "DIFFERS    run/timeseries.csv: 1 of 3 lines",
         "           2 rows vs 1; the first 1 compared",
     ]
+
+
+def test_line_count_is_wc_l_over_the_package_modules(tmp_path):
+    # a last line without a newline is not counted, as by wc -l; files beside
+    # the package and non-Python files in it are not counted either
+    pkg = tmp_path / "src" / "oddkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\nw = 4")
+    (pkg / "notes.txt").write_text("one\ntwo\n")
+    (tmp_path / "src" / "setup.py").write_text("pass\n")
+
+    assert byte_identity.line_count(tmp_path / "src") == 4

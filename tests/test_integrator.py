@@ -11,7 +11,7 @@ from oddkg.experiments import ExperimentConfig, make_initial_data, parse_config,
 from oddkg.grid import State, gradient_sq_integral, integrate_fullline, make_grid
 from oddkg.integrator import (
     PREFIX_SCAN_EVERY, BlowupError, RunSettings, _acceleration, _half_kick, _kick_drift_kick,
-    cfl_dt, leapfrog_step, run,
+    _live_prefix, cfl_dt, leapfrog_step, run,
 )
 from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.virial import (
@@ -449,7 +449,8 @@ def test_dH_bound_constant_stable_under_refinement():
 
 @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if n != "custom-poly"])
 def test_step_allocates_nothing(name):
-    # with its buffers preallocated, the step body allocates no N-sized array
+    # with its buffers preallocated, the step body and the prefix scan allocate
+    # no N-sized array
     model = make_model(name)
     g = make_grid(80.0, 7999)
     u1 = 0.05 * g.x * np.exp(-g.x ** 2 / 4.0)
@@ -462,6 +463,7 @@ def test_step_allocates_nothing(name):
     tracemalloc.start()
     try:
         for _ in range(200):
+            _live_prefix(u1, u2, a, tmp, scratch)
             lo, hi = _kick_drift_kick(u1, u2, a, model, inv_dx2, dt, tmp, scratch, lo, hi)
         _, peak = tracemalloc.get_traced_memory()
     finally:

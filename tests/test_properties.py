@@ -9,8 +9,11 @@ changes no bit of its result.  The Newton pass counts as the Sturm count
 does and its slope of log|det(A - s)| matches scipy's eigenvalues.  On
 assembled sectors, the free-Laplacian bounds enclose every eigenvalue and
 the counts they skip change no bit either, nor does a wrong estimate of
-where an eigenvalue lies.  Grid: the even-origin estimate of the tests' oracle is exact for
-even quadratics.
+where an eigenvalue lies.  Wherever no eigenvalue of an assembled sector lies
+within `lowest_eigs`' margin of the shift, `count_below` is the exact count.
+Grid: the even-origin estimate of the tests' oracle is exact for
+even quadratics, and `support` is the span of a mask's false nodes, nan
+and +-inf inside, on any mask of |u| < t.
 Virial: on random odd fields, B(u1) and Bsharp(zeta u1) agree to second
 order in dx.
 Models: each model's in-place V'(u) is -(m u + f(u)) to roundoff, odd bit
@@ -39,7 +42,7 @@ from oracles import even_origin_integral, exact_count_below
 from scipy.linalg import eigvalsh_tridiagonal
 
 from oddkg.experiments import Lcg, random_odd_field
-from oddkg.grid import State, make_grid
+from oddkg.grid import State, make_grid, support
 from oddkg.integrator import (
     RunSettings, _acceleration, _half_kick, cfl_dt, leapfrog_step, run,
 )
@@ -213,6 +216,23 @@ def test_free_laplacian_bounds_enclose_every_eigenvalue(sector):
     lower, upper = np.array([d.eig_bounds(i) for i in range(1, d.size + 1)]).T
     assert np.max(np.abs(upper - free)) <= tol
     assert np.max(np.abs(lower - (free - depth))) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.floats(5.0, 40.0), N=st.integers(16, 200), V0=st.floats(0.0, 8.0),
+       lam=st.floats(0.5, 3.0), parity=st.sampled_from(("odd", "even")), i=st.integers(0, 2),
+       delta=st.one_of(st.floats(-1e-3, 1e-3), st.floats(-50.0, 50.0)))
+def test_counts_outside_the_margin_are_the_exact_inertia(L, N, V0, lam, parity, i, delta):
+    # lowest_eigs trusts a count wherever no eigenvalue lies within its margin
+    # 16 eps max(|gl|, |gu|) of the shift; there the count is the exact inertia
+    d = assemble(make_grid(L, N), V0, lam, parity)
+    shift = float(lowest_eigs(d, 3)[i]) + delta
+    radius = np.abs(np.r_[0.0, d.offdiag]) + np.abs(np.r_[d.offdiag, 0.0])
+    gl, gu = float(np.min(d.diag - radius)), float(np.max(d.diag + radius))
+    margin = 16.0 * np.finfo(float).eps * max(abs(gl), abs(gu))
+    exact = _exact_count(d.diag, d.offdiag, shift - margin)
+    assume(exact == _exact_count(d.diag, d.offdiag, shift + margin))
+    assert count_below(d, shift) == exact
 
 
 @settings(max_examples=30, deadline=None)
@@ -511,6 +531,46 @@ def test_even_origin_estimate_recovers_even_quadratics(a, b, L, N):
     eps = np.finfo(float).eps
     tol = 16.0 * eps * grid.dx * (abs(a) + 4.0 * abs(b) * grid.dx ** 2) + 4.0 * eps * abs(expected)
     assert abs(even_origin_integral(g, grid) - expected) <= tol
+
+
+@st.composite
+def masks(draw):
+    """A bool array: random, or true but at up to three drawn nodes (all true with none)."""
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    skip = np.ones(n, dtype=bool)
+    skip[draw(st.lists(st.integers(0, n - 1), max_size=3))] = False
+    return skip
+
+
+def _false_span(skip):
+    """The oracle of `support`: from the first false node to one past the last."""
+    idx = np.flatnonzero(~skip)
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(skip=masks())
+@example(skip=np.ones(7, dtype=bool))
+@example(skip=np.zeros(7, dtype=bool))
+@example(skip=np.array([True]))
+@example(skip=np.array([False]))
+def test_support_is_the_span_of_the_false_nodes(skip):
+    assert support(skip) == _false_span(skip)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.floats(5e-324, 4.0), data=st.data())
+def test_support_of_below_holds_every_node_not_below(t, data):
+    # the step's and the records' masks: nan, +-inf and +-t are not below t
+    values = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                                        -5e-324, t, -t]), st.floats(-2.0 * t, 2.0 * t))
+    u = np.array(data.draw(st.lists(values, min_size=1, max_size=200)))
+    lo, hi = support(np.less(np.abs(u), t))
+    outside = np.concatenate([u[:lo], u[hi:]])
+    assert np.all(np.abs(outside) < t)
+    assert (lo, hi) == _false_span(np.abs(u) < t)
 
 
 @settings(max_examples=60, deadline=None)
