@@ -16,8 +16,9 @@ tridiagonal matrices: counts are certified integers obtained from LDL^T
 pivot signs, and the few eigenvalues needed are isolated by bisection on
 the same count, never by a general-purpose dense eigensolver.  Newton steps
 on the same pivots locate each eigenvalue first, so that a few counts next
-to it decide most of the bisection; the counts alone still decide every
-midpoint.  Every count, the coercivity pencil's included, is
+to it decide most of the bisection through one rule, `_bracket`; the slope
+is only a hint, and the counts alone decide every midpoint.  Every count,
+the coercivity pencil's included, is
 `count_below` on an assembled sector or a pass of `_sturm_slope`, whose
 count is `_sturm_count`'s.
 
@@ -104,9 +105,11 @@ class SchrodingerDiscretization:
     offdiag: np.ndarray = field(repr=False)
     #: Sturm counts taken on the matrix so far, (shifts, counts) in shift order
     counts: tuple = field(default_factory=lambda: ([], []), repr=False)
-    #: i -> (lower, upper) enclosing the i-th smallest eigenvalue (1-based),
-    #: from the free Laplacian; set by `assemble`, None on a matrix built by hand
-    eig_bounds: Callable[[int], tuple[float, float]] | None = field(default=None, repr=False)
+    #: i -> (lower, upper) enclosing the i-th smallest eigenvalue (1-based):
+    #: from the free Laplacian where `assemble` made the matrix, and
+    #: (-inf, inf), which decides nothing, on a matrix built by hand
+    eig_bounds: Callable[[int], tuple[float, float]] = field(
+        default=lambda i: (-math.inf, math.inf), repr=False)
 
     @property
     def size(self) -> int:
@@ -197,6 +200,9 @@ def _sturm_slope(diag: list, off_sq: list, shift: float, pivmin: float) -> tuple
     t_i = ((a_i - shift) t_(i-1) - r t_(i-2) - 1) / d_i with r = b^2 / d_(i-1).
     Summing the pivots' own slopes d_i'/d_i instead would add two terms near
     +-1/pivmin after a nudged zero pivot, and their sum would lose every digit.
+    A pivot below pivmin but not 0 can still overflow t_i, which then ends
+    +-inf or nan; the slope is only a hint, and `_locate_eigenvalue` steps to
+    its bracket's midpoint there.  The count is exact either way.
     """
     d = diag[0] - shift
     if d == 0.0:
@@ -213,27 +219,7 @@ def _sturm_slope(diag: list, off_sq: list, shift: float, pivmin: float) -> tuple
             d = -pivmin
             count += 1
         t_prev, t = t, (am * t - r * t_prev - 1.0) / d
-    if not math.isfinite(t):  # a pivot below pivmin, but not 0, overflowed t_i
-        t = _nudged_slope(diag, off_sq, shift, pivmin)
     return count, t
-
-
-def _nudged_slope(diag: list, off_sq: list, shift: float, pivmin: float) -> float:
-    """`_sturm_slope`'s slope on pivots of which each below pivmin in size is
-    -pivmin, as in LAPACK dstebz: a matrix within about pivmin of A, whose
-    t_i stay below about 1/pivmin.  Its count would not be `_sturm_count`'s."""
-    d = diag[0] - shift
-    if abs(d) < pivmin:
-        d = -pivmin
-    t_prev, t = 0.0, -1.0 / d
-    for a, b2 in zip(diag[1:], off_sq):
-        r = b2 / d
-        am = a - shift
-        d = am - r
-        if abs(d) < pivmin:
-            d = -pivmin
-        t_prev, t = t, (am * t - r * t_prev - 1.0) / d
-    return t
 
 
 def _as_lists(diag: np.ndarray, offdiag: np.ndarray) -> tuple[list, list, float]:
@@ -256,15 +242,30 @@ def count_below(d: SchrodingerDiscretization, shift: float) -> int:
     return counts[j]
 
 
+def _bracket(d: SchrodingerDiscretization, i: int,
+             floor: float, ceil: float) -> tuple[float, float]:
+    """(below, above): the count is below i at and below `below`, and at
+    least i at and above `above`.  `floor` and `ceil` are shifts known to be
+    such; the table narrows them, as its counts are monotone in the shift, to
+    its last shift whose count is below i and its first one of at least i.
+    """
+    shifts, counts = d.counts
+    j = bisect.bisect_left(counts, i)
+    return (max(floor, shifts[j - 1]) if j else floor,
+            min(ceil, shifts[j]) if j < len(shifts) else ceil)
+
+
 def _locate_eigenvalue(d: SchrodingerDiscretization, i: int, lo: float, hi: float) -> float:
     """An estimate of the i-th smallest eigenvalue, which a count below i at lo
     and one of at least i at hi place in [lo, hi].
 
     Safeguarded Newton steps on log|det(A - s)| (Parlett, The Symmetric
     Eigenvalue Problem, 1998), each from one `_sturm_slope` pass whose count
-    goes into `d.counts` and narrows [lo, hi].  A step that leaves the bracket,
-    or is not at most half the move before it, is replaced by the bracket's
-    midpoint.  The search ends when a step falls below a quarter of
+    goes into `d.counts`; [lo, hi] is then `_bracket(d, i, lo, hi)`.  A step
+    that leaves the bracket, is not at most half the move before it, or
+    comes from a slope of 0, +-inf or nan is replaced by the bracket's
+    midpoint: the slope is only a hint, and the counts alone narrow the
+    bracket.  The search ends when a step falls below a quarter of
     _LOCATE_RADIUS, or the bracket below _LOCATE_RADIUS plus float resolution.
     """
     diag, off_sq, pivmin = d.lists
@@ -276,11 +277,8 @@ def _locate_eigenvalue(d: SchrodingerDiscretization, i: int, lo: float, hi: floa
         j = bisect.bisect_left(shifts, s)
         shifts.insert(j, s)
         counts.insert(j, count)
-        if count >= i:
-            hi = s
-        else:
-            lo = s
-        step = -1.0 / slope if slope != 0.0 else math.inf
+        lo, hi = _bracket(d, i, lo, hi)
+        step = -1.0 / slope if 0.0 < abs(slope) < math.inf else math.nan
         if abs(step) < 0.25 * _LOCATE_RADIUS:
             return s + step
         x = s + step
@@ -304,29 +302,24 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     coarser (see _bisect); the returned midpoints carry that
     bracketing error plus the O(dx^2) error of the matrix itself.
 
-    A count is skipped when the counts already taken on the matrix decide
-    it, as in Barth, Martin & Wilkinson's `bisect` and LAPACK dstebz.  The
-    computed count is monotone in the shift, so a count of at least i at
-    or below x means count(x) >= i, and a count below i at or above x
-    means count(x) < i.  The bisection visits the same midpoints either
-    way, so the result is bit for bit the one that counts every midpoint
-    afresh.  The counts come from, and go into, `d.counts`.
-
-    On an assembled sector a count is also skipped when `d.eig_bounds`
-    decides it: true above the upper bound plus a margin, false below the
-    lower bound minus it.  The margin, 16 eps max(|gl|, |gu|), exceeds the
-    backward error of a computed count, which is the exact count of a
-    matrix within a few eps ||A|| of A (Kahan 1966), so a decided midpoint
-    gets the answer its count would give and the bisection again visits the
-    same midpoints.
+    A midpoint's count is skipped where `_bracket` already decides it, as
+    in Barth, Martin & Wilkinson's `bisect` and LAPACK dstebz: at or above
+    its upper end the count is at least i, at or below its lower end below
+    i.  The bracket comes from the counts taken on the matrix, `d.counts`,
+    which are monotone in the shift, and from `d.eig_bounds` widened by a
+    margin, 16 eps max(|gl|, |gu|).  The margin exceeds the backward error
+    of a computed count, which is the exact count of a matrix within a few
+    eps ||A|| of A (Kahan 1966).  So a decided midpoint gets the answer its
+    count would give, the bisection visits the same midpoints, and the
+    result is bit for bit the one that counts every midpoint afresh.
 
     Before its bisection each eigenvalue is located: `_locate_eigenvalue`
-    runs Newton steps inside the bracket that lo, gu, the bounds and the
-    table leave, and the counts at theta +- _LOCATE_RADIUS around its
-    estimate theta then decide every midpoint outside that window.  These
-    are counts like any other, so a poor theta costs counts and changes no
-    bit.  The shipped spectral run takes 84 counts, 51 of them the
-    coercivity pencil's, and 81 Newton passes of about two counts' time each.
+    runs Newton steps inside the bracket, clipped to [lo, gu], and the
+    counts at theta +- _LOCATE_RADIUS around its estimate theta then narrow
+    the bracket to that window.  These are counts like any other, so a poor
+    theta costs counts and changes no bit.  The shipped spectral run takes
+    84 counts, 51 of them the coercivity pencil's, and 81 Newton passes of
+    about two counts' time each.
     """
     n = d.size
     if not 1 <= k <= n:
@@ -339,42 +332,27 @@ def lowest_eigs(d: SchrodingerDiscretization, k: int) -> np.ndarray:
     if not (math.isfinite(gl) and math.isfinite(gu)):  # nan would bisect forever
         raise ValueError(f"the Gershgorin interval [{gl:g}, {gu:g}] is not finite")
     margin = 16.0 * _EPS * max(abs(gl), abs(gu))
-    shifts, counts = d.counts
-
-    def at_least(i: int, x: float, floor: float, ceil: float) -> bool:
-        if x > ceil:
-            return True
-        if x < floor:
-            return False
-        j = bisect.bisect_left(shifts, x)
-        if j and counts[j - 1] >= i:
-            return True
-        if j < len(shifts) and counts[j] < i:
-            return False
-        return count_below(d, x) >= i
 
     out = []
     for i in range(1, k + 1):
         # previous eigenvalue's bracket floor is a valid lower bound
         lo = gl if i == 1 else out[-1] - 2.0 * EIG_ATOL
-        # a count below floor is less than i, one above ceil at least i
-        floor, ceil = -math.inf, math.inf
-        if d.eig_bounds is not None:
-            lower, upper = d.eig_bounds(i)
-            # a bound or margin that is not finite decides nothing
-            if math.isfinite(lower - margin):
-                floor = lower - margin
-            if math.isfinite(upper + margin):
-                ceil = upper + margin
-        # the table narrows the bracket: counts are monotone in the shift
-        j = bisect.bisect_left(counts, i)
-        below = max(lo, floor, shifts[j - 1] if j else -math.inf)
-        above = min(gu, ceil, shifts[j] if j < len(shifts) else math.inf)
-        theta = _locate_eigenvalue(d, i, below, above)
+        # the count is below i at and below floor, at least i at and above ceil;
+        # a bound or margin that is not finite decides nothing
+        lower, upper = d.eig_bounds(i)
+        floor = lower - margin if math.isfinite(lower - margin) else -math.inf
+        ceil = upper + margin if math.isfinite(upper + margin) else math.inf
+
+        def at_least(x: float) -> bool:
+            below, above = _bracket(d, i, floor, ceil)
+            return x >= above or (x > below and count_below(d, x) >= i)
+
+        below, above = _bracket(d, i, floor, ceil)
+        theta = _locate_eigenvalue(d, i, max(lo, below), min(gu, above))
         for x in (theta - _LOCATE_RADIUS, theta + _LOCATE_RADIUS):
-            if below < x < above:  # a count outside the bracket decides nothing new
-                at_least(i, x, floor, ceil)
-        mid = _bisect(lambda x: at_least(i, x, floor, ceil), lo, gu, 2.0 * EIG_ATOL)
+            if lo < x < gu:  # the bisection asks nothing outside (lo, gu)
+                at_least(x)
+        mid = _bisect(at_least, lo, gu, 2.0 * EIG_ATOL)
         # a bracket can end below the last midpoint where eigenvalues lie closer than
         # EIG_ATOL; lambda_i >= lambda_(i-1) >= out[-1] - EIG_ATOL, so out[-1] is close too
         out.append(max(mid, out[-1]) if out else mid)

@@ -14,6 +14,13 @@ relative deviation, or names the key when its value is text.  A last
 line gives the `src/oddkg/*.py` line count of both sides, which is
 tracked next to speed.  Exits 1 on any difference.
 
+Each worker also counts the calls of `oddkg.spectral._sturm_count` (Sturm
+counts) and `_sturm_slope` (Newton passes) in every run that makes any, by
+patching the module attributes, which `spectral` looks up at call time.
+One line per such run prints both sides' figures, so that a change meant
+to keep the spectral work shows that it does.  They are not output files
+and do not set the exit code.
+
 The list is the golden runs (`test_golden.RUNS`, run by `test_golden._run`)
 plus the shipped decay at T = 200, the T = 20 decay with phi4, phi6,
 cubic-nlkg and linear-kg and with odd velocity data, the T = 2 decay with a
@@ -33,6 +40,7 @@ The file name keeps pytest from collecting it.
 """
 
 import io
+import json
 import math
 import subprocess
 import sys
@@ -68,8 +76,22 @@ EXTRA_RUNS = {
 }
 
 
-def run_all(outroot: str) -> None:
-    """Every golden and extra run, each into its own directory under `outroot`.
+def sturm_calls(run) -> tuple[int, int]:
+    """(Sturm counts, Newton passes) that `run()` takes: its calls of
+    `oddkg.spectral._sturm_count` and `_sturm_slope`."""
+    from unittest import mock
+
+    from oddkg import spectral
+
+    with mock.patch.object(spectral, "_sturm_count", wraps=spectral._sturm_count) as count, \
+            mock.patch.object(spectral, "_sturm_slope", wraps=spectral._sturm_slope) as slope:
+        run()
+    return count.call_count, slope.call_count
+
+
+def run_all(outroot: str) -> dict:
+    """Every golden and extra run, each into its own directory under `outroot`,
+    and the `sturm_calls` of each run that takes any.
 
     Runs in the worker interpreter, whose sys.path puts one tree's `src`
     first, so that test_golden imports `oddkg` from there.
@@ -77,15 +99,32 @@ def run_all(outroot: str) -> None:
     import test_golden
 
     test_golden.RUNS.update(EXTRA_RUNS)
+    calls = {}
     for name in test_golden.RUNS:
-        test_golden._run(name, Path(outroot) / name)
+        taken = sturm_calls(lambda: test_golden._run(name, Path(outroot) / name))
+        if any(taken):
+            calls[name] = taken
+    return calls
 
 
-def _run_tree(src: Path, outroot: Path) -> None:
-    code = ("import sys; sys.path[:0] = sys.argv[1:3]; import byte_identity; "
-            "byte_identity.run_all(sys.argv[3])")
-    subprocess.run([sys.executable, "-c", code, str(src), str(TESTS), str(outroot)],
+def _run_tree(src: Path, outroot: Path) -> dict:
+    """`run_all` on the tree whose source is `src`, in a fresh interpreter."""
+    calls = outroot.parent / f"{outroot.name}_calls.json"
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import byte_identity; "
+            "json.dump(byte_identity.run_all(sys.argv[3]), open(sys.argv[4], 'w'))")
+    subprocess.run([sys.executable, "-c", code, str(src), str(TESTS), str(outroot), str(calls)],
                    cwd=outroot.parent, check=True)
+    return json.loads(calls.read_text())
+
+
+def call_lines(rev: str, calls_rev: dict, calls_tree: dict) -> list:
+    """One line per run that takes Sturm counts on either side."""
+    def figures(calls, name):
+        counts, passes = calls.get(name, (0, 0))
+        return f"{counts} counts and {passes} passes"
+    return [f"sturm calls {name}: {figures(calls_rev, name)} at {rev}, "
+            f"{figures(calls_tree, name)} in the tree"
+            for name in sorted({*calls_rev, *calls_tree})]
 
 
 def _differing_lines(a: Path, b: Path) -> str:
@@ -185,14 +224,16 @@ def main(argv: list) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "rev", filter="data")
         sides = {"rev": tmp / "rev" / "src", "tree": ROOT / "src"}
+        calls = {}
         for side, src in sides.items():
             (tmp / f"out_{side}").mkdir()
-            _run_tree(src, tmp / f"out_{side}")
+            calls[side] = _run_tree(src, tmp / f"out_{side}")
         lines, differ = compare(tmp / "out_rev", tmp / "out_tree")
         n_files = len(FILES) * sum(1 for _ in (tmp / "out_rev").iterdir())
         counts = {side: line_count(src) for side, src in sides.items()}
     print("\n".join(lines))
     print(f"{differ} of {n_files} files differ from {rev}")
+    print("\n".join(call_lines(rev, calls["rev"], calls["tree"])))
     print(f"src/oddkg/*.py: {counts['rev']} lines at {rev}, {counts['tree']} in the tree")
     return 1 if differ else 0
 

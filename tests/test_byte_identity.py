@@ -1,11 +1,15 @@
 """The deviation report of `tests/byte_identity.py`, on two small synthetic
 output directories: one run whose files are identical, one whose CSV and
 summary differ by roundoff, by a text value and by a missing key.  Its
-line count, on a synthetic source tree."""
+line count, on a synthetic source tree.  Its tally of Sturm counts and
+Newton passes, on a small matrix."""
 
 from pathlib import Path
 
+import numpy as np
+
 import byte_identity
+from oddkg import spectral
 
 HEADER = "t,E,exact_err_l2\n"
 
@@ -70,3 +74,26 @@ def test_line_count_is_wc_l_over_the_package_modules(tmp_path):
     (tmp_path / "src" / "setup.py").write_text("pass\n")
 
     assert byte_identity.line_count(tmp_path / "src") == 4
+
+
+def test_sturm_calls_tally_counts_and_passes_and_unpatch():
+    # eigenvalues (1 -+ sqrt 5)/2 and 3; a count at a new shift is one call
+    d = spectral.SchrodingerDiscretization(diag=np.array([0.0, 1.0, 3.0]),
+                                           offdiag=np.array([1.0, 0.0]))
+    originals = spectral._sturm_count, spectral._sturm_slope
+    assert byte_identity.sturm_calls(lambda: spectral.count_below(d, 0.0)) == (1, 0)
+    assert byte_identity.sturm_calls(lambda: spectral.count_below(d, 0.0)) == (0, 0)
+    counts, passes = byte_identity.sturm_calls(lambda: spectral.lowest_eigs(d, 3))
+    assert counts + passes == len(d.counts[0]) - 1 and passes >= 3
+    assert (spectral._sturm_count, spectral._sturm_slope) == originals
+
+
+def test_call_lines_name_each_run_with_counts_on_either_side():
+    lines = byte_identity.call_lines("abc123", {"spectral": [84, 81], "gone": [2, 0]},
+                                     {"spectral": [80, 85], "new": [1, 1]})
+    assert lines == [
+        "sturm calls gone: 2 counts and 0 passes at abc123, 0 counts and 0 passes in the tree",
+        "sturm calls new: 0 counts and 0 passes at abc123, 1 counts and 1 passes in the tree",
+        "sturm calls spectral: 84 counts and 81 passes at abc123, "
+        "80 counts and 85 passes in the tree",
+    ]

@@ -135,6 +135,14 @@ def test_sturm_count_is_monotone_in_the_shift(tri, data):
     assert _sturm_count(dl, off_sq, lo, pivmin) <= _sturm_count(dl, off_sq, hi, pivmin)
 
 
+def _pivots(dl, off_sq, shift, pivmin) -> list:
+    """The pivots of `_sturm_count` at `shift`, each exact zero nudged to -pivmin."""
+    out = [dl[0] - shift or -pivmin]
+    for a, b2 in zip(dl[1:], off_sq):
+        out.append(a - shift - b2 / out[-1] or -pivmin)
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(tri=tridiagonals(), data=st.data())
 def test_sturm_slope_counts_as_sturm_count_and_slopes_as_scipy(tri, data):
@@ -147,22 +155,30 @@ def test_sturm_slope_counts_as_sturm_count_and_slopes_as_scipy(tri, data):
     # its counts go into the table that _sturm_count's counts go into
     assert count == _sturm_count(dl, off_sq, shift, pivmin)
     eigs = eigvalsh_tridiagonal(diag, off)
-    if np.min(np.abs(eigs - shift)) >= 1e-3:
+    if not math.isfinite(slope):
+        # only the reciprocal of a pivot below pivmin but not 0 overflows it, and
+        # _locate_eigenvalue then steps to its bracket's midpoint
+        assert any(abs(p) < pivmin for p in _pivots(dl, off_sq, shift, pivmin))
+    elif np.min(np.abs(eigs - shift)) >= 1e-3:
         # d/ds log|det(A - s)|, relative to the sum of its terms' sizes, which
         # bounds what scipy's own eigenvalue error does to the oracle
         terms = 1.0 / (eigs - shift)
         assert abs(slope + float(np.sum(terms))) <= 1e-8 * float(np.sum(np.abs(terms)))
 
 
-def test_sturm_slope_survives_a_pivot_below_pivmin():
+def test_a_pivot_below_pivmin_changes_no_bit():
     # at shift 1 the second pivot is 1e-310, which is not 0 and so is not nudged:
-    # its reciprocal overflowed the slope, nan where the eigenvalues lie 0.38 away
+    # its reciprocal overflows the slope, but the count is exact and decides
     diag, off = np.array([0.0, 1.0, 0.0]), np.array([1e-155, 1.0])
     dl, off_sq, pivmin = _as_lists(diag, off)
     count, slope = _sturm_slope(dl, off_sq, 1.0, pivmin)
     assert count == _sturm_count(dl, off_sq, 1.0, pivmin) == 2
-    terms = 1.0 / (eigvalsh_tridiagonal(diag, off) - 1.0)
-    assert abs(slope + float(np.sum(terms))) <= 1e-8 * float(np.sum(np.abs(terms)))
+    assert not math.isfinite(slope)
+    assert lowest_eigs(_sector(diag, off), 3).tolist() == _lowest_eigs_counting_afresh(diag, off, 3)
+    # eigenvalues about -0.618, 0 and 1.618; the first pass is at shift 1, whose
+    # step is the bracket's midpoint
+    theta = spectral._locate_eigenvalue(_sector(diag, off), 3, -1.0, 3.0)
+    assert abs(theta - (1.0 + math.sqrt(5.0)) / 2.0) <= 1e-9
 
 
 def _lowest_eigs_counting_afresh(diag, off, k):
