@@ -78,9 +78,6 @@ def _acceleration(u1: np.ndarray, model: Model, inv_dx2: float, a: np.ndarray,
     np.add(a[:-1], u1[1:], out=a[:-1])
     np.add(a[1:], u1[:-1], out=a[1:])
     a *= inv_dx2
-    if hi - lo == u1.size:  # the whole grid, without the cost of slicing it
-        a -= model.dV(u1, tmp, scratch)
-        return a
     a[lo:hi] -= model.dV(u1[lo:hi], tmp[lo:hi], scratch[lo:hi])
     for tail in (slice(0, lo), slice(hi, u1.size)):
         if tail.start == tail.stop:
@@ -97,16 +94,12 @@ def _half_kick(u1: np.ndarray, model: Model, inv_dx2: float, dt: float, a: np.nd
     """a = (dt/2) (D2 u1 - V'(u1)) in place; returns the window [lo, hi) used:
     the given one (0, 0 at the start) while both tails hold |u1| < t =
     model.linear_below (a nan fails both tests), else the `support` of
-    |u1| < t padded by 64 nodes, so that a spreading wave rescans only now and then.
-    Tails of fewer than 1024 nodes in all cost more to check than np.sin saves
-    on them, so such a rescan takes the whole grid, which is never checked again."""
+    |u1| < t padded by 64 nodes, so that a spreading wave rescans only now and then."""
     t, n, top, bottom = model.linear_below, u1.size, np.maximum.reduce, np.minimum.reduce
     if not ((lo == 0 or (top(u1[:lo]) < t and bottom(u1[:lo]) > -t))
             and (hi == n or (top(u1[hi:]) < t and bottom(u1[hi:]) > -t))):
         lo, hi = support(np.less(np.abs(u1, out=tmp), t, out=scratch.view(bool)[:n]))
         lo, hi = (max(lo - 64, 0), min(hi + 64, n)) if hi else (0, 0)
-        if hi - lo > n - 1024:
-            lo, hi = 0, n
     _acceleration(u1, model, inv_dx2, a, tmp, scratch, lo, hi)
     a *= 0.5 * dt
     return lo, hi

@@ -16,7 +16,8 @@ tracked next to speed.  Exits 1 on any difference.
 
 Each worker also counts the calls of `oddkg.spectral._sturm_count` (Sturm
 counts) and `_sturm_slope` (Newton passes) in every run that makes any, by
-patching the module attributes, which `spectral` looks up at call time.
+patching the module attributes, which `spectral` looks up at call time;
+a revision without `_sturm_slope` reports 0 passes.
 One line per such run prints both sides' figures, so that a change meant
 to keep the spectral work shows that it does.  They are not output files
 and do not set the exit code.
@@ -78,15 +79,21 @@ EXTRA_RUNS = {
 
 def sturm_calls(run) -> tuple[int, int]:
     """(Sturm counts, Newton passes) that `run()` takes: its calls of
-    `oddkg.spectral._sturm_count` and `_sturm_slope`."""
+    `oddkg.spectral._sturm_count` and `_sturm_slope`.  Only the functions the
+    module has are patched, so that revisions before the Newton pass (no
+    `_sturm_slope`) report 0 passes."""
+    from contextlib import ExitStack
     from unittest import mock
 
     from oddkg import spectral
 
-    with mock.patch.object(spectral, "_sturm_count", wraps=spectral._sturm_count) as count, \
-            mock.patch.object(spectral, "_sturm_slope", wraps=spectral._sturm_slope) as slope:
+    names = ("_sturm_count", "_sturm_slope")
+    with ExitStack() as stack:
+        tallies = {name: stack.enter_context(mock.patch.object(spectral, name,
+                                                               wraps=getattr(spectral, name)))
+                   for name in names if hasattr(spectral, name)}
         run()
-    return count.call_count, slope.call_count
+    return tuple(tallies[name].call_count if name in tallies else 0 for name in names)
 
 
 def run_all(outroot: str) -> dict:

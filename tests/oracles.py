@@ -13,6 +13,9 @@ as `oracles`, as they import `test_fence`.
   matrix in rational arithmetic.  Every float is a rational number, so by
   Sylvester's law of inertia the count is exact for the assembled matrix,
   with no rounding in the loop.  It is the reference for `count_below`.
+* `exact_slope`: the slope of log|det(A - s)| of the same matrix, from its
+  continuant in rational arithmetic.  It is the reference for the Newton
+  pass's slope.
 """
 
 import math
@@ -81,3 +84,18 @@ def exact_count_below(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> tu
         count += d < 0
         pivot = d
     return count, False
+
+
+def exact_slope(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> Fraction:
+    """d/ds log|det(A - s)| = -sum_j 1/(lambda_j - s) at s = `shift`, exactly, for the
+    tridiagonal A = (diag, offdiag): p_n'/p_n, from the continuant of the leading
+    minors p_i = (a_i - s) p_(i-1) - b_(i-1)^2 p_(i-2) and its s-derivative
+    p_i' = (a_i - s) p_(i-1)' - p_(i-1) - b_(i-1)^2 p_(i-2)'.  ZeroDivisionError
+    where `shift` is an eigenvalue."""
+    shift = Fraction(shift)
+    p_prev, p, q_prev, q = Fraction(0), Fraction(1), Fraction(0), Fraction(0)
+    for i, a in enumerate(diag.tolist()):
+        b2 = Fraction(offdiag[i - 1].item()) ** 2 if i else Fraction(0)
+        am = Fraction(a) - shift
+        p_prev, p, q_prev, q = p, am * p - b2 * p_prev, q, am * q - p - b2 * q_prev
+    return q / p

@@ -2,13 +2,16 @@
 output directories: one run whose files are identical, one whose CSV and
 summary differ by roundoff, by a text value and by a missing key.  Its
 line count, on a synthetic source tree.  Its tally of Sturm counts and
-Newton passes, on a small matrix."""
+Newton passes, on a small matrix and on a stand-in for a revision whose
+`spectral` has no Newton pass."""
 
+import types
 from pathlib import Path
 
 import numpy as np
 
 import byte_identity
+import oddkg
 from oddkg import spectral
 
 HEADER = "t,E,exact_err_l2\n"
@@ -86,6 +89,16 @@ def test_sturm_calls_tally_counts_and_passes_and_unpatch():
     counts, passes = byte_identity.sturm_calls(lambda: spectral.lowest_eigs(d, 3))
     assert counts + passes == len(d.counts[0]) - 1 and passes >= 3
     assert (spectral._sturm_count, spectral._sturm_slope) == originals
+
+
+def test_sturm_calls_patch_only_what_the_module_has(monkeypatch):
+    # a spectral module from before the Newton pass: counts are tallied, passes
+    # read 0, and no _sturm_slope is left behind
+    stand_in = types.ModuleType("spectral")
+    stand_in._sturm_count = lambda shift: int(shift > 0.0)
+    monkeypatch.setattr(oddkg, "spectral", stand_in)
+    assert byte_identity.sturm_calls(lambda: [stand_in._sturm_count(s) for s in (-1, 1)]) == (2, 0)
+    assert not hasattr(stand_in, "_sturm_slope")
 
 
 def test_call_lines_name_each_run_with_counts_on_either_side():

@@ -15,7 +15,8 @@ from oddkg.integrator import (
 )
 from oddkg.models import CATALOG_NAMES, make_model
 from oddkg.virial import (
-    H_loc, VirialConfig, bilinear_B, energy_norm_sq, virial_I, virial_I_abs, weighted_norms,
+    H_loc, VirialConfig, bilinear_B, energy_norm_sq, fill_dI_dt_numeric, make_record, virial_I,
+    virial_I_abs, weighted_norms,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,11 +151,35 @@ def test_run_matches_repeated_leapfrog_steps():
     walk = st.copy()
     for _ in range(25):
         walk = leapfrog_step(walk, SG, 0.01)
-    from oddkg.virial import make_record
     final = make_record(State(g, walk.u1, walk.u2, 0.25), SG, VC)
     assert recs[-1].E == final.E
     assert recs[-1].I == final.I
     assert recs[-1].H == final.H
+
+
+def test_window_on_a_short_grid_is_narrower_than_the_prefix_and_changes_no_bit():
+    # the decay data on a grid of 599 nodes: V' runs on a window inside the live
+    # prefix, and every record, dI_dt_numeric included, is that of repeated
+    # leapfrog_step bit for bit
+    cfg = ExperimentConfig(scenario="decay", L=30.0, N=599, T=5.0)
+    sim = validate_config(cfg)
+    initial = make_initial_data(cfg, sim.grid())
+    stats = {}
+    recs = run(initial, sim.model, sim.settings, sim.vcfg, stats=stats)
+    assert stats["window_mean_width"] < stats["prefix_mean_width"]
+    dt, every = sim.settings.dt, sim.settings.record_every
+    walk, walked = initial, []
+    for k in range(stats["steps"] + 1):
+        if k:
+            walk = leapfrog_step(walk, sim.model, dt)
+        if k % every == 0 or k == stats["steps"]:
+            walked.append(make_record(State(walk.grid, walk.u1, walk.u2, k * dt),
+                                      sim.model, sim.vcfg))
+    fill_dI_dt_numeric(walked)
+    assert len(recs) == len(walked)
+    for rec, ref in zip(recs, walked):
+        assert np.array_equal(np.array(list(vars(rec).values())).view(np.int64),
+                              np.array(list(vars(ref).values())).view(np.int64))
 
 
 def test_energy_conservation_linear_small_data():
@@ -222,8 +247,7 @@ def test_blowup_is_reported_at_the_first_non_finite_step():
     # sine-Gordon at dt = 0.1, beyond the stability bound: a grid-scale ripple
     # of 1e-10 in the far field grows ~25x per step and overflows there first,
     # at step 232; below linear_below, the far field starts outside the window
-    # of nonlinear nodes and joins it only by rescans (the grid is long enough
-    # for its tails to be worth a window; dx stays 0.04)
+    # of nonlinear nodes and joins it only by rescans (dx stays 0.04)
     g = make_grid(80.0, 1999)
     ripple = np.where(g.x > 30.0, 1e-10 * (-1.0) ** np.arange(g.N), 0.0)
     st = State(g, 0.05 * g.x * np.exp(-g.x ** 2 / 4.0) + ripple, np.zeros(g.N))

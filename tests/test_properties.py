@@ -6,7 +6,8 @@ the matrix (`oracles.exact_count_below`, in rationals); the computed count
 is monotone in the shift, which is what
 lets `lowest_eigs` skip counts that earlier ones decide, and that skipping
 changes no bit of its result.  The Newton pass counts as the Sturm count
-does and its slope of log|det(A - s)| matches scipy's eigenvalues.  On
+does and its slope of log|det(A - s)| matches the exact one
+(`oracles.exact_slope`, in rationals).  On
 assembled sectors, the free-Laplacian bounds enclose every eigenvalue and
 the counts they skip change no bit either, nor does a wrong estimate of
 where an eigenvalue lies.  Wherever no eigenvalue of an assembled sector lies
@@ -38,7 +39,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import even_origin_integral, exact_count_below
+from oracles import even_origin_integral, exact_count_below, exact_slope
 from scipy.linalg import eigvalsh_tridiagonal
 
 from oddkg.experiments import Lcg, random_odd_field
@@ -154,16 +155,20 @@ def test_sturm_slope_counts_as_sturm_count_and_slopes_as_scipy(tri, data):
     count, slope = _sturm_slope(dl, off_sq, shift, pivmin)
     # its counts go into the table that _sturm_count's counts go into
     assert count == _sturm_count(dl, off_sq, shift, pivmin)
-    eigs = eigvalsh_tridiagonal(diag, off)
     if not math.isfinite(slope):
         # only the reciprocal of a pivot below pivmin but not 0 overflows it, and
         # _locate_eigenvalue then steps to its bracket's midpoint
         assert any(abs(p) < pivmin for p in _pivots(dl, off_sq, shift, pivmin))
-    elif np.min(np.abs(eigs - shift)) >= 1e-3:
-        # d/ds log|det(A - s)|, relative to the sum of its terms' sizes, which
-        # bounds what scipy's own eigenvalue error does to the oracle
-        terms = 1.0 / (eigs - shift)
-        assert abs(slope + float(np.sum(terms))) <= 1e-8 * float(np.sum(np.abs(terms)))
+        return
+    # no eigenvalue within 1e-3 of the shift, by the exact counts on either side
+    below, zero_below = exact_count_below(diag, off, shift - 1e-3)
+    above, zero_above = exact_count_below(diag, off, shift + 1e-3)
+    if below == above and not (zero_below or zero_above):
+        # the exact d/ds log|det(A - s)|, relative to the sum of its terms' sizes;
+        # scipy's eigenvalues, which can be off by 1e-4 here, only size that scale
+        terms = 1.0 / (eigvalsh_tridiagonal(diag, off) - shift)
+        assert abs(slope - float(exact_slope(diag, off, shift))) <= (
+            1e-8 * float(np.sum(np.abs(terms))))
 
 
 def test_a_pivot_below_pivmin_changes_no_bit():
