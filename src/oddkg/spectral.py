@@ -12,15 +12,14 @@ form
 coercive with the sharp constant 3/4 on odd functions.
 
 Everything here is computed from inertia (Sturm) counts on symmetric
-tridiagonal matrices: counts are certified integers obtained from LDL^T
-pivot signs, and the few eigenvalues needed are isolated by bisection on
-the same count, never by a general-purpose dense eigensolver.  Newton steps
-on the same pivots locate each eigenvalue first, so that a few counts next
-to it decide most of the bisection through one rule, `_bracket`; the slope
-is only a hint, and the counts alone decide every midpoint.  Every count,
-the coercivity pencil's included, is
-`count_below` on an assembled sector or a pass of `_sturm_slope`, whose
-count is `_sturm_count`'s.
+tridiagonal matrices: counts are certified integers, monotone in the shift,
+obtained from LDL^T pivot signs (`_sturm_count`), and the few eigenvalues
+needed are isolated by bisection on the same count, never by a dense
+eigensolver.  Newton steps on the same pivots locate each eigenvalue first,
+so that a few counts next to it decide most of the bisection through one
+rule, `_bracket`; the slope is only a hint, and the counts alone decide
+every midpoint.  Every count, the coercivity pencil's included, is
+`count_below` on an assembled sector or a pass of `_sturm_slope`.
 
 Parity is encoded in the boundary treatment at x = 0:
 
@@ -172,21 +171,18 @@ def _sturm_count(diag: list, off_sq: list, shift: float, pivmin: float) -> int:
 
     Runs on plain Python floats: the recurrence is sequential, and the
     interpreter loop over floats is an order of magnitude faster than
-    per-element numpy scalars, so `shift` must be a float too.  Pivots
-    landing exactly on zero are nudged to -pivmin (the marginal eigenvalue
-    counts as below the shift), as in LAPACK dstebz; the bisection callers
-    tolerate either direction.
+    per-element numpy scalars, so `shift` must be a float too.  One pivot
+    rule, LAPACK dlaebz's, keeps the count monotone in the shift: every
+    d < pivmin counts, and one with |d| < pivmin becomes -pivmin (Demmel,
+    Dhillon & Ren 1995).  `off_sq` leads with a 0.0 coupling, so that the
+    first pivot, a - shift, comes from the loop too.
     """
-    d = diag[0] - shift
-    if d == 0.0:
-        d = -pivmin
-    count = 1 if d < 0.0 else 0
-    for a, b2 in zip(diag[1:], off_sq):
+    d, count = 1.0, 0
+    for a, b2 in zip(diag, off_sq):
         d = a - shift - b2 / d
-        if d < 0.0:
-            count += 1
-        elif d == 0.0:
-            d = -pivmin
+        if d < pivmin:
+            if d > -pivmin:
+                d = -pivmin
             count += 1
     return count
 
@@ -198,32 +194,27 @@ def _sturm_slope(diag: list, off_sq: list, shift: float, pivmin: float) -> tuple
     The slope t_i of log|p_i|, p_i the leading i x i minor of A - shift,
     follows from p_i = (a_i - shift) p_(i-1) - b^2 p_(i-2) and p_i = d_i p_(i-1):
     t_i = ((a_i - shift) t_(i-1) - r t_(i-2) - 1) / d_i with r = b^2 / d_(i-1).
-    Summing the pivots' own slopes d_i'/d_i instead would add two terms near
-    +-1/pivmin after a nudged zero pivot, and their sum would lose every digit.
-    A pivot below pivmin but not 0 can still overflow t_i, which then ends
-    +-inf or nan; the slope is only a hint, and `_locate_eigenvalue` steps to
-    its bracket's midpoint there.  The count is exact either way.
+    From t = t_prev = 0 the first slope is -1/(a_1 - shift).  Summing the
+    pivots' own slopes d_i'/d_i instead would add two terms near +-1/pivmin
+    after a replaced pivot, and their sum would lose every digit.  The slope
+    is only a hint: where it is 0, +-inf or nan, `_locate_eigenvalue` steps
+    to its bracket's midpoint.
     """
-    d = diag[0] - shift
-    if d == 0.0:
-        d = -pivmin
-    count = 1 if d < 0.0 else 0
-    t_prev, t = 0.0, -1.0 / d
-    for a, b2 in zip(diag[1:], off_sq):
+    d, count, t_prev, t = 1.0, 0, 0.0, 0.0
+    for a, b2 in zip(diag, off_sq):
         r = b2 / d
         am = a - shift
         d = am - r  # _sturm_count's a - shift - b2 / d, bit for bit
-        if d < 0.0:
-            count += 1
-        elif d == 0.0:
-            d = -pivmin
+        if d < pivmin:
+            if d > -pivmin:
+                d = -pivmin
             count += 1
         t_prev, t = t, (am * t - r * t_prev - 1.0) / d
     return count, t
 
 
 def _as_lists(diag: np.ndarray, offdiag: np.ndarray) -> tuple[list, list, float]:
-    off_sq = (offdiag * offdiag).tolist()
+    off_sq = [0.0] + (offdiag * offdiag).tolist()
     scale = float(np.max(np.abs(offdiag))) if offdiag.size else 1.0
     pivmin = max(scale, 1.0) * 1e-150
     return diag.tolist(), off_sq, pivmin
@@ -289,8 +280,8 @@ def _locate_eigenvalue(d: SchrodingerDiscretization, i: int, lo: float, hi: floa
 
 
 def negative_count(d: SchrodingerDiscretization) -> int:
-    """Number of eigenvalues < 0: the count at shift 0, whose zero pivots
-    are nudged like every other count's (an eigenvalue exactly at 0 counts)."""
+    """Number of eigenvalues < 0: the count at shift 0, under `_sturm_count`'s
+    pivot rule (an eigenvalue at 0, or within pivmin of it, counts)."""
     return count_below(d, 0.0)
 
 

@@ -32,6 +32,7 @@ of the grid, equals repeated `leapfrog_step` in u1, u2 and every record
 on states with long +0 tails.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -125,11 +126,32 @@ def test_lowest_eigs_match_scipy(tri, k_frac):
         assert _exact_count(diag, off, lam - r) < i <= _exact_count(diag, off, lam + r)
 
 
+class _Draws:
+    """A stand-in for `st.data()` in an `@example`: its draws cycle through `values`."""
+
+    def __init__(self, *values):
+        self.values = itertools.cycle(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+def _seed_189_draw():
+    """The 29 x 29 draw on which the count was 28 at shift 0 and 27 at shift
+    diag[4] while only exact zero pivots were replaced: at diag[4] the 16th
+    pivot is -diag[4], not 0, so the 17th came out +1.2e35 instead of -1."""
+    diag, off = np.zeros(29), np.zeros(28)
+    diag[4], diag[16] = 1.677281558978061e-258, -1.0
+    off[4], off[15] = 1.0, 4.529744763914276e-112
+    return diag, off
+
+
 @settings(max_examples=60, deadline=None)
 @given(tri=tridiagonals(), data=st.data())
+@example(tri=_seed_189_draw(), data=_Draws(0.0, 1.677281558978061e-258))
 def test_sturm_count_is_monotone_in_the_shift(tri, data):
     diag, off = tri
-    # a shift equal to diag[0] makes the first pivot exactly zero (pivmin nudge)
+    # a shift equal to diag[0] makes the first pivot exactly zero
     shift = st.one_of(st.floats(-40.0, 40.0), st.sampled_from(diag.tolist()))
     lo, hi = sorted((data.draw(shift), data.draw(shift)))
     dl, off_sq, pivmin = _as_lists(diag, off)
@@ -137,10 +159,14 @@ def test_sturm_count_is_monotone_in_the_shift(tri, data):
 
 
 def _pivots(dl, off_sq, shift, pivmin) -> list:
-    """The pivots of `_sturm_count` at `shift`, each exact zero nudged to -pivmin."""
-    out = [dl[0] - shift or -pivmin]
-    for a, b2 in zip(dl[1:], off_sq):
-        out.append(a - shift - b2 / out[-1] or -pivmin)
+    """The pivots of `_sturm_count` at `shift` as computed, before each one with
+    |d| < pivmin is replaced by -pivmin for the next."""
+    out, d = [], 1.0
+    for a, b2 in zip(dl, off_sq):
+        d = a - shift - b2 / d
+        out.append(d)
+        if abs(d) < pivmin:
+            d = -pivmin
     return out
 
 
@@ -172,18 +198,33 @@ def test_sturm_slope_counts_as_sturm_count_and_slopes_as_scipy(tri, data):
 
 
 def test_a_pivot_below_pivmin_changes_no_bit():
-    # at shift 1 the second pivot is 1e-310, which is not 0 and so is not nudged:
-    # its reciprocal overflows the slope, but the count is exact and decides
+    # at shift 1 the second pivot is 1e-310, below pivmin in size: it counts and
+    # becomes -pivmin, so the slope stays finite and close to the exact one, about 0
     diag, off = np.array([0.0, 1.0, 0.0]), np.array([1e-155, 1.0])
     dl, off_sq, pivmin = _as_lists(diag, off)
+    assert _pivots(dl, off_sq, 1.0, pivmin)[1] == 1e-310
     count, slope = _sturm_slope(dl, off_sq, 1.0, pivmin)
     assert count == _sturm_count(dl, off_sq, 1.0, pivmin) == 2
-    assert not math.isfinite(slope)
+    assert math.isfinite(slope) and abs(slope - float(exact_slope(diag, off, 1.0))) <= 1e-12
     assert lowest_eigs(_sector(diag, off), 3).tolist() == _lowest_eigs_counting_afresh(diag, off, 3)
     # eigenvalues about -0.618, 0 and 1.618; the first pass is at shift 1, whose
-    # step is the bracket's midpoint
+    # step -1/slope leaves the bracket and is replaced by the bracket's midpoint
     theta = spectral._locate_eigenvalue(_sector(diag, off), 3, -1.0, 3.0)
     assert abs(theta - (1.0 + math.sqrt(5.0)) / 2.0) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan, 0.0))
+def test_a_slope_that_is_no_hint_changes_no_bit(monkeypatch, bad):
+    # no known matrix gives a slope of +-inf or nan; every such slope, and 0,
+    # makes _locate_eigenvalue step to the bracket's midpoint, and the counts decide
+    diag, off = np.array([0.0, 1.0, 0.0]), np.array([1e-155, 1.0])
+    fresh = _lowest_eigs_counting_afresh(diag, off, 3)
+    sloping = spectral._sturm_slope
+    monkeypatch.setattr(spectral, "_sturm_slope",
+                        lambda *args: (sloping(*args)[0], bad))
+    theta = spectral._locate_eigenvalue(_sector(diag, off), 3, -1.0, 3.0)
+    assert abs(theta - (1.0 + math.sqrt(5.0)) / 2.0) <= 1e-9
+    assert lowest_eigs(_sector(diag, off), 3).tolist() == fresh
 
 
 def _lowest_eigs_counting_afresh(diag, off, k):

@@ -187,7 +187,7 @@ def test_negative_count_free_laplacian_zero():
 
 
 def test_negative_count_nudges_zero_pivots():
-    # an exact zero pivot at shift 0 becomes -pivmin, as in LAPACK dstebz
+    # a pivot within pivmin of 0 at shift 0 counts and becomes -pivmin, as in LAPACK dlaebz
     from oddkg.spectral import SchrodingerDiscretization
 
     def sector(diag, off):
@@ -199,6 +199,8 @@ def test_negative_count_nudges_zero_pivots():
     assert negative_count(sector([0.0, 1.0], [0.5])) == 1
     # eigenvalues -1, +1 and about -1, +1: zero pivots at shift 0 and at -1e-12
     assert negative_count(sector([0.0, 0.0, -1e-12, 0.0], [1.0, 0.0, 1.0])) == 2
+    # eigenvalues 1e-300 and 1: the first pivot, 1e-300, is below pivmin and counts
+    assert negative_count(sector([1e-300, 1.0], [0.0])) == 1
 
 
 def test_poschl_teller_ground_state_even():
